@@ -48,11 +48,11 @@ from .errors import (
 )
 from .memmap import (
     REGISTER,
-    AccessRequirement,
+    AccessModel,
+    AccessWindow,
     MappingPolicy,
     MemoryBank,
     MemoryMapping,
-    access_requirements,
     all_registers,
     generate_default_mapping,
     memory_read_refs,

@@ -40,8 +40,6 @@ from .scheduler import (
     schedule_memory_aware,
 )
 
-_ORACLE_LIMIT = 10
-
 
 @dataclass
 class RunConfig:
@@ -213,18 +211,13 @@ def _compare_body(cfg: RunConfig) -> int:
     extra = {}
     oracle_makespan = None
     if cfg.oracle:
-        if len(g.operations) <= _ORACLE_LIMIT:
-            try:
-                oracle_makespan, _ = bruteforce_optimal_makespan(
-                    g, alloc, mapping, cfg.time_constraint_cycles
-                )
-                extra["oracle_makespan"] = oracle_makespan
-            except TooLarge:
-                pass
-        if oracle_makespan is None:
-            print(
-                f"note: --oracle skipped, graph exceeds {_ORACLE_LIMIT} operations"
+        try:
+            oracle_makespan, _ = bruteforce_optimal_makespan(
+                g, alloc, mapping, cfg.time_constraint_cycles
             )
+            extra["oracle_makespan"] = oracle_makespan
+        except TooLarge as e:
+            print(f"note: --oracle skipped, {e.message}")
 
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 """Memory hierarchy model: banks with ports and access latencies, placement
-of data items onto banks or registers, and per-operation access requirements.
+of data items onto banks or registers, and the access model that turns an
+operation's placement into port windows and start constraints.
 
 Placement keys are data item names. A whole-array entry (``"x": "M0"``)
 covers every element; an element entry (``"x[3]": "M1"``) overrides it.
@@ -12,9 +13,9 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .dfg import DataRef, Dfg, _ELEMENT_RE, _NAME_RE
+from .dfg import DataRef, Dfg, _ELEMENT_RE, _NAME_RE, _check_keys, _load_json
 from .errors import (
     CapacityExceeded,
     Diagnostic,
@@ -113,17 +114,6 @@ def all_registers(banks: Iterable[MemoryBank] = ()) -> MemoryMapping:
     return MemoryMapping(banks, {}, default_register=True)
 
 
-@dataclass(frozen=True)
-class AccessRequirement:
-    """How many bank ports one operation needs: distinct memory-resident
-    operands per bank (duplicate operands collapse to one fetch) and the
-    single result store, when the result lives in memory."""
-
-    op_id: str
-    reads: Mapping[str, int]
-    writes: Mapping[str, int]
-
-
 class MappingPolicy(enum.Enum):
     ALL_REGISTERS = "all-registers"
     ROUND_ROBIN = "round-robin"
@@ -136,7 +126,7 @@ def parse_mapping(text: str) -> MemoryMapping:
     Bank entries carry id, ports, read_latency, write_latency, level and
     optionally capacity_words and energy_per_access (default 1.0).
     """
-    doc = _load(text)
+    doc = _load_json(text, "mapping")
     _check_keys(doc, {"banks"}, {"place", "default"}, "mapping document")
     raw_banks = doc["banks"]
     if not isinstance(raw_banks, list):
@@ -205,17 +195,88 @@ def memory_read_refs(op, mapping: MemoryMapping) -> dict[str, tuple[DataRef, ...
     return {bank_id: tuple(refs) for bank_id, refs in by_bank.items()}
 
 
-def access_requirements(op, mapping: MemoryMapping) -> AccessRequirement:
-    """Port demand of a single operation under a mapping.
+class AccessWindow(NamedTuple):
+    """``count`` accesses to ``bank``, each holding one port over the
+    half-open cycle range [start, end)."""
 
-    Raises UnmappedData when any of its items cannot be resolved.
+    bank: MemoryBank
+    count: int
+    start: int
+    end: int
+    is_store: bool
+
+
+class _OpAccess(NamedTuple):
+    latency: int
+    fetches: tuple[tuple[MemoryBank, int], ...]  # (bank, distinct operands), by bank id
+    store: MemoryBank | None
+    floor: int  # largest read latency: no fetch window starts before cycle 0
+    waits: tuple[tuple[str, int], ...]  # (predecessor, cycles between its finish and start)
+
+
+class AccessModel:
+    """The timing rule of memory traffic for one graph under one mapping
+    (None keeps every item in registers), built once per run.
+
+    An operation started at cycle s whose class has latency L:
+
+    - fetches its memory-resident operands (duplicates collapse to one) over
+      [s - read_latency, s), all fetches from one bank at once;
+    - stores a memory-resident result over [s + L, s + L + write_latency);
+    - completes when its store ends, otherwise at s + L.
+
+    It may start once every fetch window begins at cycle 0 or later and no
+    earlier than the completion of the producer of the fetched value, and
+    once the producers of its register operands and its ``deps`` completed.
     """
-    reads = {bank_id: len(refs) for bank_id, refs in memory_read_refs(op, mapping).items()}
-    writes: dict[str, int] = {}
-    result_bank = mapping.bank_of(op.result)
-    if result_bank is not None:
-        writes[result_bank.id] = 1
-    return AccessRequirement(op.id, reads, writes)
+
+    def __init__(self, g: Dfg, mapping: MemoryMapping | None = None):
+        self.mapping = mapping
+        self._ops: dict[str, _OpAccess] = {}
+        for op in g.operations:
+            waits = dict.fromkeys(g.predecessors(op.id), 0)
+            fetches: list[tuple[MemoryBank, int]] = []
+            store = None
+            if mapping is not None:
+                for bank_id, refs in sorted(memory_read_refs(op, mapping).items()):
+                    bank = mapping.bank_by_id[bank_id]
+                    fetches.append((bank, len(refs)))
+                    for ref in refs:
+                        producer = g.producer_of(ref)
+                        if producer in waits:
+                            waits[producer] = max(waits[producer], bank.read_latency_cycles)
+                store = mapping.bank_of(op.result)
+            self._ops[op.id] = _OpAccess(
+                latency=g.class_of(op).latency_cycles,
+                fetches=tuple(fetches),
+                store=store,
+                floor=max((bank.read_latency_cycles for bank, _ in fetches), default=0),
+                waits=tuple(waits.items()),
+            )
+
+    def windows(self, op_id: str, start: int) -> list[AccessWindow]:
+        """Fetch windows by bank id, then the store window, for a start."""
+        a = self._ops[op_id]
+        out = [
+            AccessWindow(bank, n, start - bank.read_latency_cycles, start, False)
+            for bank, n in a.fetches
+        ]
+        if a.store is not None:
+            end = start + a.latency
+            out.append(AccessWindow(a.store, 1, end, end + a.store.write_latency_cycles, True))
+        return out
+
+    def completion(self, op_id: str, start: int) -> int:
+        """Cycle at which the result is usable downstream."""
+        a = self._ops[op_id]
+        end = start + a.latency
+        return end + a.store.write_latency_cycles if a.store is not None else end
+
+    def earliest_start(self, op_id: str, finish: Mapping[str, int]) -> int:
+        """Earliest legal start given the completion cycles of every
+        predecessor in ``finish``."""
+        a = self._ops[op_id]
+        return max([a.floor] + [finish[p] + lag for p, lag in a.waits])
 
 
 def validate_mapping(mapping: MemoryMapping, g: Dfg) -> list[Diagnostic]:
@@ -312,22 +373,3 @@ def serialize_mapping(mapping: MemoryMapping) -> str:
     if mapping.default_register:
         doc["default"] = REGISTER
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _load(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid mapping document: {e.msg}", e.lineno, e.colno) from None
-    if not isinstance(doc, dict):
-        raise FormatError("mapping document must be a JSON object")
-    return doc
-
-
-def _check_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
-    missing = required - obj.keys()
-    if missing:
-        raise FormatError(f"{where} is missing key(s): {', '.join(sorted(missing))}")
-    unknown = obj.keys() - required - optional
-    if unknown:
-        raise FormatError(f"{where} has unknown key(s): {', '.join(sorted(unknown))}")

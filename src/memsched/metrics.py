@@ -2,11 +2,13 @@
 
 Energy model: every executed operation costs its class base energy; an
 operation flagged as input-sharing (model 2) is discounted by the configured
-reduction factor. Memory energy is linear in bank accesses. Conflict
-counting replays memory-ignorant schedules against a mapping by attributing
-all fetches of an operation to the cycle right before its start and its
-store to its end cycle, mirroring the windows the memory-aware scheduler
-books, so the two policies compare like for like.
+reduction factor. Memory energy is linear in bank accesses. Bank traffic
+of either policy is counted over the windows of the mapping's access model:
+each fetch holds a port over [start - read_latency, start) and each store
+over [end, end + write_latency), for every cycle of the window. A cycle in
+which a bank receives more requests than it has ports is a conflict cycle;
+the memory-aware scheduler books exactly these windows, so its schedules
+count none, and the two policies compare like for like.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from xml.sax.saxutils import escape
 
 from .dfg import Dfg, OperatorLibrary
 from .errors import InconsistentSchedule, MismatchedInputs
-from .memmap import MemoryMapping, access_requirements
-from .scheduler import Policy, Schedule, SchedulerConfig
+from .memmap import AccessModel, MemoryMapping
+from .scheduler import Schedule, SchedulerConfig
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,10 @@ def analyze(
 ) -> ScheduleMetrics:
     """Measure a schedule: sharing ratio, energy estimate, bank traffic.
 
-    Memory-aware schedules are counted from their port bookings; schedules
-    produced without memory knowledge are replayed against ``mapping`` to
-    expose the port conflicts they would cause.
+    Bank traffic replays every entry's start against ``mapping``: each access
+    counts as one request in every cycle of its full multi-cycle window (see
+    the module docs), so a memory-blind schedule shows the port conflicts it
+    would cause and a memory-aware one shows the traffic it booked.
     """
     library = library or g.library
     cfg = cfg or s.config
@@ -131,10 +134,7 @@ def analyze(
     memory_energy = 0.0
     total_conflicts = 0
     if mapping is not None and mapping.banks:
-        if s.policy is Policy.MEMORY_AWARE:
-            accesses, requests = _traffic_from_bookings(s)
-        else:
-            accesses, requests = _traffic_from_replay(s, g, mapping)
+        accesses, requests = _traffic(s, AccessModel(g, mapping))
         for bank in sorted(mapping.banks, key=lambda b: b.id):
             cycles = requests.get(bank.id, {})
             peak = max(cycles.values(), default=0)
@@ -156,32 +156,16 @@ def analyze(
     )
 
 
-def _traffic_from_bookings(s: Schedule):
+def _traffic(s: Schedule, model: AccessModel):
+    """Accesses per bank and requests per bank and cycle."""
     accesses: Counter[str] = Counter()
     requests: dict[str, Counter[int]] = {}
-    for e in s.sorted_entries():
-        bookings = list(e.read_bookings)
-        if e.write_booking is not None:
-            bookings.append(e.write_booking)
-        for b in bookings:
-            accesses[b.bank_id] += 1
-            cycles = requests.setdefault(b.bank_id, Counter())
-            for c in range(b.start, b.end):
-                cycles[c] += 1
-    return accesses, requests
-
-
-def _traffic_from_replay(s: Schedule, g: Dfg, mapping: MemoryMapping):
-    accesses: Counter[str] = Counter()
-    requests: dict[str, Counter[int]] = {}
-    for e in s.sorted_entries():
-        req = access_requirements(g.operation(e.op_id), mapping)
-        for bank_id, k in sorted(req.reads.items()):
-            accesses[bank_id] += k
-            requests.setdefault(bank_id, Counter())[e.start_cycle - 1] += k
-        for bank_id, k in sorted(req.writes.items()):
-            accesses[bank_id] += k
-            requests.setdefault(bank_id, Counter())[e.end_cycle] += k
+    for e in s.entries.values():
+        for w in model.windows(e.op_id, e.start_cycle):
+            accesses[w.bank.id] += w.count
+            cycles = requests.setdefault(w.bank.id, Counter())
+            for c in range(w.start, w.end):
+                cycles[c] += w.count
     return accesses, requests
 
 
@@ -248,17 +232,13 @@ def export_gantt(s: Schedule, mapping: MemoryMapping | None = None) -> str:
         + [b.end for e in entries for b in e.read_bookings]
         + [e.write_booking.end for e in entries if e.write_booking is not None]
     )
-    offset = min(
-        [0]
-        + [b.start for e in entries for b in e.read_bookings]
-    )  # replayed fetches may sit one cycle before start 0
     rows = [("op", cls, idx) for cls, idx in instance_rows]
     rows += [("port", bank, port) for bank, port in port_rows]
-    width = _MARGIN_LEFT + (horizon - offset) * _CYCLE_W + 20
+    width = _MARGIN_LEFT + horizon * _CYCLE_W + 20
     height = _MARGIN_TOP + max(1, len(rows)) * _ROW_H + 30
 
     def x(cycle: int) -> int:
-        return _MARGIN_LEFT + (cycle - offset) * _CYCLE_W
+        return _MARGIN_LEFT + cycle * _CYCLE_W
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -267,10 +247,10 @@ def export_gantt(s: Schedule, mapping: MemoryMapping | None = None) -> str:
     ]
     step = 1
     for candidate in (1, 2, 5, 10, 20, 50):
-        if (horizon - offset) / candidate <= 40:
+        if horizon / candidate <= 40:
             step = candidate
             break
-    for c in range(offset, horizon + 1):
+    for c in range(horizon + 1):
         top = _MARGIN_TOP
         bottom = _MARGIN_TOP + len(rows) * _ROW_H
         out.append(

@@ -4,11 +4,11 @@ Two policies share one engine. BASELINE treats every data item as
 register-resident and packs operations onto a fixed pool of operator
 instances, highest priority first (least mobility, then input-sharing
 affinity, then id). MEMORY_AWARE adds one bookable access token per bank
-port: an operation may only start at cycle t if every operand fetch gets a
-free port over the read window [t - read_latency, t) and, when its result
-lives in memory, a port is free for the store window [end, end +
-write_latency). The scanner walks the priority-sorted ready list and takes
-the first operation whose ports are all free; blocked operations simply wait.
+port: an operation may only start at cycle t if it is legal under the
+mapping's access model (``memmap.AccessModel``) and a port is free for each
+of its fetch and store windows. The scanner walks the priority-sorted ready
+list and takes the first operation whose ports are all free; blocked
+operations simply wait.
 
 A branch-and-bound search over start cycles provides exact optimal makespans
 for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
@@ -32,7 +32,7 @@ from .errors import (
     TooLarge,
     UnmappedData,
 )
-from .memmap import MemoryBank, MemoryMapping, memory_read_refs, validate_mapping
+from .memmap import AccessModel, MemoryBank, MemoryMapping, validate_mapping
 
 
 class Policy(enum.Enum):
@@ -59,7 +59,6 @@ class Allocation:
 class SchedulerConfig:
     """Scheduling knobs.
 
-    ``step_cycles`` and ``pipeline_slices`` are reserved and pinned to 1.
     ``model2_reduction`` is the per-operation energy discount applied to
     operations that reuse an input of their instance's previous operation;
     it only affects reporting, never placement.
@@ -68,8 +67,6 @@ class SchedulerConfig:
     time_constraint_cycles: int
     policy: Policy = Policy.BASELINE
     model2_reduction: float = 0.25
-    step_cycles: int = 1
-    pipeline_slices: int = 1
     dynamic_mobility: bool = False
     positional_affinity: bool = False
     use_affinity: bool = True
@@ -78,10 +75,6 @@ class SchedulerConfig:
     def __post_init__(self):
         if self.time_constraint_cycles < 1:
             raise ValueError("time constraint must be >= 1 cycle")
-        if self.step_cycles != 1:
-            raise ValueError("step_cycles is reserved and must be 1")
-        if self.pipeline_slices != 1:
-            raise ValueError("pipeline_slices is reserved and must be 1")
         if not 0.25 <= self.model2_reduction <= 0.50:
             raise ValueError("model2_reduction must lie in [0.25, 0.50]")
 
@@ -263,11 +256,11 @@ def ample_allocation(g: Dfg) -> Allocation:
 
 class _Engine:
     def __init__(self, g: Dfg, alloc: Allocation, cfg: SchedulerConfig,
-                 timing: TimingAnalysis, mapping: MemoryMapping | None):
+                 timing: TimingAnalysis, model: AccessModel):
         self.g = g
         self.cfg = cfg
         self.timing = timing
-        self.mapping = mapping
+        self.model = model
         self.cls = {op.id: g.class_of(op) for op in g.operations}
         self.preds = {op.id: g.predecessors(op.id) for op in g.operations}
         used = sorted({c.name for c in self.cls.values()})
@@ -281,12 +274,6 @@ class _Engine:
             ]
             for name in used
         }
-        self.mem_reads: dict[str, dict[str, tuple[DataRef, ...]]] = {}
-        self.result_bank: dict[str, MemoryBank | None] = {}
-        if mapping is not None:
-            for op in g.operations:
-                self.mem_reads[op.id] = memory_read_refs(op, mapping)
-                self.result_bank[op.id] = mapping.bank_of(op.result)
 
     def run(self) -> tuple[dict[str, ScheduleEntry], set[str]]:
         cfg = self.cfg
@@ -322,7 +309,7 @@ class _Engine:
                     break
                 if not placed:
                     break
-            t += cfg.step_cycles
+            t += 1
         return entries, unscheduled
 
     def _free_instances(self, oid: str, t: int) -> list[OperatorInstanceState]:
@@ -349,39 +336,21 @@ class _Engine:
 
     def _gate(self, oid: str, t: int, ledger: PortLedger, finish: dict[str, int]):
         """Port plan for starting ``oid`` at t, or None when blocked."""
-        lat = self.cls[oid].latency_cycles
-        end = t + lat
-        if self.mapping is None:
-            if end > self.cfg.time_constraint_cycles:
-                return None
-            return (), None
-        wbank = self.result_bank[oid]
-        completion = end + wbank.write_latency_cycles if wbank else end
-        if completion > self.cfg.time_constraint_cycles:
+        model = self.model
+        if (model.completion(oid, t) > self.cfg.time_constraint_cycles
+                or model.earliest_start(oid, finish) > t):
             return None
         reads: list[PortBooking] = []
-        for bank_id in sorted(self.mem_reads[oid]):
-            bank = self.mapping.bank_by_id[bank_id]
-            refs = self.mem_reads[oid][bank_id]
-            window_start = t - bank.read_latency_cycles
-            if window_start < 0:
-                return None
-            for ref in refs:
-                producer = self.g.producer_of(ref)
-                if producer is not None and finish[producer] > window_start:
-                    return None
-            free = ledger.free_ports(bank, window_start, t)
-            if len(free) < len(refs):
-                return None
-            reads.extend(
-                PortBooking(bank_id, p, window_start, t) for p in free[: len(refs)]
-            )
         write = None
-        if wbank is not None:
-            free = ledger.free_ports(wbank, end, completion)
-            if not free:
+        for w in model.windows(oid, t):
+            free = ledger.free_ports(w.bank, w.start, w.end)
+            if len(free) < w.count:
                 return None
-            write = PortBooking(wbank.id, free[0], end, completion)
+            bookings = [PortBooking(w.bank.id, p, w.start, w.end) for p in free[: w.count]]
+            if w.is_store:
+                write = bookings[0]
+            else:
+                reads.extend(bookings)
         return tuple(reads), write
 
     def _place(self, oid, t, free, plan, ledger, entries, finish) -> None:
@@ -416,7 +385,7 @@ class _Engine:
             is_model2=shared >= 1,
             shared_inputs=shared,
         )
-        finish[oid] = write.end if write is not None else end
+        finish[oid] = self.model.completion(oid, t)
         inst.busy_until_cycle = end
         inst.last_operand_sources = op.operands
 
@@ -430,14 +399,15 @@ def _run_or_raise(
 ) -> Schedule:
     if timing.critical_path_cycles > cfg.time_constraint_cycles:
         raise InfeasibleConstraint(timing.critical_path_cycles, cfg.time_constraint_cycles)
-    entries, unscheduled = _Engine(g, alloc, cfg, timing, mapping).run()
+    model = AccessModel(g, mapping)
+    entries, unscheduled = _Engine(g, alloc, cfg, timing, model).run()
     if unscheduled:
         suggestion = None
         for factor in (2, 4, 8):
             bigger = cfg.time_constraint_cycles * factor
             retry_cfg = replace(cfg, time_constraint_cycles=bigger)
             retry_timing = compute_timing(g, g.library, bigger)
-            _, left = _Engine(g, alloc, retry_cfg, retry_timing, mapping).run()
+            _, left = _Engine(g, alloc, retry_cfg, retry_timing, model).run()
             if not left:
                 suggestion = bigger
                 break
@@ -498,9 +468,8 @@ def bruteforce_optimal_makespan(
     """Exact minimal makespan by branch-and-bound over start cycles.
 
     Explores every dependency- and resource-feasible start assignment under
-    the same timing rules as the list scheduler (read windows before start,
-    store windows after end) and returns the best makespan with one witness
-    schedule. Exponential: guarded to 10 operations.
+    the access model the list scheduler uses and returns the best makespan
+    with one witness schedule. Exponential: guarded to 10 operations.
     """
     ops = list(g.operations)
     if len(ops) > _BRUTEFORCE_MAX_OPS:
@@ -508,22 +477,8 @@ def bruteforce_optimal_makespan(
                        f"{_BRUTEFORCE_MAX_OPS}")
     order = topological_order(g)
     cls = {op.id: g.class_of(op) for op in ops}
-    preds = {op.id: g.predecessors(op.id) for op in ops}
     succs = g.successors()
-
-    mem_reads: dict[str, dict[str, tuple[DataRef, ...]]] = {}
-    result_bank: dict[str, MemoryBank | None] = {}
-    for op in ops:
-        if mapping is not None:
-            mem_reads[op.id] = memory_read_refs(op, mapping)
-            result_bank[op.id] = mapping.bank_of(op.result)
-        else:
-            mem_reads[op.id] = {}
-            result_bank[op.id] = None
-
-    def own_span(oid: str) -> int:
-        wbank = result_bank[oid]
-        return cls[oid].latency_cycles + (wbank.write_latency_cycles if wbank else 0)
+    model = AccessModel(g, mapping)
 
     tail: dict[str, int] = {}
     for oid in reversed(order):
@@ -535,21 +490,15 @@ def bruteforce_optimal_makespan(
     # per-bank port-cycle pigeonhole
     lower = max((tail[oid] for oid in order), default=0)
     per_class: Counter[str] = Counter()
-    for op in ops:
-        per_class[cls[op.id].name] += cls[op.id].latency_cycles
+    port_work: Counter[MemoryBank] = Counter()
+    for oid in order:
+        per_class[cls[oid].name] += cls[oid].latency_cycles
+        for w in model.windows(oid, 0):
+            port_work[w.bank] += w.count * (w.end - w.start)
     for name, work in per_class.items():
         lower = max(lower, -(-work // alloc.count(name)))
-    if mapping is not None:
-        port_work: Counter[str] = Counter()
-        for op in ops:
-            for bank_id, refs in mem_reads[op.id].items():
-                bank = mapping.bank_by_id[bank_id]
-                port_work[bank_id] += len(refs) * bank.read_latency_cycles
-            wbank = result_bank[op.id]
-            if wbank is not None:
-                port_work[wbank.id] += wbank.write_latency_cycles
-        for bank_id, work in port_work.items():
-            lower = max(lower, -(-work // mapping.bank_by_id[bank_id].ports))
+    for bank, work in port_work.items():
+        lower = max(lower, -(-work // bank.ports))
 
     class_usage: Counter[tuple[str, int]] = Counter()
     port_usage: Counter[tuple[str, int]] = Counter()
@@ -558,52 +507,26 @@ def bruteforce_optimal_makespan(
     best = T_max + 1
     best_starts: dict[str, int] | None = None
 
-    def earliest(oid: str) -> int:
-        op = g.operation(oid)
-        lo = 0
-        mem_ref_banks = {
-            ref: bank_id for bank_id, refs in mem_reads[oid].items() for ref in refs
-        }
-        for ref in dict.fromkeys(op.operands):
-            producer = g.producer_of(ref)
-            bank_id = mem_ref_banks.get(ref)
-            if bank_id is not None:
-                rl = mapping.bank_by_id[bank_id].read_latency_cycles
-                lo = max(lo, (finish[producer] if producer else 0) + rl)
-            elif producer is not None:
-                lo = max(lo, finish[producer])
-        for dep in op.extra_deps:
-            lo = max(lo, finish[dep])
-        return lo
-
-    def cycles_needed(oid: str, s: int) -> list[tuple[Counter, tuple, int]]:
-        """(counter, key-range, amount) increments for starting oid at s."""
-        lat = cls[oid].latency_cycles
-        needs = [(class_usage, (cls[oid].name, s, s + lat), 1)]
-        for bank_id, refs in mem_reads[oid].items():
-            rl = mapping.bank_by_id[bank_id].read_latency_cycles
-            needs.append((port_usage, (bank_id, s - rl, s), len(refs)))
-        wbank = result_bank[oid]
-        if wbank is not None:
-            needs.append(
-                (port_usage, (wbank.id, s + lat, s + lat + wbank.write_latency_cycles), 1)
-            )
+    def cycles_needed(oid: str, s: int):
+        """(counter, key, first cycle, end cycle, amount, capacity) for
+        starting oid at s."""
+        c = cls[oid]
+        needs = [(class_usage, c.name, s, s + c.latency_cycles, 1, alloc.count(c.name))]
+        needs.extend(
+            (port_usage, w.bank.id, w.start, w.end, w.count, w.bank.ports)
+            for w in model.windows(oid, s)
+        )
         return needs
 
-    def capacity_ok(oid: str, s: int) -> bool:
-        for counter, (key, lo_c, hi_c), amount in cycles_needed(oid, s):
-            cap = (
-                alloc.count(key)
-                if counter is class_usage
-                else mapping.bank_by_id[key].ports
-            )
+    def capacity_ok(needs) -> bool:
+        for counter, key, lo_c, hi_c, amount, cap in needs:
             for c in range(lo_c, hi_c):
                 if counter[(key, c)] + amount > cap:
                     return False
         return True
 
-    def apply(oid: str, s: int, sign: int) -> None:
-        for counter, (key, lo_c, hi_c), amount in cycles_needed(oid, s):
+    def apply(needs, sign: int) -> None:
+        for counter, key, lo_c, hi_c, amount, _ in needs:
             for c in range(lo_c, hi_c):
                 counter[(key, c)] += sign * amount
 
@@ -612,35 +535,37 @@ def bruteforce_optimal_makespan(
         if best <= lower:
             return
         if i == len(order):
-            makespan = max((starts[o] + own_span(o) for o in starts), default=0)
+            makespan = max(finish.values(), default=0)
             if makespan < best:
                 best = makespan
                 best_starts = dict(starts)
             return
         oid = order[i]
-        lo = earliest(oid)
-        hi = min(T_max - own_span(oid), best - 1 - tail[oid])
+        lo = model.earliest_start(oid, finish)
+        # latest start that still completes by T_max
+        hi = min(T_max - model.completion(oid, 0), best - 1 - tail[oid])
         for s in range(lo, hi + 1):
-            if not capacity_ok(oid, s):
+            needs = cycles_needed(oid, s)
+            if not capacity_ok(needs):
                 continue
-            apply(oid, s, +1)
+            apply(needs, +1)
             starts[oid] = s
-            finish[oid] = s + own_span(oid)
+            finish[oid] = model.completion(oid, s)
             dfs(i + 1)
             del starts[oid], finish[oid]
-            apply(oid, s, -1)
+            apply(needs, -1)
 
     dfs(0)
     if best_starts is None:
         raise Infeasible(f"no schedule fits within {T_max} cycles")
-    witness = _witness_schedule(g, alloc, mapping, best_starts, best, T_max)
+    witness = _witness_schedule(g, alloc, model, best_starts, best, T_max)
     return best, witness
 
 
 def _witness_schedule(
     g: Dfg,
     alloc: Allocation,
-    mapping: MemoryMapping | None,
+    model: AccessModel,
     starts: Mapping[str, int],
     makespan: int,
     T_max: int,
@@ -649,6 +574,7 @@ def _witness_schedule(
     ports by greedy interval partitioning in window-start order (exact when
     per-cycle occupancy fits, which the search guaranteed), sharing flags
     replayed per instance in execution order."""
+    mapping = model.mapping
     cfg = SchedulerConfig(
         time_constraint_cycles=T_max,
         policy=Policy.MEMORY_AWARE if mapping is not None else Policy.BASELINE,
@@ -666,33 +592,25 @@ def _witness_schedule(
         frees[idx] = start + cls[op.id].latency_cycles
         chosen[op.id] = idx
 
-    # All port windows of all ops, assigned in window-start order so greedy
-    # lowest-free-port packing never exceeds the per-cycle occupancy bound.
+    # All port windows of all ops, one per access, assigned in window-start
+    # order so greedy lowest-free-port packing never exceeds the per-cycle
+    # occupancy bound.
     ledger = PortLedger()
     read_by_op: dict[str, list[PortBooking]] = {op.id: [] for op in g.operations}
     write_by_op: dict[str, PortBooking | None] = {op.id: None for op in g.operations}
-    if mapping is not None:
-        windows: list[tuple[int, int, str, str, bool]] = []
-        for op in by_start:
-            start = starts[op.id]
-            end = start + cls[op.id].latency_cycles
-            for bank_id, refs in sorted(memory_read_refs(op, mapping).items()):
-                rl = mapping.bank_by_id[bank_id].read_latency_cycles
-                windows.extend((start - rl, start, bank_id, op.id, False) for _ in refs)
-            wbank = mapping.bank_of(op.result)
-            if wbank is not None:
-                windows.append(
-                    (end, end + wbank.write_latency_cycles, wbank.id, op.id, True)
-                )
-        for w_start, w_end, bank_id, op_id, is_write in sorted(windows):
-            bank = mapping.bank_by_id[bank_id]
-            port = ledger.free_ports(bank, w_start, w_end)[0]
-            ledger.book(bank_id, port, w_start, w_end)
-            booking = PortBooking(bank_id, port, w_start, w_end)
-            if is_write:
-                write_by_op[op_id] = booking
-            else:
-                read_by_op[op_id].append(booking)
+    windows: list[tuple[int, int, str, str, bool]] = []
+    for op in by_start:
+        for w in model.windows(op.id, starts[op.id]):
+            windows.extend([(w.start, w.end, w.bank.id, op.id, w.is_store)] * w.count)
+    for w_start, w_end, bank_id, op_id, is_write in sorted(windows):
+        bank = mapping.bank_by_id[bank_id]
+        port = ledger.free_ports(bank, w_start, w_end)[0]
+        ledger.book(bank_id, port, w_start, w_end)
+        booking = PortBooking(bank_id, port, w_start, w_end)
+        if is_write:
+            write_by_op[op_id] = booking
+        else:
+            read_by_op[op_id].append(booking)
 
     last_ops: dict[tuple[str, int], tuple[DataRef, ...]] = {}
     entries: dict[str, ScheduleEntry] = {}

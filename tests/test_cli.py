@@ -203,6 +203,26 @@ def test_compare_two_adds_with_oracle_column(inputs, capsys):
     assert "optimal" in captured.out
 
 
+def test_compare_oracle_on_large_graph_is_skipped_with_note(inputs, capsys):
+    rc = main(
+        [
+            "compare",
+            "--dfg", inputs["fir16.dfg.json"],
+            "--library", inputs["dsp.lib.json"],
+            "--mapping", inputs["fir16.map.json"],
+            "--T", "24",
+            "--oracle",
+            "--out", inputs["out"],
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.startswith("note: --oracle skipped, 31 operations exceed")
+    assert "optimal" not in captured.out
+    doc = json.loads((inputs["tmp"] / "out" / "compare.json").read_text())
+    assert "oracle_makespan" not in doc
+
+
 def test_compare_round_robin_default_mapping(inputs):
     # banks-only document; round-robin generates the placement; two ports per
     # bank so any two-operand fetch pair fits

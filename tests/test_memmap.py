@@ -1,10 +1,12 @@
-"""Memory banks, placements and access requirements."""
+"""Memory banks, placements and the access model."""
 
 import json
 
 import pytest
 
 from memsched import (
+    AccessModel,
+    AccessWindow,
     CapacityExceeded,
     Dfg,
     MappingPolicy,
@@ -16,7 +18,6 @@ from memsched import (
     REGISTER,
     UnknownBank,
     UnmappedData,
-    access_requirements,
     elem,
     generate_default_mapping,
     parse_mapping,
@@ -101,7 +102,7 @@ def test_array_placement_covers_elements_with_overrides():
         m.location_of(scalar("unplaced"))
 
 
-# -- access requirements -------------------------------------------------------
+# -- access model: requirements of one operation ------------------------------
 
 def two_bank_mapping():
     return MemoryMapping(
@@ -111,33 +112,83 @@ def two_bank_mapping():
     )
 
 
+def model_of(ops, mapping):
+    return AccessModel(Dfg.build(ops, LIB), mapping)
+
+
 def test_access_requirements_split_banks():
     op = Operation("m1", "mul", (scalar("x"), scalar("h")), scalar("p"))
-    req = access_requirements(op, two_bank_mapping())
-    assert req.reads == {"M0": 1, "M1": 1}
-    assert req.writes == {}
+    model = model_of([op], two_bank_mapping())
+    m0, m1 = two_bank_mapping().banks
+    assert model.windows("m1", 5) == [
+        AccessWindow(m0, 1, 4, 5, False),
+        AccessWindow(m1, 1, 4, 5, False),
+    ]
+    assert model.completion("m1", 5) == 7  # mul latency, no store
 
 
 def test_access_requirements_duplicate_operand_collapses():
     m = MemoryMapping([bank("M0", ports=1)], {"a": "M0", "b": "M0"})
     op = Operation("a1", "add", (scalar("a"), scalar("a")), scalar("b"))
-    req = access_requirements(op, m)
-    assert req.reads == {"M0": 1}
-    assert req.writes == {"M0": 1}
+    model = model_of([op], m)
+    m0 = m.banks[0]
+    assert model.windows("a1", 3) == [
+        AccessWindow(m0, 1, 2, 3, False),
+        AccessWindow(m0, 1, 4, 5, True),
+    ]
+    assert model.completion("a1", 3) == 5
 
 
 def test_access_requirements_all_registers():
-    m = MemoryMapping([], {}, default_register=True)
     op = Operation("a1", "add", (scalar("a"), scalar("b")), scalar("c"))
-    req = access_requirements(op, m)
-    assert req.reads == {} and req.writes == {}
+    for mapping in (MemoryMapping([], {}, default_register=True), None):
+        model = model_of([op], mapping)
+        assert model.windows("a1", 0) == []
+        assert model.completion("a1", 0) == 1
+        assert model.earliest_start("a1", {}) == 0
 
 
 def test_access_requirements_unmapped():
     m = MemoryMapping([bank()], {})
     op = Operation("a1", "add", (scalar("a"),), scalar("c"))
     with pytest.raises(UnmappedData):
-        access_requirements(op, m)
+        model_of([op], m)
+
+
+def test_access_model_multi_cycle_windows():
+    m = MemoryMapping([bank("M0", rl=2, wl=3)], {"a": "M0", "p": "M0"})
+    op = Operation("m1", "mul", (scalar("a"),), scalar("p"))
+    model = model_of([op], m)
+    m0 = m.banks[0]
+    assert model.windows("m1", 4) == [
+        AccessWindow(m0, 1, 2, 4, False),
+        AccessWindow(m0, 1, 6, 9, True),
+    ]
+    assert model.completion("m1", 4) == 9
+    # a fetch window cannot begin before cycle 0
+    assert model.earliest_start("m1", {}) == 2
+
+
+def test_access_model_earliest_start_rules():
+    m = MemoryMapping(
+        [bank("M0", rl=2, wl=1)],
+        {"u": "M0", "v": "REGISTER"},
+        default_register=True,
+    )
+    ops = [
+        Operation("p1", "add", (scalar("i"),), scalar("u")),
+        Operation("p2", "add", (scalar("i"),), scalar("v")),
+        Operation("p3", "add", (scalar("i"),), scalar("w")),
+        Operation("c", "add", (scalar("u"), scalar("v")), scalar("r"),
+                  frozenset({"p3"})),
+    ]
+    model = model_of(ops, m)
+    # memory-fetched u: its window [s - 2, s) starts after p1 completes
+    assert model.earliest_start("c", {"p1": 5, "p2": 0, "p3": 0}) == 7
+    # register operand v and the dep on p3 wait for their producers only
+    assert model.earliest_start("c", {"p1": 0, "p2": 9, "p3": 0}) == 9
+    assert model.earliest_start("c", {"p1": 0, "p2": 0, "p3": 11}) == 11
+    assert model.earliest_start("c", {"p1": 0, "p2": 0, "p3": 0}) == 2
 
 
 # -- validate_mapping ----------------------------------------------------------
@@ -219,6 +270,6 @@ def test_round_robin_skips_full_banks_and_is_deterministic():
 def test_requirement_totals_match_distinct_memory_operands():
     m = two_bank_mapping()
     op = Operation("m1", "mul", (scalar("x"), scalar("h"), scalar("x")), scalar("p"))
-    req = access_requirements(op, m)
+    fetches = [w for w in model_of([op], m).windows("m1", 4) if not w.is_store]
     distinct_memory = {r.name for r in op.operands if m.location_of(r) != REGISTER}
-    assert sum(req.reads.values()) == len(distinct_memory)
+    assert sum(w.count for w in fetches) == len(distinct_memory)

@@ -133,13 +133,37 @@ def test_baseline_replay_counts_conflicts():
     assert m.memory_energy == 2.0
 
 
+def test_replay_counts_full_multi_cycle_fetch_windows():
+    # 1-port bank, read latency 2: fetches for starts 2 and 3 hold the port
+    # over [0, 2) and [1, 3), so both request it in cycle 1
+    ops = [
+        Operation("r1", "add", (scalar("a"),), scalar("u")),
+        Operation("r2", "add", (scalar("b"),), scalar("v")),
+    ]
+    g = Dfg.build(ops, LIB)
+    mapping = MemoryMapping(
+        [MemoryBank("M0", 1, 2, 1, 0)], {"a": "M0", "b": "M0"}, default_register=True
+    )
+    entries = {
+        oid: ScheduleEntry(oid, start, start + 1, "alu", i)
+        for i, (oid, start) in enumerate((("r1", 2), ("r2", 3)))
+    }
+    s = Schedule(entries, 4, Policy.BASELINE, SchedulerConfig(8), Allocation({"alu": 2}))
+    m = analyze(s, g, LIB, mapping)
+    assert m.per_bank["M0"].peak_simultaneous_requests == 2
+    assert m.per_bank["M0"].port_conflict_cycles == 1
+    assert m.total_conflicts == 1
+    assert m.per_bank["M0"].accesses == 2
+
+
 def test_replay_conflicts_match_per_cycle_recount():
-    # independent recount of the replay attribution: all fetches of an op hit
-    # the cycle before its start, its store hits its end cycle
+    # independent recount of the replay: every fetch requests its bank in
+    # each cycle of [start - read_latency, start), every store in each cycle
+    # of [end, end + write_latency)
     import random
     from collections import Counter
 
-    from memsched import access_requirements, compute_min_allocation
+    from memsched import REGISTER, compute_min_allocation
     from oracles import generous_deadline, make_library, random_dfg, random_mapping
 
     rng = random.Random(31)
@@ -156,11 +180,18 @@ def test_replay_conflicts_match_per_cycle_recount():
         demand: dict[str, Counter] = {}
         for op in g.operations:
             e = s.entries[op.id]
-            req = access_requirements(op, mapping)
-            for bank_id, k in req.reads.items():
-                demand.setdefault(bank_id, Counter())[e.start_cycle - 1] += k
-            for bank_id, k in req.writes.items():
-                demand.setdefault(bank_id, Counter())[e.end_cycle] += k
+            for ref in set(op.operands):
+                bank_id = mapping.location_of(ref)
+                if bank_id == REGISTER:
+                    continue
+                rl = mapping.bank_by_id[bank_id].read_latency_cycles
+                for c in range(e.start_cycle - rl, e.start_cycle):
+                    demand.setdefault(bank_id, Counter())[c] += 1
+            bank_id = mapping.location_of(op.result)
+            if bank_id != REGISTER:
+                wl = mapping.bank_by_id[bank_id].write_latency_cycles
+                for c in range(e.end_cycle, e.end_cycle + wl):
+                    demand.setdefault(bank_id, Counter())[c] += 1
         recount = 0
         for bank in mapping.banks:
             cycles = demand.get(bank.id, Counter())

@@ -144,10 +144,6 @@ def test_scheduler_config_bounds():
         SchedulerConfig(4, model2_reduction=0.2)
     with pytest.raises(ValueError):
         SchedulerConfig(4, model2_reduction=0.6)
-    with pytest.raises(ValueError):
-        SchedulerConfig(4, step_cycles=2)
-    with pytest.raises(ValueError):
-        SchedulerConfig(4, pipeline_slices=2)
 
 
 # -- model2 affinity ------------------------------------------------------------
