@@ -77,7 +77,6 @@ from .scheduler import (
     OperatorInstanceState,
     Policy,
     PortBooking,
-    PortLedger,
     Schedule,
     ScheduleEntry,
     SchedulerConfig,

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dfg import Dfg, compute_timing, parse_dfg, parse_library, validate_dfg
+from .dfg import Dfg, TimingAnalysis, compute_timing, parse_dfg, parse_library, validate_dfg
 from .errors import FormatError, SchedulingError, TooLarge
 from .memmap import (
     MappingPolicy,
@@ -60,9 +60,6 @@ class RunConfig:
     per_shared_input_energy: bool = False
     oracle: bool = False
 
-    def needs_mapping(self) -> bool:
-        return self.policy is Policy.MEMORY_AWARE and self.default_mapping is None
-
 
 def _load_graph(cfg: RunConfig) -> Dfg:
     library = parse_library(Path(cfg.library_path).read_text(encoding="utf-8"))
@@ -88,18 +85,19 @@ def _resolve_mapping(cfg: RunConfig, g: Dfg) -> MemoryMapping | None:
     return generate_default_mapping(g, banks, cfg.default_mapping)
 
 
-def _scheduler_config(cfg: RunConfig, policy: Policy) -> SchedulerConfig:
-    if cfg.time_constraint_cycles is None:
-        raise FormatError("a time constraint (--T) is required")
-    return SchedulerConfig(
-        time_constraint_cycles=cfg.time_constraint_cycles,
-        policy=policy,
-        model2_reduction=cfg.model2_reduction,
-        dynamic_mobility=cfg.dynamic_mobility,
-        positional_affinity=cfg.positional_affinity,
-        use_affinity=cfg.use_affinity,
-        per_shared_input_energy=cfg.per_shared_input_energy,
-    )
+def _scheduler_config(cfg: RunConfig) -> SchedulerConfig:
+    try:
+        return SchedulerConfig(
+            time_constraint_cycles=cfg.time_constraint_cycles,
+            policy=cfg.policy,
+            model2_reduction=cfg.model2_reduction,
+            dynamic_mobility=cfg.dynamic_mobility,
+            positional_affinity=cfg.positional_affinity,
+            use_affinity=cfg.use_affinity,
+            per_shared_input_energy=cfg.per_shared_input_energy,
+        )
+    except ValueError as e:
+        raise FormatError(str(e)) from None
 
 
 def _allocation(cfg: RunConfig, g: Dfg) -> Allocation:
@@ -113,15 +111,13 @@ def _allocation(cfg: RunConfig, g: Dfg) -> Allocation:
     return Allocation(counts)
 
 
-def _run_schedule(cfg: RunConfig, g: Dfg, mapping: MemoryMapping | None):
+def _prepare(cfg: RunConfig, g: Dfg) -> tuple[TimingAnalysis, Allocation, SchedulerConfig]:
+    """Timing, allocation and scheduler settings, each derived once per
+    call and in this order, so the deadline check reports first."""
+    if cfg.time_constraint_cycles is None:
+        raise FormatError("a time constraint (--T) is required")
     timing = compute_timing(g, g.library, cfg.time_constraint_cycles)
-    alloc = _allocation(cfg, g)
-    sched_cfg = _scheduler_config(cfg, cfg.policy)
-    if cfg.policy is Policy.MEMORY_AWARE:
-        schedule = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
-    else:
-        schedule = schedule_baseline(g, alloc, sched_cfg, timing)
-    return schedule, alloc, timing
+    return timing, _allocation(cfg, g), _scheduler_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +166,11 @@ def _schedule_body(cfg: RunConfig) -> int:
     mapping = _resolve_mapping(cfg, g)
     if cfg.policy is Policy.MEMORY_AWARE and mapping is None:
         raise FormatError("policy mem-aware needs --mapping or --default-mapping")
-    schedule, _, _ = _run_schedule(cfg, g, mapping)
+    timing, alloc, sched_cfg = _prepare(cfg, g)
+    if cfg.policy is Policy.MEMORY_AWARE:
+        schedule = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
+    else:
+        schedule = schedule_baseline(g, alloc, sched_cfg, timing)
     m = analyze(schedule, g, g.library, mapping, schedule.config)
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -200,10 +200,13 @@ def _compare_body(cfg: RunConfig) -> int:
     mapping = _resolve_mapping(cfg, g)
     if mapping is None:
         raise FormatError("compare needs --mapping or --default-mapping")
-    base_cfg = RunConfig(**{**cfg.__dict__, "policy": Policy.BASELINE})
-    aware_cfg = RunConfig(**{**cfg.__dict__, "policy": Policy.MEMORY_AWARE})
-    s_base, alloc, _ = _run_schedule(base_cfg, g, mapping)
-    s_aware, _, _ = _run_schedule(aware_cfg, g, mapping)
+    timing, alloc, sched_cfg = _prepare(cfg, g)
+    s_base = schedule_baseline(
+        g, alloc, replace(sched_cfg, policy=Policy.BASELINE), timing
+    )
+    s_aware = schedule_memory_aware(
+        g, alloc, mapping, replace(sched_cfg, policy=Policy.MEMORY_AWARE), timing
+    )
     m_base = analyze(s_base, g, g.library, mapping, s_base.config)
     m_aware = analyze(s_aware, g, g.library, mapping, s_aware.config)
     report = compare(m_base, m_aware)

@@ -13,6 +13,7 @@ import heapq
 import json
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -199,6 +200,17 @@ class Dfg:
         self._writers: dict[DataRef, list[str]] = {}
         for op in self.operations:
             self._writers.setdefault(op.result, []).append(op.id)
+        # adjacency, built once: operand producers and known extra deps
+        self._preds: dict[str, frozenset[str]] = {}
+        succs: dict[str, set[str]] = {op.id: set() for op in self.operations}
+        for op in self.operations:
+            preds = {p for p in map(self.producer_of, op.operands) if p is not None}
+            preds.update(dep for dep in op.extra_deps if dep in self._by_id)
+            preds.discard(op.id)
+            self._preds[op.id] = frozenset(preds)
+            for pred in preds:
+                succs[pred].add(op.id)
+        self._succs = {k: frozenset(v) for k, v in succs.items()}
 
     @classmethod
     def build(
@@ -231,18 +243,11 @@ class Dfg:
 
     def predecessors(self, op_id: str) -> frozenset[str]:
         """Operation ids that must finish before ``op_id`` starts."""
-        op = self._by_id[op_id]
-        preds = {p for p in (self.producer_of(ref) for ref in op.operands) if p is not None}
-        preds.update(dep for dep in op.extra_deps if dep in self._by_id)
-        preds.discard(op_id)
-        return frozenset(preds)
+        return self._preds[op_id]
 
-    def successors(self) -> dict[str, frozenset[str]]:
-        succs: dict[str, set[str]] = {op.id: set() for op in self.operations}
-        for op in self.operations:
-            for pred in self.predecessors(op.id):
-                succs[pred].add(op.id)
-        return {k: frozenset(v) for k, v in succs.items()}
+    def successors(self) -> Mapping[str, frozenset[str]]:
+        """Read-only map from each operation id to the ids that wait for it."""
+        return MappingProxyType(self._succs)
 
     def data_items(self) -> frozenset[DataRef]:
         """Every data item the graph touches: inputs, operands and results."""
@@ -640,11 +645,10 @@ def compute_timing(
     """
     latency = {op.id: library.class_for(op.opcode).latency_cycles for op in g.operations}
     order = topological_order(g)
-    preds = {op.id: g.predecessors(op.id) for op in g.operations}
 
     asap: dict[str, int] = {}
     for op_id in order:
-        asap[op_id] = max((asap[p] + latency[p] for p in preds[op_id]), default=0)
+        asap[op_id] = max((asap[p] + latency[p] for p in g.predecessors(op_id)), default=0)
     critical = max((asap[o] + latency[o] for o in asap), default=0)
     if critical > time_constraint_cycles:
         raise InfeasibleConstraint(critical, time_constraint_cycles)

@@ -330,7 +330,7 @@ def generate_default_mapping(
     """
     banks = tuple(banks)
     if policy is MappingPolicy.ALL_REGISTERS:
-        return MemoryMapping(banks, {}, default_register=True)
+        return all_registers(banks)
     if not banks:
         raise ValueError("ROUND_ROBIN placement needs at least one bank")
     names = sorted(ref.name for ref in g.data_items())

@@ -10,6 +10,15 @@ of its fetch and store windows. The scanner walks the priority-sorted ready
 list and takes the first operation whose ports are all free; blocked
 operations simply wait.
 
+Two invariants keep the engine simple. The ready list is fixed within a
+cycle: every latency is >= 1, so an operation placed at cycle t completes
+after t and readies nothing at t. Priorities do not change under a deadline
+shift: moving the deadline moves every ALAP start, hence every slack,
+equally. So when a deadline T is missed, one run at 8T with T's timing
+answers for 2T and 4T too: an operation the deadline blocks at one cycle is
+blocked at every later one, so a run at kT succeeds exactly when the 8T run
+finishes by kT.
+
 A branch-and-bound search over start cycles provides exact optimal makespans
 for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
 """
@@ -125,9 +134,6 @@ class PortLedger:
                 f"overlapping booking on {bank_id} port {port_index}: [{start},{end})"
             )
         self._bookings.setdefault((bank_id, port_index), []).append((start, end))
-
-    def bookings(self) -> dict[tuple[str, int], list[tuple[int, int]]]:
-        return {key: sorted(vals) for key, vals in self._bookings.items()}
 
 
 @dataclass(frozen=True)
@@ -262,7 +268,6 @@ class _Engine:
         self.timing = timing
         self.model = model
         self.cls = {op.id: g.class_of(op) for op in g.operations}
-        self.preds = {op.id: g.predecessors(op.id) for op in g.operations}
         used = sorted({c.name for c in self.cls.values()})
         for name in used:
             if alloc.count(name) < 1:
@@ -276,8 +281,7 @@ class _Engine:
         }
 
     def run(self) -> tuple[dict[str, ScheduleEntry], set[str]]:
-        cfg = self.cfg
-        T = cfg.time_constraint_cycles
+        T = self.cfg.time_constraint_cycles
         ledger = PortLedger()
         entries: dict[str, ScheduleEntry] = {}
         finish: dict[str, int] = {}
@@ -285,29 +289,26 @@ class _Engine:
 
         t = 0
         while t < T and unscheduled:
+            ready = [
+                oid for oid in unscheduled
+                if all(p in finish and finish[p] <= t for p in self.g.predecessors(oid))
+            ]
             while True:
-                ready = [
-                    oid for oid in unscheduled
-                    if all(p in finish and finish[p] <= t for p in self.preds[oid])
-                ]
                 candidates = []
-                for oid in sorted(ready):
+                for oid in ready:
                     free = self._free_instances(oid, t)
                     if free:
-                        candidates.append((oid, free))
-                if not candidates:
-                    break
-                candidates.sort(key=lambda item: self._priority(item[0], item[1], t))
-                placed = False
-                for oid, free in candidates:
+                        bound = self._bind(oid, free)
+                        candidates.append((self._priority(oid, bound[0], t), oid, bound))
+                candidates.sort(key=lambda item: item[0])
+                for _, oid, bound in candidates:
                     plan = self._gate(oid, t, ledger, finish)
-                    if plan is None:
-                        continue
-                    self._place(oid, t, free, plan, ledger, entries, finish)
-                    unscheduled.discard(oid)
-                    placed = True
-                    break
-                if not placed:
+                    if plan is not None:
+                        self._place(oid, t, bound, plan, ledger, entries, finish)
+                        ready.remove(oid)
+                        unscheduled.discard(oid)
+                        break
+                else:
                     break
             t += 1
         return entries, unscheduled
@@ -318,21 +319,25 @@ class _Engine:
             if inst.busy_until_cycle <= t
         ]
 
-    def _priority(self, oid: str, free: list[OperatorInstanceState], t: int):
+    def _bind(self, oid: str, free: list[OperatorInstanceState]):
+        """(shared inputs, instance) for ``oid``: the free instance sharing
+        the most inputs, lowest index on ties; the lowest index when
+        affinity is off."""
+        operands = self.g.operation(oid).operands
+        pool = free if self.cfg.use_affinity else free[:1]
+        shared, _, inst = max(
+            (_affinity(operands, i.last_operand_sources, self.cfg.positional_affinity),
+             -i.instance_index, i)
+            for i in pool
+        )
+        return shared, inst
+
+    def _priority(self, oid: str, shared: int, t: int):
         if self.cfg.dynamic_mobility:
             slack = self.timing.alap[oid] - t
         else:
             slack = self.timing.mobility[oid]
-        if self.cfg.use_affinity:
-            op = self.g.operation(oid)
-            best = max(
-                _affinity(op.operands, inst.last_operand_sources,
-                          self.cfg.positional_affinity)
-                for inst in free
-            )
-        else:
-            best = 0
-        return (slack, -best, oid)
+        return (slack, -shared if self.cfg.use_affinity else 0, oid)
 
     def _gate(self, oid: str, t: int, ledger: PortLedger, finish: dict[str, int]):
         """Port plan for starting ``oid`` at t, or None when blocked."""
@@ -353,22 +358,9 @@ class _Engine:
                 reads.extend(bookings)
         return tuple(reads), write
 
-    def _place(self, oid, t, free, plan, ledger, entries, finish) -> None:
-        op = self.g.operation(oid)
+    def _place(self, oid, t, bound, plan, ledger, entries, finish) -> None:
+        shared, inst = bound
         reads, write = plan
-        if self.cfg.use_affinity:
-            inst = max(
-                free,
-                key=lambda i: (
-                    _affinity(op.operands, i.last_operand_sources,
-                              self.cfg.positional_affinity),
-                    -i.instance_index,
-                ),
-            )
-        else:
-            inst = min(free, key=lambda i: i.instance_index)
-        shared = _affinity(op.operands, inst.last_operand_sources,
-                           self.cfg.positional_affinity)
         end = t + self.cls[oid].latency_cycles
         for b in reads:
             ledger.book(b.bank_id, b.port_index, b.start, b.end)
@@ -387,7 +379,7 @@ class _Engine:
         )
         finish[oid] = self.model.completion(oid, t)
         inst.busy_until_cycle = end
-        inst.last_operand_sources = op.operands
+        inst.last_operand_sources = self.g.operation(oid).operands
 
 
 def _run_or_raise(
@@ -402,18 +394,16 @@ def _run_or_raise(
     model = AccessModel(g, mapping)
     entries, unscheduled = _Engine(g, alloc, cfg, timing, model).run()
     if unscheduled:
+        # One run at 8T answers for 2T and 4T too (see module docs).
+        T = cfg.time_constraint_cycles
+        relaxed, left = _Engine(
+            g, alloc, replace(cfg, time_constraint_cycles=8 * T), timing, model
+        ).run()
         suggestion = None
-        for factor in (2, 4, 8):
-            bigger = cfg.time_constraint_cycles * factor
-            retry_cfg = replace(cfg, time_constraint_cycles=bigger)
-            retry_timing = compute_timing(g, g.library, bigger)
-            _, left = _Engine(g, alloc, retry_cfg, retry_timing, model).run()
-            if not left:
-                suggestion = bigger
-                break
-        raise TimeConstraintViolated(
-            sorted(unscheduled), cfg.time_constraint_cycles, suggestion
-        )
+        if not left:
+            makespan = max(e.finish_cycle for e in relaxed.values())
+            suggestion = next(k * T for k in (2, 4, 8) if k * T >= makespan)
+        raise TimeConstraintViolated(sorted(unscheduled), T, suggestion)
     makespan = max((e.finish_cycle for e in entries.values()), default=0)
     return Schedule(entries, makespan, cfg.policy, cfg, alloc)
 

@@ -266,3 +266,52 @@ def test_compare_byte_identical_runs(inputs, capsys):
     out1 = run(str(inputs["tmp"] / "o1"))
     out2 = run(str(inputs["tmp"] / "o2"))
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["schedule", "compare"])
+def test_reduction_out_of_range_is_exit_2(inputs, capsys, command):
+    rc = main(
+        [
+            command,
+            "--dfg", inputs["fir16.dfg.json"],
+            "--library", inputs["dsp.lib.json"],
+            "--mapping", inputs["fir16.map.json"],
+            "--T", "24",
+            "--reduction", "0.1",
+            "--out", inputs["out"],
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "[0.25, 0.50]" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_compare_computes_timing_once_plus_allocation_guard(inputs, monkeypatch):
+    import memsched.cli as cli
+    import memsched.scheduler as scheduler
+
+    calls = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "compute_timing", counting(cli.compute_timing))
+    monkeypatch.setattr(scheduler, "compute_timing", counting(scheduler.compute_timing))
+    rc = main(
+        [
+            "compare",
+            "--dfg", inputs["fir16.dfg.json"],
+            "--library", inputs["dsp.lib.json"],
+            "--mapping", inputs["fir16.map.json"],
+            "--T", "24",
+            "--out", inputs["out"],
+        ]
+    )
+    assert rc == 0
+    # one in the CLI, one in compute_min_allocation's deadline guard
+    assert calls == [24, 24]

@@ -123,6 +123,24 @@ def test_time_constraint_violated_reports_doubling_suggestion():
     assert set(err.value.unscheduled) <= {"m0", "m1", "m2", "m3"}
 
 
+def test_deadline_miss_without_suggestion_runs_engine_twice(monkeypatch):
+    import memsched.scheduler as scheduler
+
+    runs = []
+    original = scheduler._Engine.run
+
+    def counting(self):
+        runs.append(self.cfg.time_constraint_cycles)
+        return original(self)
+
+    monkeypatch.setattr(scheduler._Engine, "run", counting)
+    g = muls(20)  # 40 cycles of work on one instance; 8x the deadline is 16
+    with pytest.raises(TimeConstraintViolated) as err:
+        run_baseline(g, {"mul": 1}, 2)
+    assert err.value.suggested_time_constraint is None
+    assert len(runs) <= 2
+
+
 def test_infeasible_constraint_before_scheduling():
     g = muls(1)
     timing = compute_timing(g, LIB, 4)
