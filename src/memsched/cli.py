@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .dfg import Dfg, TimingAnalysis, compute_timing, parse_dfg, parse_library, validate_dfg
@@ -41,93 +41,80 @@ from .scheduler import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Everything one command invocation needs."""
-
-    dfg_path: str
-    library_path: str
-    mapping_path: str | None = None
-    time_constraint_cycles: int | None = None
-    policy: Policy = Policy.BASELINE
-    model2_reduction: float = 0.25
-    alloc_overrides: dict[str, int] = field(default_factory=dict)
-    out_dir: str | None = None
-    default_mapping: MappingPolicy | None = None
-    dynamic_mobility: bool = False
-    positional_affinity: bool = False
-    use_affinity: bool = True
-    per_shared_input_energy: bool = False
-    oracle: bool = False
+_POLICIES = {"baseline": Policy.BASELINE, "mem-aware": Policy.MEMORY_AWARE}
+_DEFAULT_MAPPINGS = {
+    "registers": MappingPolicy.ALL_REGISTERS,
+    "round-robin": MappingPolicy.ROUND_ROBIN,
+}
 
 
-def _load_graph(cfg: RunConfig) -> Dfg:
-    library = parse_library(Path(cfg.library_path).read_text(encoding="utf-8"))
-    return parse_dfg(Path(cfg.dfg_path).read_text(encoding="utf-8"), library)
+def _load_graph(args) -> Dfg:
+    library = parse_library(Path(args.library).read_text(encoding="utf-8"))
+    return parse_dfg(Path(args.dfg).read_text(encoding="utf-8"), library)
 
 
-def _resolve_mapping(cfg: RunConfig, g: Dfg) -> MemoryMapping | None:
+def _resolve_mapping(args, g: Dfg) -> MemoryMapping | None:
     """Mapping from file, from the default-mapping generator, or None.
 
     ``--default-mapping`` replaces any placement the file carries; the
     round-robin generator still takes its banks from the file.
     """
     file_mapping = None
-    if cfg.mapping_path is not None:
-        file_mapping = parse_mapping(Path(cfg.mapping_path).read_text(encoding="utf-8"))
-    if cfg.default_mapping is None:
+    if args.mapping is not None:
+        file_mapping = parse_mapping(Path(args.mapping).read_text(encoding="utf-8"))
+    if args.default_mapping is None:
         return file_mapping
+    policy = _DEFAULT_MAPPINGS[args.default_mapping]
     banks = file_mapping.banks if file_mapping is not None else ()
-    if cfg.default_mapping is MappingPolicy.ROUND_ROBIN and not banks:
+    if policy is MappingPolicy.ROUND_ROBIN and not banks:
         raise FormatError(
             "--default-mapping round-robin needs a --mapping file declaring banks"
         )
-    return generate_default_mapping(g, banks, cfg.default_mapping)
+    return generate_default_mapping(g, banks, policy)
 
 
-def _scheduler_config(cfg: RunConfig) -> SchedulerConfig:
-    try:
-        return SchedulerConfig(
-            time_constraint_cycles=cfg.time_constraint_cycles,
-            policy=cfg.policy,
-            model2_reduction=cfg.model2_reduction,
-            dynamic_mobility=cfg.dynamic_mobility,
-            positional_affinity=cfg.positional_affinity,
-            use_affinity=cfg.use_affinity,
-            per_shared_input_energy=cfg.per_shared_input_energy,
-        )
-    except ValueError as e:
-        raise FormatError(str(e)) from None
-
-
-def _allocation(cfg: RunConfig, g: Dfg) -> Allocation:
-    alloc = compute_min_allocation(g, g.library, cfg.time_constraint_cycles)
-    if not cfg.alloc_overrides:
+def _allocation(args, g: Dfg) -> Allocation:
+    alloc = compute_min_allocation(g, g.library, args.time_constraint)
+    if not args.alloc:
         return alloc
     counts = dict(alloc.counts)
-    for name, count in cfg.alloc_overrides.items():
+    for name, count in args.alloc:
         g.library.class_named(name)  # unknown class -> UnknownOpcode
         counts[name] = count
     return Allocation(counts)
 
 
-def _prepare(cfg: RunConfig, g: Dfg) -> tuple[TimingAnalysis, Allocation, SchedulerConfig]:
+def _prepare(
+    args, g: Dfg, policy: Policy
+) -> tuple[TimingAnalysis, Allocation, SchedulerConfig]:
     """Timing, allocation and scheduler settings, each derived once per
     call and in this order, so the deadline check reports first."""
-    if cfg.time_constraint_cycles is None:
-        raise FormatError("a time constraint (--T) is required")
-    timing = compute_timing(g, g.library, cfg.time_constraint_cycles)
-    return timing, _allocation(cfg, g), _scheduler_config(cfg)
+    timing = compute_timing(g, g.library, args.time_constraint)
+    alloc = _allocation(args, g)
+    try:
+        cfg = SchedulerConfig(
+            time_constraint_cycles=args.time_constraint,
+            policy=policy,
+            model2_reduction=args.reduction,
+            dynamic_mobility=args.dynamic_mobility,
+            positional_affinity=args.positional_affinity,
+            use_affinity=not args.no_affinity,
+            per_shared_input_energy=args.per_shared_input_energy,
+        )
+    except ValueError as e:
+        raise FormatError(str(e)) from None
+    return timing, alloc, cfg
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _guard(body) -> int:
-    """Map errors onto the exit-code contract: 2 for I/O and document syntax,
-    1 for semantic diagnostics and constraint failures."""
+def _guard(command, args) -> int:
+    """Run ``command(args)`` and map errors onto the exit-code contract: 2
+    for I/O and document syntax, 1 for semantic diagnostics and constraint
+    failures."""
     try:
-        return body()
+        return command(args)
     except FormatError as e:
         print(f"error: {e.message}", file=sys.stderr)
         return 2
@@ -139,15 +126,11 @@ def _guard(body) -> int:
         return 1
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def _validate(args) -> int:
     """Exit 0 iff the graph (and mapping, when given) is clean."""
-    return _guard(lambda: _validate_body(cfg))
-
-
-def _validate_body(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+    g = _load_graph(args)
     diagnostics = list(validate_dfg(g))
-    mapping = _resolve_mapping(cfg, g)
+    mapping = _resolve_mapping(args, g)
     if mapping is not None:
         diagnostics.extend(validate_mapping(mapping, g))
     for diag in diagnostics:
@@ -155,55 +138,46 @@ def _validate_body(cfg: RunConfig) -> int:
     return 1 if diagnostics else 0
 
 
-def cmd_schedule(cfg: RunConfig) -> int:
+def _schedule(args) -> int:
     """Run one policy and write schedule.json, metrics.json, gantt.svg and
     schedule.csv into the output directory."""
-    return _guard(lambda: _schedule_body(cfg))
-
-
-def _schedule_body(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    mapping = _resolve_mapping(cfg, g)
-    if cfg.policy is Policy.MEMORY_AWARE and mapping is None:
+    policy = _POLICIES[args.policy]
+    g = _load_graph(args)
+    mapping = _resolve_mapping(args, g)
+    if policy is Policy.MEMORY_AWARE and mapping is None:
         raise FormatError("policy mem-aware needs --mapping or --default-mapping")
-    timing, alloc, sched_cfg = _prepare(cfg, g)
-    if cfg.policy is Policy.MEMORY_AWARE:
+    timing, alloc, sched_cfg = _prepare(args, g, policy)
+    if policy is Policy.MEMORY_AWARE:
         schedule = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
     else:
         schedule = schedule_baseline(g, alloc, sched_cfg, timing)
     m = analyze(schedule, g, g.library, mapping, schedule.config)
-    out = Path(cfg.out_dir or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "schedule.json").write_text(schedule.to_json(), encoding="utf-8")
     (out / "metrics.json").write_text(metrics_to_json(m), encoding="utf-8")
     (out / "gantt.svg").write_text(export_gantt(schedule, mapping), encoding="utf-8")
     (out / "schedule.csv").write_text(export_csv(schedule), encoding="utf-8")
     print(
-        f"{cfg.policy.value}: makespan {schedule.makespan_cycles} cycles, "
+        f"{policy.value}: makespan {schedule.makespan_cycles} cycles, "
         f"{m.model2_count}/{m.op_count} input-sharing ops, "
         f"datapath energy {m.datapath_energy}, conflicts {m.total_conflicts}"
     )
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def _compare(args) -> int:
     """Run both policies on identical inputs and report the trade-off.
 
     The memory-ignorant schedule is replayed against the mapping so its
     would-be port conflicts are counted on equal terms.
     """
-    return _guard(lambda: _compare_body(cfg))
-
-
-def _compare_body(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    mapping = _resolve_mapping(cfg, g)
+    g = _load_graph(args)
+    mapping = _resolve_mapping(args, g)
     if mapping is None:
         raise FormatError("compare needs --mapping or --default-mapping")
-    timing, alloc, sched_cfg = _prepare(cfg, g)
-    s_base = schedule_baseline(
-        g, alloc, replace(sched_cfg, policy=Policy.BASELINE), timing
-    )
+    timing, alloc, sched_cfg = _prepare(args, g, Policy.BASELINE)
+    s_base = schedule_baseline(g, alloc, sched_cfg, timing)
     s_aware = schedule_memory_aware(
         g, alloc, mapping, replace(sched_cfg, policy=Policy.MEMORY_AWARE), timing
     )
@@ -213,16 +187,16 @@ def _compare_body(cfg: RunConfig) -> int:
 
     extra = {}
     oracle_makespan = None
-    if cfg.oracle:
+    if args.oracle:
         try:
             oracle_makespan, _ = bruteforce_optimal_makespan(
-                g, alloc, mapping, cfg.time_constraint_cycles
+                g, alloc, mapping, args.time_constraint
             )
             extra["oracle_makespan"] = oracle_makespan
         except TooLarge as e:
             print(f"note: --oracle skipped, {e.message}")
 
-    out = Path(cfg.out_dir or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "compare.json").write_text(
         comparison_to_json(report, extra), encoding="utf-8"
@@ -274,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mapping", help="memory mapping document")
         p.add_argument(
             "--default-mapping",
-            choices=["registers", "round-robin"],
+            choices=list(_DEFAULT_MAPPINGS),
             help="generate the placement instead of taking it from --mapping",
         )
         if with_schedule_flags:
@@ -300,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_schedule = sub.add_parser("schedule", help="run one policy and write reports")
     add_common(p_schedule, with_schedule_flags=True)
-    p_schedule.add_argument("--policy", choices=["baseline", "mem-aware"],
+    p_schedule.add_argument("--policy", choices=list(_POLICIES),
                             default="baseline")
 
     p_compare = sub.add_parser("compare", help="run both policies and compare")
@@ -311,42 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    policy = Policy.BASELINE
-    if getattr(args, "policy", None) == "mem-aware":
-        policy = Policy.MEMORY_AWARE
-    default_mapping = None
-    if args.default_mapping == "registers":
-        default_mapping = MappingPolicy.ALL_REGISTERS
-    elif args.default_mapping == "round-robin":
-        default_mapping = MappingPolicy.ROUND_ROBIN
-    return RunConfig(
-        dfg_path=args.dfg,
-        library_path=args.library,
-        mapping_path=args.mapping,
-        time_constraint_cycles=getattr(args, "time_constraint", None),
-        policy=policy,
-        model2_reduction=getattr(args, "reduction", 0.25),
-        alloc_overrides=dict(getattr(args, "alloc", [])),
-        out_dir=getattr(args, "out", None),
-        default_mapping=default_mapping,
-        dynamic_mobility=getattr(args, "dynamic_mobility", False),
-        positional_affinity=getattr(args, "positional_affinity", False),
-        use_affinity=not getattr(args, "no_affinity", False),
-        per_shared_input_energy=getattr(args, "per_shared_input_energy", False),
-        oracle=getattr(args, "oracle", False),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
-    command = {
-        "validate": cmd_validate,
-        "schedule": cmd_schedule,
-        "compare": cmd_compare,
-    }[args.command]
-    return command(cfg)
+    command = {"validate": _validate, "schedule": _schedule, "compare": _compare}
+    return _guard(command[args.command], args)
 
 
 if __name__ == "__main__":

@@ -6,13 +6,20 @@ instances, highest priority first (least mobility, then input-sharing
 affinity, then id). MEMORY_AWARE adds one bookable access token per bank
 port: an operation may only start at cycle t if it is legal under the
 mapping's access model (``memmap.AccessModel``) and a port is free for each
-of its fetch and store windows. The scanner walks the priority-sorted ready
-list and takes the first operation whose ports are all free; blocked
-operations simply wait.
+of its fetch and store windows. Each cycle the engine queues the operations
+whose predecessors are placed and that may start now, bound to their best
+free instance; it pops the best one and places it if its ports are free,
+otherwise the operation waits for the next cycle.
 
-Two invariants keep the engine simple. The ready list is fixed within a
+Three invariants keep the engine simple. The ready list is fixed within a
 cycle: every latency is >= 1, so an operation placed at cycle t completes
-after t and readies nothing at t. Priorities do not change under a deadline
+after t and readies nothing at t. Within a cycle, instances and ports only
+fill up, so an operation blocked at t stays blocked at t, and placing an
+operation on instance I changes only the binding of operations bound to I;
+binding those again picks the best of a smaller free set, which can only
+lower their priority. So the queue re-binds an operation lazily, when it
+pops with its instance taken, and pops in the order a full re-sort after
+every placement would give. Priorities do not change under a deadline
 shift: moving the deadline moves every ALAP start, hence every slack,
 equally. So when a deadline T is missed, one run at 8T with T's timing
 answers for 2T and 4T too: an operation the deadline blocks at one cycle is
@@ -26,6 +33,7 @@ for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
 from __future__ import annotations
 
 import enum
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -229,8 +237,13 @@ def _affinity(
         return 0
     if positional:
         return sum(1 for a, b in zip(operands, last) if a == b)
-    shared = Counter(operands) & Counter(last)
-    return sum(shared.values())
+    rest = list(last)
+    shared = 0
+    for ref in operands:
+        if ref in rest:
+            rest.remove(ref)
+            shared += 1
+    return shared
 
 
 def compute_min_allocation(
@@ -289,40 +302,43 @@ class _Engine:
 
         t = 0
         while t < T and unscheduled:
-            ready = [
-                oid for oid in unscheduled
-                if all(p in finish and finish[p] <= t for p in self.g.predecessors(oid))
-            ]
-            while True:
-                candidates = []
-                for oid in ready:
-                    free = self._free_instances(oid, t)
-                    if free:
-                        bound = self._bind(oid, free)
-                        candidates.append((self._priority(oid, bound[0], t), oid, bound))
-                candidates.sort(key=lambda item: item[0])
-                for _, oid, bound in candidates:
-                    plan = self._gate(oid, t, ledger, finish)
-                    if plan is not None:
-                        self._place(oid, t, bound, plan, ledger, entries, finish)
-                        ready.remove(oid)
-                        unscheduled.discard(oid)
-                        break
-                else:
-                    break
+            queue = []
+            for oid in unscheduled:
+                if all(p in finish for p in self.g.predecessors(oid)):
+                    candidate = self._candidate(oid, t, finish)
+                    if candidate is not None:
+                        queue.append(candidate)
+            heapq.heapify(queue)
+            while queue:
+                priority, shared, inst = heapq.heappop(queue)
+                oid = priority[-1]
+                if inst.busy_until_cycle > t:
+                    # taken this cycle by a better op: bind again, requeue
+                    candidate = self._candidate(oid, t, finish)
+                    if candidate is not None:
+                        heapq.heappush(queue, candidate)
+                    continue
+                plan = self._gate(oid, t, ledger)
+                if plan is not None:
+                    self._place(oid, t, shared, inst, plan, ledger, entries, finish)
+                    unscheduled.discard(oid)
             t += 1
         return entries, unscheduled
 
-    def _free_instances(self, oid: str, t: int) -> list[OperatorInstanceState]:
-        return [
+    def _candidate(self, oid: str, t: int, finish: dict[str, int]):
+        """Queue entry (priority, shared inputs, instance) for starting
+        ``oid`` at t, or None when it may not start at t or no instance of
+        its class is free. The instance is the free one sharing the most
+        inputs, lowest index on ties; the lowest free index when affinity
+        is off. The priority is (slack, -shared or 0, op id)."""
+        model = self.model
+        free = [
             inst for inst in self.instances[self.cls[oid].name]
             if inst.busy_until_cycle <= t
         ]
-
-    def _bind(self, oid: str, free: list[OperatorInstanceState]):
-        """(shared inputs, instance) for ``oid``: the free instance sharing
-        the most inputs, lowest index on ties; the lowest index when
-        affinity is off."""
+        if (not free or model.earliest_start(oid, finish) > t
+                or model.completion(oid, t) > self.cfg.time_constraint_cycles):
+            return None
         operands = self.g.operation(oid).operands
         pool = free if self.cfg.use_affinity else free[:1]
         shared, _, inst = max(
@@ -330,24 +346,17 @@ class _Engine:
              -i.instance_index, i)
             for i in pool
         )
-        return shared, inst
-
-    def _priority(self, oid: str, shared: int, t: int):
         if self.cfg.dynamic_mobility:
             slack = self.timing.alap[oid] - t
         else:
             slack = self.timing.mobility[oid]
-        return (slack, -shared if self.cfg.use_affinity else 0, oid)
+        return (slack, -shared if self.cfg.use_affinity else 0, oid), shared, inst
 
-    def _gate(self, oid: str, t: int, ledger: PortLedger, finish: dict[str, int]):
-        """Port plan for starting ``oid`` at t, or None when blocked."""
-        model = self.model
-        if (model.completion(oid, t) > self.cfg.time_constraint_cycles
-                or model.earliest_start(oid, finish) > t):
-            return None
+    def _gate(self, oid: str, t: int, ledger: PortLedger):
+        """Port plan for starting ``oid`` at t, or None when a port is busy."""
         reads: list[PortBooking] = []
         write = None
-        for w in model.windows(oid, t):
+        for w in self.model.windows(oid, t):
             free = ledger.free_ports(w.bank, w.start, w.end)
             if len(free) < w.count:
                 return None
@@ -358,8 +367,7 @@ class _Engine:
                 reads.extend(bookings)
         return tuple(reads), write
 
-    def _place(self, oid, t, bound, plan, ledger, entries, finish) -> None:
-        shared, inst = bound
+    def _place(self, oid, t, shared, inst, plan, ledger, entries, finish) -> None:
         reads, write = plan
         end = t + self.cls[oid].latency_cycles
         for b in reads:
@@ -533,8 +541,10 @@ def bruteforce_optimal_makespan(
         oid = order[i]
         lo = model.earliest_start(oid, finish)
         # latest start that still completes by T_max
-        hi = min(T_max - model.completion(oid, 0), best - 1 - tail[oid])
+        hi = T_max - model.completion(oid, 0)
         for s in range(lo, hi + 1):
+            if s + tail[oid] >= best:  # best may have dropped in a child
+                break
             needs = cycles_needed(oid, s)
             if not capacity_ok(needs):
                 continue

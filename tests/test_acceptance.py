@@ -343,7 +343,7 @@ def test_energy_reduction_sweep_exact():
 # -- 7. determinism -------------------------------------------------------------------
 
 def test_compare_runs_are_byte_identical(tmp_path, capsys):
-    with criterion("determinism: two cmd_compare runs on fir16 are byte-identical"):
+    with criterion("determinism: two compare runs on fir16 are byte-identical"):
         for name in ("dsp.lib.json", "fir16.dfg.json", "fir16.map.json"):
             (tmp_path / name).write_text(fixtures.fixture_text(name), encoding="utf-8")
 

@@ -23,6 +23,7 @@ from memsched import (
     schedule_baseline,
     schedule_memory_aware,
 )
+from memsched import fixtures
 from oracles import (
     check_schedule_safety,
     generous_deadline,
@@ -110,3 +111,28 @@ def test_oracle_never_beaten_by_list_scheduler():
         base = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
         best_reg, _ = bruteforce_optimal_makespan(g, alloc, None, T)
         assert best_reg <= base.makespan_cycles
+
+
+def test_oracle_work_does_not_grow_with_the_horizon(monkeypatch):
+    import memsched.memmap as memmap
+
+    calls = []
+    original = memmap.AccessModel.windows
+
+    def counting(self, op_id, start):
+        calls.append(op_id)
+        return original(self, op_id, start)
+
+    monkeypatch.setattr(memmap.AccessModel, "windows", counting)
+    lib = fixtures.load_library()
+    g = fixtures.load_dfg("fir4", lib)
+    mapping = fixtures.load_mapping("fir4")
+    alloc = compute_min_allocation(g, lib, 12)
+    results, counts = [], []
+    for T_max in (12, 12000):
+        calls.clear()
+        best, witness = bruteforce_optimal_makespan(g, alloc, mapping, T_max)
+        results.append((best, witness.entries))
+        counts.append(len(calls))
+    assert results[0] == results[1]
+    assert counts[1] <= 2 * counts[0]

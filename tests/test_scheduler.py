@@ -113,6 +113,34 @@ def test_affinity_disabled_binds_by_id_order():
     assert sum(e.is_model2 for e in s_off.entries.values()) == 0
 
 
+def test_displaced_candidate_rebinds_in_the_same_cycle():
+    # Cycle 0 leaves (x, y) on alu instance 0 and (p, q) on instance 1. At
+    # cycle 1, b0 and b1 both share two inputs with instance 0; b0 wins it on
+    # id order, and b1 must bind again to instance 1 within the same cycle.
+    x, y, p, q = (scalar(n) for n in "xypq")
+    g = Dfg.build(
+        [
+            Operation("a0", "add", (x, y), scalar("r0")),
+            Operation("a1", "add", (p, q), scalar("r1")),
+            Operation("b0", "add", (x, y), scalar("r2")),
+            Operation("b1", "add", (y, x), scalar("r3")),
+        ],
+        LIB,
+    )
+    s = run_baseline(g, {"alu": 2}, 10)
+    placed = {oid: (e.start_cycle, e.instance_index, e.shared_inputs)
+              for oid, e in s.entries.items()}
+    assert placed == {
+        "a0": (0, 0, 0), "a1": (0, 1, 0), "b0": (1, 0, 2), "b1": (1, 1, 0),
+    }
+    by_instance = sorted(
+        (e.class_name, e.instance_index, e.start_cycle, e.end_cycle)
+        for e in s.entries.values()
+    )
+    for (c1, i1, _, end), (c2, i2, start, _) in zip(by_instance, by_instance[1:]):
+        assert (c1, i1) != (c2, i2) or end <= start
+
+
 def test_time_constraint_violated_reports_doubling_suggestion():
     g = muls(4)
     timing = compute_timing(g, LIB, 4)
