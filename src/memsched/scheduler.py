@@ -6,25 +6,39 @@ instances, highest priority first (least mobility, then input-sharing
 affinity, then id). MEMORY_AWARE adds one bookable access token per bank
 port: an operation may only start at cycle t if it is legal under the
 mapping's access model (``memmap.AccessModel``) and a port is free for each
-of its fetch and store windows. Each cycle the engine queues the operations
-whose predecessors are placed and that may start now, bound to their best
-free instance; it pops the best one and places it if its ports are free,
-otherwise the operation waits for the next cycle.
+of its fetch and store windows. An operation joins the ready list at its
+earliest legal start; each cycle the engine queues the ready operations
+whose class has a free instance, pops the best, binds it to its best free
+instance and places it if its ports are free, otherwise the operation waits
+for the next cycle.
 
-Three invariants keep the engine simple. The ready list is fixed within a
-cycle: every latency is >= 1, so an operation placed at cycle t completes
-after t and readies nothing at t. Within a cycle, instances and ports only
-fill up, so an operation blocked at t stays blocked at t, and placing an
-operation on instance I changes only the binding of operations bound to I;
-binding those again picks the best of a smaller free set, which can only
-lower their priority. So the queue re-binds an operation lazily, when it
-pops with its instance taken, and pops in the order a full re-sort after
-every placement would give. Priorities do not change under a deadline
-shift: moving the deadline moves every ALAP start, hence every slack,
-equally. So when a deadline T is missed, one run at 8T with T's timing
-answers for 2T and 4T too: an operation the deadline blocks at one cycle is
-blocked at every later one, so a run at kT succeeds exactly when the 8T run
-finishes by kT.
+The engine is incremental; these facts keep it equal to re-sorting every
+candidate after every placement:
+
+- An operation's earliest start is fixed once all its predecessors are
+  placed: it depends only on their completion cycles. So each operation
+  counts its unplaced predecessors, and when the count reaches 0 its
+  earliest start is computed once and it waits on a heap for that cycle.
+  Every latency is >= 1, so an operation placed at t readies nothing at t.
+- The optimistic key (slack, -operand count, id) is a lower bound on the
+  true priority (slack, -shared inputs, id): an operation cannot share more
+  inputs than it has operands. Within a cycle instances only fill up, and
+  binding picks the best of a smaller free set, so a bound key can only get
+  worse too. Every queued key is thus a lower bound, so an operation is
+  bound only when it pops, and placed once its key is exact and no queued
+  key is smaller: right after binding, or when it pops again bound to an
+  instance that is still free. Without affinity the key (slack, 0, id) is
+  exact from the start.
+- A port-blocked operation stays blocked for the rest of the cycle: ports
+  only fill up within a cycle. Binding has no side effects, so a popped
+  operation is gated first and dropped unbound when a port is busy, as it
+  is when its class has no free instance left.
+
+Priorities do not change under a deadline shift: moving the deadline moves
+every ALAP start, hence every slack, equally. So when a deadline T is
+missed, one run at 8T with T's timing answers for 2T and 4T too: an
+operation the deadline blocks at one cycle is blocked at every later one,
+so a run at kT succeeds exactly when the 8T run finishes by kT.
 
 A branch-and-bound search over start cycles provides exact optimal makespans
 for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
@@ -121,16 +135,16 @@ class PortBooking:
 
 
 class PortLedger:
-    """Non-overlapping interval bookings per (bank, port)."""
+    """Non-overlapping half-open interval bookings per (bank, port), kept
+    as the set of busy cycles of each port: windows last a bank latency, so
+    a check costs the window's length, not the number of bookings."""
 
     def __init__(self):
-        self._bookings: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        self._busy: dict[tuple[str, int], set[int]] = {}
 
     def is_free(self, bank_id: str, port_index: int, start: int, end: int) -> bool:
-        for s, e in self._bookings.get((bank_id, port_index), ()):
-            if s < end and start < e:
-                return False
-        return True
+        busy = self._busy.get((bank_id, port_index))
+        return busy is None or busy.isdisjoint(range(start, end))
 
     def free_ports(self, bank: MemoryBank, start: int, end: int) -> list[int]:
         """Port indices of ``bank`` free over [start, end), ascending."""
@@ -141,7 +155,7 @@ class PortLedger:
             raise ValueError(
                 f"overlapping booking on {bank_id} port {port_index}: [{start},{end})"
             )
-        self._bookings.setdefault((bank_id, port_index), []).append((start, end))
+        self._busy.setdefault((bank_id, port_index), set()).update(range(start, end))
 
 
 @dataclass(frozen=True)
@@ -294,63 +308,84 @@ class _Engine:
         }
 
     def run(self) -> tuple[dict[str, ScheduleEntry], set[str]]:
+        g, model = self.g, self.model
         T = self.cfg.time_constraint_cycles
+        affinity = self.cfg.use_affinity
+        dynamic = self.cfg.dynamic_mobility
+        # slack at cycle t: ALAP start minus t, or the static mobility
+        slack_base = self.timing.alap if dynamic else self.timing.mobility
+        # optimistic affinity term: shared inputs never exceed the operands
+        optimistic = {op.id: -len(op.operands) if affinity else 0 for op in g.operations}
+        cls = self.cls
         ledger = PortLedger()
         entries: dict[str, ScheduleEntry] = {}
         finish: dict[str, int] = {}
-        unscheduled = {op.id for op in self.g.operations}
+        succs = g.successors()
+        # unplaced predecessors per op; at 0 its earliest start is fixed and
+        # it waits in `arrivals` until that cycle, then joins `ready`
+        waiting = {op.id: len(g.predecessors(op.id)) for op in g.operations}
+        arrivals = [(model.earliest_start(oid, finish), oid)
+                    for oid, n in waiting.items() if n == 0]
+        heapq.heapify(arrivals)
+        ready: set[str] = set()
 
         t = 0
-        while t < T and unscheduled:
-            queue = []
-            for oid in unscheduled:
-                if all(p in finish for p in self.g.predecessors(oid)):
-                    candidate = self._candidate(oid, t, finish)
-                    if candidate is not None:
-                        queue.append(candidate)
+        while t < T and len(entries) < len(waiting):
+            while arrivals and arrivals[0][0] <= t:
+                ready.add(heapq.heappop(arrivals)[1])
+            free = {
+                name: [inst for inst in insts if inst.busy_until_cycle <= t]
+                for name, insts in self.instances.items()
+            }
+            shift = t if dynamic else 0
+            # entries (key, shared, instance); unbound ones carry the
+            # optimistic key and no instance
+            queue = [
+                ((slack_base[oid] - shift, optimistic[oid], oid), 0, None)
+                for oid in ready
+                if free[cls[oid].name] and model.completion(oid, t) <= T
+            ]
             heapq.heapify(queue)
             while queue:
-                priority, shared, inst = heapq.heappop(queue)
-                oid = priority[-1]
-                if inst.busy_until_cycle > t:
-                    # taken this cycle by a better op: bind again, requeue
-                    candidate = self._candidate(oid, t, finish)
-                    if candidate is not None:
-                        heapq.heappush(queue, candidate)
+                key, shared, inst = heapq.heappop(queue)
+                oid = key[-1]
+                pool = free[cls[oid].name]
+                if not pool:
                     continue
                 plan = self._gate(oid, t, ledger)
-                if plan is not None:
-                    self._place(oid, t, shared, inst, plan, ledger, entries, finish)
-                    unscheduled.discard(oid)
+                if plan is None:
+                    continue
+                if inst is None or inst.busy_until_cycle > t:
+                    # unbound, or its instance was taken this cycle: bind,
+                    # and requeue unless the exact key is still the best
+                    shared, inst = self._bind(oid, pool)
+                    key = (key[0], -shared if affinity else 0, oid)
+                    if queue and queue[0][0] < key:
+                        heapq.heappush(queue, (key, shared, inst))
+                        continue
+                self._place(oid, t, shared, inst, plan, ledger, entries, finish)
+                pool.remove(inst)
+                ready.discard(oid)
+                for s in succs[oid]:
+                    waiting[s] -= 1
+                    if not waiting[s]:
+                        heapq.heappush(arrivals, (model.earliest_start(s, finish), s))
             t += 1
-        return entries, unscheduled
+        return entries, {oid for oid in waiting if oid not in entries}
 
-    def _candidate(self, oid: str, t: int, finish: dict[str, int]):
-        """Queue entry (priority, shared inputs, instance) for starting
-        ``oid`` at t, or None when it may not start at t or no instance of
-        its class is free. The instance is the free one sharing the most
-        inputs, lowest index on ties; the lowest free index when affinity
-        is off. The priority is (slack, -shared or 0, op id)."""
-        model = self.model
-        free = [
-            inst for inst in self.instances[self.cls[oid].name]
-            if inst.busy_until_cycle <= t
-        ]
-        if (not free or model.earliest_start(oid, finish) > t
-                or model.completion(oid, t) > self.cfg.time_constraint_cycles):
-            return None
+    def _bind(self, oid: str, pool: list[OperatorInstanceState]):
+        """(shared inputs, instance) for ``oid`` among the free instances
+        ``pool`` (ascending index): the one sharing the most inputs, lowest
+        index on ties; the lowest index when affinity is off."""
         operands = self.g.operation(oid).operands
-        pool = free if self.cfg.use_affinity else free[:1]
+        positional = self.cfg.positional_affinity
+        if not self.cfg.use_affinity:
+            pool = pool[:1]
         shared, _, inst = max(
-            (_affinity(operands, i.last_operand_sources, self.cfg.positional_affinity),
-             -i.instance_index, i)
+            (_affinity(operands, i.last_operand_sources, positional), -i.instance_index, i)
             for i in pool
         )
-        if self.cfg.dynamic_mobility:
-            slack = self.timing.alap[oid] - t
-        else:
-            slack = self.timing.mobility[oid]
-        return (slack, -shared if self.cfg.use_affinity else 0, oid), shared, inst
+        return shared, inst
 
     def _gate(self, oid: str, t: int, ledger: PortLedger):
         """Port plan for starting ``oid`` at t, or None when a port is busy."""

@@ -1,6 +1,7 @@
 """Memory-aware scheduling: port gating, fetch/store windows, degeneracy."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from memsched import (
     schedule_memory_aware,
 )
 from memsched import fixtures
+from memsched.scheduler import PortLedger
 from oracles import (
     check_schedule_safety,
     enumerate_independent_starts,
@@ -167,6 +169,48 @@ def test_blocked_op_yields_to_later_ready_op():
     # then q0 takes the port window [0,1), q1 the next one
     assert s.entries["q0"].start_cycle == 1
     assert s.entries["q1"].start_cycle == 2
+
+
+def test_port_blocked_ops_are_not_bound(monkeypatch):
+    # r0..r3 each fetch their own input from the 1-port bank M0, so one of
+    # them gets the port per cycle; chains of 3..0 muls give them distinct
+    # slack. An op that finds the port taken is dropped for the cycle before
+    # any binding, so each r_i is bound once, against the 4 free alus.
+    import memsched.scheduler as scheduler
+
+    calls = Counter()
+    original = scheduler._affinity
+
+    def counting(operands, last, positional):
+        calls[operands] += 1
+        return original(operands, last, positional)
+
+    monkeypatch.setattr(scheduler, "_affinity", counting)
+    ops = []
+    for i in range(4):
+        ops.append(Operation(f"r{i}", "add", (scalar(f"x{i}"),), scalar(f"u{i}_0")))
+        for k in range(3 - i):
+            ops.append(Operation(f"m{i}_{k}", "mul", (scalar(f"u{i}_{k}"),),
+                                 scalar(f"u{i}_{k + 1}")))
+    g = Dfg.build(ops, LIB)
+    mapping = MemoryMapping([bank("M0")], {f"x{i}": "M0" for i in range(4)},
+                            default_register=True)
+    s = run_aware(g, mapping, {"alu": 4, "mul": 4}, 20)
+    assert [s.entries[f"r{i}"].start_cycle for i in range(4)] == [1, 2, 3, 4]
+    assert [calls[(scalar(f"x{i}"),)] for i in range(4)] == [4, 4, 4, 4]
+
+
+def test_port_ledger_half_open_intervals():
+    ledger = PortLedger()
+    ledger.book("M0", 0, 2, 4)
+    ledger.book("M0", 0, 4, 5)  # [2,4) and [4,5) only touch
+    assert not ledger.is_free("M0", 0, 3, 4)
+    with pytest.raises(ValueError):
+        ledger.book("M0", 0, 3, 4)
+    assert ledger.is_free("M0", 0, 0, 2) and ledger.is_free("M0", 0, 5, 9)
+    ledger.book("M0", 2, 3, 4)
+    assert ledger.free_ports(bank("M0", ports=4), 3, 4) == [1, 3]
+    assert ledger.free_ports(bank("M0", ports=4), 5, 6) == [0, 1, 2, 3]
 
 
 def test_schedule_json_is_bit_exact():

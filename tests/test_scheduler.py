@@ -24,6 +24,7 @@ from memsched import (
     model2_affinity,
     scalar,
     schedule_baseline,
+    schedule_memory_aware,
 )
 from memsched import fixtures
 from oracles import check_schedule_safety, generous_deadline, make_library, random_dfg
@@ -139,6 +140,34 @@ def test_displaced_candidate_rebinds_in_the_same_cycle():
     )
     for (c1, i1, _, end), (c2, i2, start, _) in zip(by_instance, by_instance[1:]):
         assert (c1, i1) != (c2, i2) or end <= start
+
+
+@pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+def test_binding_work_is_bounded_by_placements(monkeypatch, policy):
+    # fir16 on one mul and one alu: each cycle at most one op per class can
+    # start, so an op is bound only when it may take the free instance (at
+    # most twice per op, not once per op per cycle it waits)
+    import memsched.scheduler as scheduler
+
+    calls = []
+    original = scheduler._affinity
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scheduler, "_affinity", counting)
+    lib = fixtures.load_library()
+    g = fixtures.load_dfg("fir16", lib)
+    cfg = SchedulerConfig(200, policy)
+    timing = compute_timing(g, lib, 200)
+    alloc = Allocation({"mul": 1, "alu": 1})
+    if policy is Policy.BASELINE:
+        s = schedule_baseline(g, alloc, cfg, timing)
+    else:
+        s = schedule_memory_aware(g, alloc, fixtures.load_mapping("fir16"), cfg, timing)
+    assert len(s.entries) == len(g.operations) == 31
+    assert len(calls) <= 2 * 31
 
 
 def test_time_constraint_violated_reports_doubling_suggestion():
