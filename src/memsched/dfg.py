@@ -23,6 +23,7 @@ from .errors import (
     DuplicateWriter,
     FormatError,
     InfeasibleConstraint,
+    SchedulingError,
     UndefinedData,
     UnknownOpcode,
 )
@@ -287,7 +288,7 @@ def parse_library(text: str) -> OperatorLibrary:
     """Parse an operator library document.
 
     Format: ``{"classes": [{"name", "opcodes", "latency", "energy"?}]}``
-    with ``energy`` defaulting to 1.0.
+    with ``energy`` defaulting to 1.0; :class:`OperatorClass` owns the value rules.
     """
     doc = _load_json(text, "library")
     _check_keys(doc, {"classes"}, set(), "library document")
@@ -306,24 +307,29 @@ def parse_library(text: str) -> OperatorLibrary:
             raise FormatError(f"{where}.opcodes must be identifier strings")
         latency = _expect(entry, "latency", int, where)
         energy = entry.get("energy", 1.0)
-        if not isinstance(energy, (int, float)) or isinstance(energy, bool) or energy < 0:
-            raise FormatError(f"{where}.energy must be a non-negative number")
-        if latency < 1:
-            raise FormatError(f"{where}.latency must be >= 1")
-        classes.append(OperatorClass(name, frozenset(opcodes), latency, float(energy)))
+        if not (_is_int(energy) or isinstance(energy, float)):
+            raise FormatError(f"{where}.energy must be a number")
+        try:
+            classes.append(OperatorClass(name, frozenset(opcodes), latency, float(energy)))
+        except ValueError as e:
+            raise FormatError(f"{where}: {e}") from None
     return OperatorLibrary(classes)
 
 
 def parse_dfg(text: str, library: OperatorLibrary | Iterable[OperatorClass]) -> Dfg:
-    """Parse and fully validate a data-flow-graph document.
+    """Parse a data-flow-graph document and check it in full.
 
     The document has three keys: ``inputs`` (declarations with optional array
     shape and width), ``outputs`` (names of produced results) and ``ops``
     (ordered operation list). Array operands use the ``name[i]`` element
-    syntax with a literal flat index. Unknown keys are rejected.
+    syntax with a literal flat index; a name declared in ``inputs`` takes its
+    declaration's width, any other name the default width.
 
-    Raises FormatError, UnknownOpcode, UndefinedData, DuplicateWriter or
-    CycleDetected on the first violation found.
+    Syntax errors (JSON, keys, value types, identifiers, data references, ids
+    declared twice) raise FormatError. The graph's rules are those of
+    :func:`validate_dfg`, whose first finding raises UnknownOpcode,
+    UndefinedData, DuplicateWriter, CycleDetected, or FormatError for a dep on
+    an unknown operation id.
     """
     if not isinstance(library, OperatorLibrary):
         library = OperatorLibrary(library)
@@ -331,91 +337,35 @@ def parse_dfg(text: str, library: OperatorLibrary | Iterable[OperatorClass]) -> 
     _check_keys(doc, {"inputs", "outputs", "ops"}, set(), "dfg document")
 
     decls = _parse_input_decls(_expect(doc, "inputs", list, "dfg document"))
-    decl_by_name = {d.name: d for d in decls}
+    widths = {d.name: d.width_bits for d in decls}
 
-    raw_ops = _expect(doc, "ops", list, "dfg document")
-    op_entries = []
-    ids: set[str] = set()
-    for i, entry in enumerate(raw_ops):
+    operations = []
+    for i, entry in enumerate(_expect(doc, "ops", list, "dfg document")):
         where = f"ops[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where} must be an object")
         _check_keys(entry, {"id", "opcode", "args", "result"}, {"deps"}, where)
         op_id = _identifier(_expect(entry, "id", str, where), where)
-        if op_id in ids:
-            raise FormatError(f"duplicate operation id {op_id!r}")
-        ids.add(op_id)
         opcode = _expect(entry, "opcode", str, where)
-        library.class_for(opcode)  # UnknownOpcode before data resolution
         args = _expect(entry, "args", list, where)
         if not args or not all(isinstance(a, str) for a in args):
             raise FormatError(f"{where}.args must be a non-empty list of names")
-        result = _expect(entry, "result", str, where)
+        result = _data_ref(_expect(entry, "result", str, where), widths)
         deps = entry.get("deps", [])
         if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
             raise FormatError(f"{where}.deps must be a list of op ids")
-        op_entries.append((op_id, opcode, args, result, deps, where))
+        operands = tuple(_data_ref(a, widths) for a in args)
+        operations.append(Operation(op_id, opcode, operands, result, frozenset(deps)))
 
-    # Writers first: operands may reference results produced later in the file.
-    written: dict[str, str] = {}
-    for op_id, _, _, result, _, _ in op_entries:
-        base = _token_parts(result)[0]
-        if base in decl_by_name:
-            raise DuplicateWriter(f"operation {op_id!r} writes declared input {result!r}")
-        prev = written.get(result)
-        if prev is not None:
-            raise DuplicateWriter(
-                f"data {result!r} written by both {prev!r} and {op_id!r}"
-            )
-        written[result] = op_id
+    outputs = _expect(doc, "outputs", list, "dfg document")
+    if not all(isinstance(token, str) for token in outputs):
+        raise FormatError("outputs must be a list of names")
 
-    def resolve(token: str, reading: bool) -> DataRef:
-        name, array, index = _token_parts(token)
-        if reading and token in written:
-            return _ref_for_token(token)
-        decl = decl_by_name.get(name)
-        if decl is not None:
-            if array is None:
-                if decl.shape is not None:
-                    raise UndefinedData(
-                        f"array {name!r} used without an element index"
-                    )
-                return scalar(name, decl.width_bits)
-            if decl.shape is None:
-                raise UndefinedData(f"{token!r} indexes scalar {name!r}")
-            if index >= decl.flat_size():
-                raise UndefinedData(
-                    f"{token!r} is out of range for shape {list(decl.shape)}"
-                )
-            return elem(name, index, decl.width_bits)
-        if reading:
-            raise UndefinedData(f"{token!r} is neither a declared input nor a result")
-        return _ref_for_token(token)
-
-    for dep_list in (e[4] for e in op_entries):
-        for dep in dep_list:
-            if dep not in ids:
-                raise FormatError(f"deps references unknown operation id {dep!r}")
-
-    operations = []
-    for op_id, opcode, args, result, deps, _ in op_entries:
-        if op_id in deps:
-            raise CycleDetected([op_id])
-        operands = tuple(resolve(a, reading=True) for a in args)
-        result_ref = resolve(result, reading=False)
-        operations.append(Operation(op_id, opcode, operands, result_ref, frozenset(deps)))
-
-    outputs = []
-    for token in _expect(doc, "outputs", list, "dfg document"):
-        if not isinstance(token, str):
-            raise FormatError("outputs must be a list of names")
-        if token not in written:
-            raise UndefinedData(f"output {token!r} is not produced by any operation")
-        outputs.append(_ref_for_token(token))
-
-    primary_inputs = [ref for decl in decls for ref in decl.refs()]
-    g = Dfg(operations, library, primary_inputs, outputs, decls)
-    _ = topological_order(g)  # raises CycleDetected
+    inputs = [ref for decl in decls for ref in decl.refs()]
+    g = Dfg(operations, library, inputs, [_data_ref(t, widths) for t in outputs], decls)
+    findings = validate_dfg(g)
+    if findings:
+        raise _finding_error(findings[0])
     return g
 
 
@@ -453,48 +403,57 @@ def serialize_dfg(g: Dfg) -> str:
 
 
 def _parse_input_decls(raw: list) -> tuple[InputDecl, ...]:
-    decls = []
-    seen: set[str] = set()
+    decls: dict[str, InputDecl] = {}
     for i, entry in enumerate(raw):
         where = f"inputs[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where} must be an object")
         _check_keys(entry, {"name"}, {"shape", "width_bits"}, where)
         name = _identifier(_expect(entry, "name", str, where), where)
-        if name in seen:
+        if name in decls:
             raise FormatError(f"input {name!r} declared twice")
-        seen.add(name)
-        shape = None
-        if "shape" in entry:
-            shape_raw = entry["shape"]
-            if (
-                not isinstance(shape_raw, list)
-                or not shape_raw
-                or not all(isinstance(d, int) and d > 0 for d in shape_raw)
-            ):
-                raise FormatError(f"{where}.shape must be a list of positive integers")
-            shape = tuple(shape_raw)
+        shape = entry.get("shape")
+        if "shape" in entry and not (
+            isinstance(shape, list) and shape and all(_is_int(d) and d > 0 for d in shape)
+        ):
+            raise FormatError(f"{where}.shape must be a list of positive integers")
         width = entry.get("width_bits", DEFAULT_WIDTH_BITS)
-        if not isinstance(width, int) or width < 1:
+        if not _is_int(width) or width < 1:
             raise FormatError(f"{where}.width_bits must be a positive integer")
-        decls.append(InputDecl(name, shape, width))
-    return tuple(decls)
+        decls[name] = InputDecl(name, tuple(shape) if shape else None, width)
+    return tuple(decls.values())
 
 
-def _token_parts(token: str) -> tuple[str, str | None, int | None]:
+def _data_ref(token: str, widths: Mapping[str, int]) -> DataRef:
+    # A declared base name takes its declaration's width, any other name the
+    # default; whether the item may be read or written is validate_dfg's call.
     m = _ELEMENT_RE.match(token)
     if m:
-        return m.group(1), m.group(1), int(m.group(2))
+        return elem(m.group(1), int(m.group(2)), widths.get(m.group(1), DEFAULT_WIDTH_BITS))
     if not _NAME_RE.match(token):
         raise FormatError(f"bad data reference {token!r}")
-    return token, None, None
+    return scalar(token, widths.get(token, DEFAULT_WIDTH_BITS))
 
 
-def _ref_for_token(token: str, width_bits: int = DEFAULT_WIDTH_BITS) -> DataRef:
-    name, array, index = _token_parts(token)
-    if array is None:
-        return scalar(name, width_bits)
-    return elem(array, index, width_bits)
+def _finding_error(d: Diagnostic) -> SchedulingError:
+    """The error :func:`parse_dfg` raises for a :func:`validate_dfg` finding."""
+    item, op = d.payload, d.details.get("op")
+    if d.code == "CycleDetected":
+        return CycleDetected(d.details.get("cycle", [item]))
+    if d.code == "UnknownDependency":
+        return FormatError(f"operation {op!r} depends on unknown operation id {item!r}")
+    if d.code == "UnknownOpcode":
+        return UnknownOpcode(f"operation {op!r}: opcode {item!r} is not in the operator library")
+    if d.code == "DuplicateWriter":
+        ops = " and ".join(map(repr, d.details["ops"]))
+        if d.details.get("input"):
+            return DuplicateWriter(f"{item!r} belongs to a declared input but is written by {ops}")
+        return DuplicateWriter(f"data {item!r} written by both {ops}")
+    if d.details.get("output"):
+        return UndefinedData(f"output {item!r} is not produced by any operation")
+    return UndefinedData(
+        f"operation {op!r} reads {item!r}, which is neither a declared input nor a result"
+    )
 
 
 def _load_json(text: str, what: str):
@@ -518,11 +477,14 @@ def _check_keys(obj: dict, required: set[str], optional: set[str], where: str) -
 
 def _expect(obj: dict, key: str, kind: type, where: str):
     value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise FormatError(f"{where}.{key} must be of type {kind.__name__}")
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise FormatError(f"{where}.{key} must be of type {kind.__name__}")
     return value
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not integers
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _identifier(name: str, where: str) -> str:
@@ -537,8 +499,9 @@ def _identifier(name: str, where: str) -> str:
 def validate_dfg(g: Dfg) -> list[Diagnostic]:
     """Check all graph invariants; returns one Diagnostic per violation.
 
-    Unlike :func:`parse_dfg` this never raises, so it also covers graphs
-    assembled programmatically.
+    This never raises, so it also covers graphs assembled programmatically.
+    Findings are ordered by rule: opcodes, writers, deps, per-op self-deps and
+    operands, outputs, cycles; :func:`parse_dfg` raises the first one.
     """
     diags: list[Diagnostic] = []
     produced = {op.result for op in g.operations}
@@ -549,8 +512,26 @@ def validate_dfg(g: Dfg) -> list[Diagnostic]:
                 Diagnostic("UnknownOpcode", op.opcode, {"op": op.id})
             )
 
+    declared = {decl.name for decl in g.input_decls}
+    for ref, writers in sorted(g._writers.items(), key=lambda kv: kv[0].name):
+        if len(writers) > 1:
+            diags.append(
+                Diagnostic("DuplicateWriter", ref.name, {"ops": list(writers)})
+            )
+        if ref.name in declared or ref.array in declared:
+            diags.append(
+                Diagnostic("DuplicateWriter", ref.name, {"ops": list(writers), "input": True})
+            )
+
+    for op in g.operations:
+        for dep in sorted(op.extra_deps):
+            if dep != op.id and dep not in g:
+                diags.append(Diagnostic("UnknownDependency", dep, {"op": op.id}))
+
     seen_undefined: set[str] = set()
     for op in g.operations:
+        if op.id in op.extra_deps:
+            diags.append(Diagnostic("CycleDetected", op.id, {"self_dep": True}))
         for ref in op.operands:
             if ref in g.primary_inputs or ref in produced:
                 continue
@@ -558,26 +539,9 @@ def validate_dfg(g: Dfg) -> list[Diagnostic]:
                 seen_undefined.add(ref.name)
                 diags.append(Diagnostic("UndefinedData", ref.name, {"op": op.id}))
 
-    for ref, writers in sorted(g._writers.items(), key=lambda kv: kv[0].name):
-        if len(writers) > 1:
-            diags.append(
-                Diagnostic("DuplicateWriter", ref.name, {"ops": list(writers)})
-            )
-        if ref in g.primary_inputs:
-            diags.append(
-                Diagnostic("DuplicateWriter", ref.name, {"ops": list(writers), "input": True})
-            )
-
     for ref in sorted(g.primary_outputs, key=lambda r: r.name):
         if ref not in produced:
             diags.append(Diagnostic("UndefinedData", ref.name, {"output": True}))
-
-    for op in g.operations:
-        if op.id in op.extra_deps:
-            diags.append(Diagnostic("CycleDetected", op.id, {"self_dep": True}))
-        for dep in sorted(op.extra_deps):
-            if dep != op.id and dep not in g:
-                diags.append(Diagnostic("UnknownDependency", dep, {"op": op.id}))
 
     try:
         topological_order(g)

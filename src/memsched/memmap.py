@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .dfg import DataRef, Dfg, _ELEMENT_RE, _NAME_RE, _check_keys, _load_json
+from .dfg import DataRef, Dfg, _ELEMENT_RE, _NAME_RE, _check_keys, _is_int, _load_json
 from .errors import (
     CapacityExceeded,
     Diagnostic,
@@ -158,16 +158,16 @@ def _parse_bank(entry, i: int) -> MemoryBank:
     required = {"id", "ports", "read_latency", "write_latency", "level"}
     _check_keys(entry, required, {"capacity_words", "energy_per_access"}, where)
     for key in ("ports", "read_latency", "write_latency", "level"):
-        if not isinstance(entry[key], int) or isinstance(entry[key], bool):
+        if not _is_int(entry[key]):
             raise FormatError(f"{where}.{key} must be an integer")
     if not isinstance(entry["id"], str) or not _NAME_RE.match(entry["id"]):
         raise FormatError(f"{where}.id must be an identifier")
     capacity = entry.get("capacity_words")
-    if capacity is not None and (not isinstance(capacity, int) or isinstance(capacity, bool)):
+    if capacity is not None and not _is_int(capacity):
         raise FormatError(f"{where}.capacity_words must be an integer")
     energy = entry.get("energy_per_access", 1.0)
-    if not isinstance(energy, (int, float)) or isinstance(energy, bool) or energy < 0:
-        raise FormatError(f"{where}.energy_per_access must be a non-negative number")
+    if not (_is_int(energy) or isinstance(energy, float)):
+        raise FormatError(f"{where}.energy_per_access must be a number")
     try:
         return MemoryBank(
             id=entry["id"],

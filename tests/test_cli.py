@@ -4,8 +4,16 @@ import json
 
 import pytest
 
+from memsched import (
+    CycleDetected,
+    DuplicateWriter,
+    FormatError,
+    UndefinedData,
+    UnknownOpcode,
+    parse_dfg,
+)
 from memsched.cli import main
-from memsched.fixtures import fixture_text
+from memsched.fixtures import fixture_text, load_library
 
 
 @pytest.fixture
@@ -315,3 +323,101 @@ def test_compare_computes_timing_once_plus_allocation_guard(inputs, monkeypatch)
     assert rc == 0
     # one in the CLI, one in compute_min_allocation's deadline guard
     assert calls == [24, 24]
+
+
+# -- the input contract: one document per rule --------------------------------
+
+def _graph(inputs, ops, outputs=()):
+    return json.dumps({"inputs": inputs, "outputs": list(outputs), "ops": ops})
+
+
+def _op(op_id, args, result, opcode="add", **extra):
+    return {"id": op_id, "opcode": opcode, "args": args, "result": result, **extra}
+
+
+XIN = [{"name": "xin", "shape": [2]}]
+SIN = [{"name": "sin"}]
+
+# rule -> (document, error class, exit code, names its message must carry)
+GRAPH_RULES = {
+    "undefined operand": (
+        _graph(SIN, [_op("op_a", ["sin", "ghost"], "w")]), UndefinedData, 1, ["ghost", "op_a"]),
+    "array without index": (
+        _graph(XIN, [_op("op_a", ["xin"], "w")]), UndefinedData, 1, ["xin", "op_a"]),
+    "index out of range": (
+        _graph(XIN, [_op("op_a", ["xin[5]"], "w")]), UndefinedData, 1, ["xin[5]", "op_a"]),
+    "indexed scalar": (
+        _graph(SIN, [_op("op_a", ["sin[0]"], "w")]), UndefinedData, 1, ["sin[0]", "op_a"]),
+    "two writers": (
+        _graph(SIN, [_op("op_a", ["sin"], "wout"), _op("op_b", ["sin"], "wout")]),
+        DuplicateWriter, 1, ["wout", "op_a", "op_b"]),
+    "write to declared input": (
+        _graph(SIN + XIN, [_op("op_a", ["sin"], "xin[1]")]),
+        DuplicateWriter, 1, ["xin[1]", "op_a"]),
+    "unknown dep": (
+        _graph(SIN, [_op("op_a", ["sin"], "w", deps=["nowhere"])]),
+        FormatError, 2, ["nowhere", "op_a"]),
+    "self-dep": (
+        _graph(SIN, [_op("op_a", ["sin"], "w", deps=["op_a"])]), CycleDetected, 1, ["op_a"]),
+    "two-op cycle": (
+        _graph(SIN, [_op("op_a", ["sin", "u"], "w"), _op("op_b", ["w"], "u")]),
+        CycleDetected, 1, ["op_a", "op_b"]),
+    "unproduced output": (
+        _graph(SIN, [_op("op_a", ["sin"], "w")], ["zout"]), UndefinedData, 1, ["zout"]),
+    "unknown opcode": (
+        _graph(SIN, [_op("op_a", ["sin"], "w", opcode="xor")]), UnknownOpcode, 1, ["xor", "op_a"]),
+    "duplicate op id": (
+        _graph(SIN, [_op("op_a", ["sin"], "w"), _op("op_a", ["sin"], "v")]),
+        FormatError, 2, ["op_a"]),
+}
+
+
+def _validate_doc(inputs, capsys, text, flag="--dfg"):
+    path = inputs["tmp"] / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    files = {"--dfg": inputs["fir4.dfg.json"], "--library": inputs["dsp.lib.json"], flag: str(path)}
+    argv = ["validate"]
+    for option, file in files.items():
+        argv += [option, file]
+    rc = main(argv)
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule", list(GRAPH_RULES))
+def test_graph_rule_contract(inputs, capsys, rule):
+    text, error, code, _ = GRAPH_RULES[rule]
+    with pytest.raises(error) as raised:
+        parse_dfg(text, load_library())
+    assert type(raised.value) is error
+    rc, err = _validate_doc(inputs, capsys, text)
+    assert rc == code
+    assert err.startswith("error:" if code == 2 else f"ERROR {error.code}:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rule", list(GRAPH_RULES))
+def test_graph_rule_message_names_item_and_ops(rule):
+    text, error, _, names = GRAPH_RULES[rule]
+    with pytest.raises(error) as raised:
+        parse_dfg(text, load_library())
+    for name in names:
+        assert name in raised.value.message
+
+
+@pytest.mark.parametrize(
+    "key, value", [("shape", [True]), ("width_bits", True), ("shape", None)]
+)
+def test_validate_rejects_non_integer_declarations(inputs, capsys, key, value):
+    text = _graph([{"name": "x", key: value}], [_op("a", ["x"], "w")])
+    rc, err = _validate_doc(inputs, capsys, text)
+    assert rc == 2
+    assert err.startswith(f"error: inputs[0].{key}")
+
+
+def test_validate_library_value_rules_are_exit_2(inputs, capsys):
+    for change in ({"opcodes": []}, {"latency": 0}, {"energy": -1}):
+        lib = {"classes": [{"name": "alu", "opcodes": ["add"], "latency": 1, **change}]}
+        rc, err = _validate_doc(inputs, capsys, json.dumps(lib), flag="--library")
+        assert rc == 2, change
+        assert err.startswith("error: classes[0]:"), err
+        assert "Traceback" not in err

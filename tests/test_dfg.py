@@ -12,6 +12,7 @@ from memsched import (
     DuplicateWriter,
     FormatError,
     InfeasibleConstraint,
+    InputDecl,
     Operation,
     OperatorClass,
     OperatorLibrary,
@@ -26,6 +27,7 @@ from memsched import (
     topological_order,
     validate_dfg,
 )
+from memsched.fixtures import KERNELS, fixture_text
 from oracles import enumerate_timing
 
 LIB = OperatorLibrary(
@@ -186,8 +188,11 @@ def test_library_rejects_duplicate_opcode():
 
 
 def test_roundtrip_parse_serialize_parse():
+    # DataRef equality includes width_bits, so whole Operation tuples check
+    # that every token gets its declaration's width both times.
     text = doc(
-        [{"name": "x", "shape": [4]}, {"name": "h", "shape": [4]}, {"name": "c"}],
+        [{"name": "x", "shape": [4], "width_bits": 12}, {"name": "h", "shape": [4]},
+         {"name": "c"}],
         ["y"],
         [
             {"id": "m0", "opcode": "mul", "args": ["x[0]", "h[0]"], "result": "p0"},
@@ -196,19 +201,15 @@ def test_roundtrip_parse_serialize_parse():
             {"id": "a2", "opcode": "add", "args": ["s1", "c"], "result": "y"},
         ],
     )
-    g1 = parse_dfg(text, LIB)
-    g2 = parse_dfg(serialize_dfg(g1), LIB)
-
-    def shape(g):
-        return (
-            [(op.id, op.opcode, tuple(r.name for r in op.operands), op.result.name,
-              tuple(sorted(op.extra_deps))) for op in g.operations],
-            sorted(r.name for r in g.primary_inputs),
-            sorted(r.name for r in g.primary_outputs),
-        )
-
-    assert shape(g1) == shape(g2)
-    assert serialize_dfg(g1) == serialize_dfg(g2)
+    assert parse_dfg(text, LIB).operations[0].operands[0] == elem("x", 0, 12)
+    for text in [text] + [fixture_text(f"{k}.dfg.json") for k in KERNELS]:
+        g1 = parse_dfg(text, LIB)
+        g2 = parse_dfg(serialize_dfg(g1), LIB)
+        assert g1.operations == g2.operations
+        assert g1.input_decls == g2.input_decls
+        assert g1.primary_inputs == g2.primary_inputs
+        assert g1.primary_outputs == g2.primary_outputs
+        assert serialize_dfg(g1) == serialize_dfg(g2)
 
 
 # -- validate_dfg on programmatic graphs -------------------------------------
@@ -231,6 +232,17 @@ def test_validate_duplicate_writer():
     g = Dfg(ops, UNIT, [scalar("u")], [])
     codes = [d.code for d in validate_dfg(g)]
     assert codes == ["DuplicateWriter"]
+
+
+def test_validate_writes_into_declared_inputs():
+    decls = [InputDecl("x", (2,)), InputDecl("s")]
+    inputs = [ref for decl in decls for ref in decl.refs()]
+    for target in (elem("x", 5), elem("s", 0)):
+        g = Dfg([Operation("a", "f", (elem("x", 0),), target)], UNIT, inputs, [], decls)
+        (finding,) = validate_dfg(g)
+        assert (finding.code, finding.payload, finding.details["ops"]) == (
+            "DuplicateWriter", target.name, ["a"]
+        )
 
 
 def test_validate_unknown_opcode_diagnostic():
