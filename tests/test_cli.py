@@ -421,3 +421,59 @@ def test_validate_library_value_rules_are_exit_2(inputs, capsys):
         assert rc == 2, change
         assert err.startswith("error: classes[0]:"), err
         assert "Traceback" not in err
+
+
+# -- error precedence: which failure a run with several reports ----------------
+
+EMPTY_GRAPH = _graph([], [])
+X_ONLY_MAPPING = json.dumps({
+    "banks": [{"id": "M0", "ports": 1, "read_latency": 1, "write_latency": 1, "level": 0}],
+    "place": {"x": "M0"},
+})
+
+# case -> (graph file, mapping document or None, extra argv, exit code,
+#          start of the last stderr line)
+PRECEDENCE = {
+    "empty graph at T 0": (
+        "empty", None, ["schedule", "--T", "0"],
+        2, "error: time constraint must be >= 1 cycle"),
+    "critical path over T 0": (
+        "fir4", None, ["schedule", "--T", "0"],
+        1, "ERROR InfeasibleConstraint: critical path needs 5 cycles "),
+    "unmapped under baseline": (
+        "fir4", X_ONLY_MAPPING, ["schedule", "--T", "12"],
+        1, "ERROR UnmappedData: h[0]"),
+    "unmapped under mem-aware": (
+        "fir4", X_ONLY_MAPPING, ["schedule", "--policy", "mem-aware", "--T", "12"],
+        1, "ERROR UnmappedData: h[0]"),
+    "unmapped under compare": (
+        "fir4", X_ONLY_MAPPING, ["compare", "--T", "12"],
+        1, "ERROR UnmappedData: h[0]"),
+    "baseline deadline before unmapped": (
+        "fir4", X_ONLY_MAPPING, ["compare", "--T", "6", "--alloc", "mul=1", "--alloc", "alu=1"],
+        1, "ERROR TimeConstraintViolated: 3 operation(s) "),
+    "unknown alloc class before reduction range": (
+        "fir4", None, ["schedule", "--T", "12", "--reduction", "0.1", "--alloc", "nope=1"],
+        1, "ERROR UnknownOpcode: "),
+    "unknown alloc class before reduction range and mapping": (
+        "fir4", X_ONLY_MAPPING, ["compare", "--T", "12", "--reduction", "0.1", "--alloc", "nope=1"],
+        1, "ERROR UnknownOpcode: "),
+}
+
+
+@pytest.mark.parametrize("case", list(PRECEDENCE))
+def test_error_precedence(inputs, capsys, case):
+    graph, mapping, argv, code, last_line = PRECEDENCE[case]
+    dfg = inputs["fir4.dfg.json"]
+    if graph == "empty":
+        dfg = inputs["tmp"] / "empty.dfg.json"
+        dfg.write_text(EMPTY_GRAPH, encoding="utf-8")
+    files = ["--dfg", str(dfg), "--library", inputs["dsp.lib.json"], "--out", inputs["out"]]
+    if mapping is not None:
+        path = inputs["tmp"] / "case.map.json"
+        path.write_text(mapping, encoding="utf-8")
+        files += ["--mapping", str(path)]
+    rc = main(argv[:1] + files + argv[1:])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.splitlines()[-1].startswith(last_line), err

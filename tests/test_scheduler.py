@@ -16,6 +16,7 @@ from memsched import (
     OperatorLibrary,
     Policy,
     SchedulerConfig,
+    SchedulingError,
     TimeConstraintViolated,
     ample_allocation,
     bruteforce_optimal_makespan,
@@ -67,6 +68,13 @@ def test_min_allocation_infeasible_deadline():
     g = muls(1)
     with pytest.raises(InfeasibleConstraint):
         compute_min_allocation(g, LIB, 1)
+
+
+@pytest.mark.parametrize("deadline", [0, -1])
+def test_min_allocation_rejects_a_deadline_below_one(deadline):
+    # never a division by zero, never a silent allocation
+    with pytest.raises((SchedulingError, ValueError)):
+        compute_min_allocation(muls(2), LIB, deadline)
 
 
 # -- core behaviour ----------------------------------------------------------------
