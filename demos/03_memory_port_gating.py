@@ -47,8 +47,8 @@ for e in aware.sorted_entries():
         print(f"  {e.op_id} holds {b.bank_id}.p{b.port_index} during "
               f"[{b.start},{b.end})")
 
-m_base = analyze(base, g, lib, mapping)
-m_aware = analyze(aware, g, lib, mapping)
+m_base = analyze(base, g, lib, aware.model)
+m_aware = analyze(aware, g, lib, aware.model)
 print(f"replayed conflicts: memory-blind {m_base.total_conflicts}, "
       f"memory-aware {m_aware.total_conflicts}")
 
@@ -62,8 +62,8 @@ base = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
 aware = schedule_memory_aware(
     g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE), timing
 )
-m_base = analyze(base, g, lib, mapping)
-m_aware = analyze(aware, g, lib, mapping)
+m_base = analyze(base, g, lib, aware.model)
+m_aware = analyze(aware, g, lib, aware.model)
 
 print(f"{'':>24} {'memory-blind':>14} {'memory-aware':>14}")
 print(f"{'makespan [cycles]':>24} {base.makespan_cycles:>14} {aware.makespan_cycles:>14}")

@@ -16,6 +16,7 @@ from pathlib import Path
 from .dfg import Dfg, TimingAnalysis, compute_timing, parse_dfg, parse_library, validate_dfg
 from .errors import FormatError, SchedulingError, TooLarge
 from .memmap import (
+    AccessModel,
     MappingPolicy,
     MemoryMapping,
     generate_default_mapping,
@@ -149,9 +150,12 @@ def _schedule(args) -> int:
     timing, alloc, sched_cfg = _prepare(args, g, policy)
     if policy is Policy.MEMORY_AWARE:
         schedule = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
+        model = schedule.model
     else:
         schedule = schedule_baseline(g, alloc, sched_cfg, timing)
-    m = analyze(schedule, g, g.library, mapping, schedule.config)
+        # replay the memory-blind schedule on the mapping's banks
+        model = AccessModel(g, mapping) if mapping is not None else None
+    m = analyze(schedule, g, g.library, model, schedule.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "schedule.json").write_text(schedule.to_json(), encoding="utf-8")
@@ -169,8 +173,9 @@ def _schedule(args) -> int:
 def _compare(args) -> int:
     """Run both policies on identical inputs and report the trade-off.
 
-    The memory-ignorant schedule is replayed against the mapping so its
-    would-be port conflicts are counted on equal terms.
+    The memory-ignorant schedule is replayed against the memory-aware
+    schedule's access model, so its would-be port conflicts are counted on
+    equal terms.
     """
     g = _load_graph(args)
     mapping = _resolve_mapping(args, g)
@@ -181,8 +186,8 @@ def _compare(args) -> int:
     s_aware = schedule_memory_aware(
         g, alloc, mapping, replace(sched_cfg, policy=Policy.MEMORY_AWARE), timing
     )
-    m_base = analyze(s_base, g, g.library, mapping, s_base.config)
-    m_aware = analyze(s_aware, g, g.library, mapping, s_aware.config)
+    m_base = analyze(s_base, g, g.library, s_aware.model, s_base.config)
+    m_aware = analyze(s_aware, g, g.library, s_aware.model, s_aware.config)
     report = compare(m_base, m_aware)
 
     extra = {}

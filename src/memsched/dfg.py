@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -85,8 +86,8 @@ class OperatorClass:
             raise ValueError(f"operator class {self.name!r} has no opcodes")
         if self.latency_cycles < 1:
             raise ValueError(f"operator class {self.name!r} latency must be >= 1")
-        if self.base_energy < 0:
-            raise ValueError(f"operator class {self.name!r} base energy must be >= 0")
+        if not (math.isfinite(self.base_energy) and self.base_energy >= 0):
+            raise ValueError(f"operator class {self.name!r} base energy must be finite and >= 0")
 
 
 class OperatorLibrary:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -50,8 +51,8 @@ class MemoryBank:
             raise ValueError(f"bank {self.id!r} level must be >= 0")
         if self.capacity_words is not None and self.capacity_words < 1:
             raise ValueError(f"bank {self.id!r} capacity must be >= 1 or unbounded")
-        if self.energy_per_access < 0:
-            raise ValueError(f"bank {self.id!r} energy per access must be >= 0")
+        if not (math.isfinite(self.energy_per_access) and self.energy_per_access >= 0):
+            raise ValueError(f"bank {self.id!r} energy per access must be finite and >= 0")
 
 
 class MemoryMapping:

@@ -89,15 +89,18 @@ def analyze(
     s: Schedule,
     g: Dfg,
     library: OperatorLibrary | None = None,
-    mapping: MemoryMapping | None = None,
+    model: AccessModel | None = None,
     cfg: SchedulerConfig | None = None,
 ) -> ScheduleMetrics:
     """Measure a schedule: sharing ratio, energy estimate, bank traffic.
 
-    Bank traffic replays every entry's start against ``mapping``: each access
-    counts as one request in every cycle of its full multi-cycle window (see
-    the module docs), so a memory-blind schedule shows the port conflicts it
-    would cause and a memory-aware one shows the traffic it booked.
+    Bank traffic replays every entry's start against ``model``, the access
+    model of the mapping to count on (a memory-aware schedule's own
+    ``Schedule.model``): each access counts as one request in every cycle of
+    its full multi-cycle window (see the module docs), so a memory-blind
+    schedule shows the port conflicts it would cause and a memory-aware one
+    shows the traffic it booked. None, or a model without a mapping, counts
+    no bank traffic.
     """
     library = library or g.library
     cfg = cfg or s.config
@@ -133,8 +136,9 @@ def analyze(
     per_bank: dict[str, BankStats] = {}
     memory_energy = 0.0
     total_conflicts = 0
+    mapping = model.mapping if model is not None else None
     if mapping is not None and mapping.banks:
-        accesses, requests = _traffic(s, AccessModel(g, mapping))
+        accesses, requests = _traffic(s, model)
         for bank in sorted(mapping.banks, key=lambda b: b.id):
             cycles = requests.get(bank.id, {})
             peak = max(cycles.values(), default=0)
@@ -245,23 +249,17 @@ def export_gantt(s: Schedule, mapping: MemoryMapping | None = None) -> str:
         f'height="{height}" font-family="monospace" font-size="11">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    step = 1
-    for candidate in (1, 2, 5, 10, 20, 50):
-        if horizon / candidate <= 40:
-            step = candidate
-            break
-    for c in range(horizon + 1):
+    for c in range(0, horizon + 1, _tick_step(horizon)):
         top = _MARGIN_TOP
         bottom = _MARGIN_TOP + len(rows) * _ROW_H
         out.append(
             f'<line x1="{x(c)}" y1="{top}" x2="{x(c)}" y2="{bottom}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
-        if c % step == 0:
-            out.append(
-                f'<text x="{x(c)}" y="{_MARGIN_TOP - 8}" text-anchor="middle" '
-                f'fill="#333333">{c}</text>'
-            )
+        out.append(
+            f'<text x="{x(c)}" y="{_MARGIN_TOP - 8}" text-anchor="middle" '
+            f'fill="#333333">{c}</text>'
+        )
     classes = sorted({cls for cls, _ in instance_rows})
     color_of = {
         cls: _CLASS_COLORS[i % len(_CLASS_COLORS)] for i, cls in enumerate(classes)
@@ -306,6 +304,17 @@ def export_gantt(s: Schedule, mapping: MemoryMapping | None = None) -> str:
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _tick_step(horizon: int) -> int:
+    """Smallest step of the series 1, 2, 5, 10, 20, 50, ... that puts at
+    most 40 steps on an axis of ``horizon`` cycles."""
+    scale = 1
+    while True:
+        for step in (scale, 2 * scale, 5 * scale):
+            if horizon <= 40 * step:
+                return step
+        scale *= 10
 
 
 _CSV_HEADER = ("op", "start", "end", "class", "instance", "model2")

@@ -50,7 +50,7 @@ import enum
 import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .dfg import DataRef, Dfg, OperatorClass, TimingAnalysis, compute_timing, topological_order
@@ -181,13 +181,20 @@ class ScheduleEntry:
 
 @dataclass
 class Schedule:
-    """Complete schedule for one graph under one configuration."""
+    """Complete schedule for one graph under one configuration.
+
+    ``model`` is the access model the entries obey: the mapping's for a
+    memory-aware schedule, the register-only one for a memory-blind one, and
+    None for a schedule built by hand. It is the model ``metrics.analyze``
+    replays a schedule against, and it never goes into ``schedule.json``.
+    """
 
     entries: dict[str, ScheduleEntry]
     makespan_cycles: int
     policy: Policy
     config: SchedulerConfig
     allocation: Allocation
+    model: AccessModel | None = field(default=None, compare=False, repr=False)
 
     def sorted_entries(self) -> list[ScheduleEntry]:
         return sorted(self.entries.values(), key=lambda e: (e.start_cycle, e.op_id))
@@ -264,11 +271,17 @@ def compute_min_allocation(
     g: Dfg, library, time_constraint_cycles: int
 ) -> Allocation:
     """Average-parallelism lower bound on instance counts: for each class,
-    ceil(ops * latency / deadline), at least one."""
-    compute_timing(g, library, time_constraint_cycles)  # InfeasibleConstraint guard
+    ceil(ops * latency / deadline), at least one.
+
+    Only arithmetic: whether the deadline fits the critical path is
+    :func:`compute_timing`'s rule. A deadline below one cycle on a graph with
+    operations raises ValueError.
+    """
     per_class: Counter[str] = Counter()
     for op in g.operations:
         per_class[library.class_for(op.opcode).name] += 1
+    if per_class and time_constraint_cycles < 1:
+        raise ValueError("time constraint must be >= 1 cycle")
     counts = {}
     for name, n_ops in sorted(per_class.items()):
         latency = library.class_named(name).latency_cycles
@@ -448,7 +461,7 @@ def _run_or_raise(
             suggestion = next(k * T for k in (2, 4, 8) if k * T >= makespan)
         raise TimeConstraintViolated(sorted(unscheduled), T, suggestion)
     makespan = max((e.finish_cycle for e in entries.values()), default=0)
-    return Schedule(entries, makespan, cfg.policy, cfg, alloc)
+    return Schedule(entries, makespan, cfg.policy, cfg, alloc, model)
 
 
 def schedule_baseline(
@@ -508,20 +521,19 @@ def bruteforce_optimal_makespan(
     if len(ops) > _BRUTEFORCE_MAX_OPS:
         raise TooLarge(f"{len(ops)} operations exceed the oracle guard of "
                        f"{_BRUTEFORCE_MAX_OPS}")
+    try:
+        timing = compute_timing(g, g.library, T_max)
+    except InfeasibleConstraint:
+        raise Infeasible(f"no schedule fits within {T_max} cycles") from None
+    # longest path from an op's start to the end of the graph
+    tail = {oid: T_max - alap for oid, alap in timing.alap.items()}
     order = topological_order(g)
     cls = {op.id: g.class_of(op) for op in ops}
-    succs = g.successors()
     model = AccessModel(g, mapping)
-
-    tail: dict[str, int] = {}
-    for oid in reversed(order):
-        tail[oid] = cls[oid].latency_cycles + max(
-            (tail[s] for s in succs[oid]), default=0
-        )
 
     # admissible global lower bound: critical path, per-class pigeonhole,
     # per-bank port-cycle pigeonhole
-    lower = max((tail[oid] for oid in order), default=0)
+    lower = timing.critical_path_cycles
     per_class: Counter[str] = Counter()
     port_work: Counter[MemoryBank] = Counter()
     for oid in order:
@@ -668,4 +680,4 @@ def _witness_schedule(
             is_model2=shared >= 1,
             shared_inputs=shared,
         )
-    return Schedule(entries, makespan, cfg.policy, cfg, alloc)
+    return Schedule(entries, makespan, cfg.policy, cfg, alloc, model)

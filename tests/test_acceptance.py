@@ -220,8 +220,8 @@ def test_port_gating_two_adds_fixture():
         base, aware = run_both(g, alloc, mapping, 4)
         starts = {e.op_id: e.start_cycle for e in aware.sorted_entries()}
         assert starts == {"r1": 1, "r2": 2}
-        m_aware = analyze(aware, g, lib, mapping)
-        m_base = analyze(base, g, lib, mapping)
+        m_aware = analyze(aware, g, lib, aware.model)
+        m_base = analyze(base, g, lib, aware.model)
         assert m_aware.total_conflicts == 0
         assert m_base.total_conflicts >= 1
 

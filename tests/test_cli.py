@@ -321,8 +321,58 @@ def test_compare_computes_timing_once_plus_allocation_guard(inputs, monkeypatch)
         ]
     )
     assert rc == 0
-    # one in the CLI, one in compute_min_allocation's deadline guard
-    assert calls == [24, 24]
+    # the CLI's pass is the only one: the allocation is arithmetic
+    assert calls == [24]
+
+
+# case -> (argv, timing passes, access models built in order)
+DERIVATIONS = {
+    "compare": (
+        ["compare", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
+        1, ["registers", "mapping"]),
+    "schedule mem-aware": (
+        ["schedule", "--policy", "mem-aware", "--dfg", "fir16.dfg.json",
+         "--mapping", "fir16.map.json", "--T", "24"],
+        1, ["mapping"]),
+    "schedule baseline with a mapping": (
+        ["schedule", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
+        1, ["registers", "mapping"]),
+    # the oracle derives its own bound and model at its T_max
+    "compare with the oracle": (
+        ["compare", "--dfg", "two_adds_one_bank.dfg.json",
+         "--mapping", "two_adds_one_bank.map.json", "--T", "4", "--alloc", "alu=2", "--oracle"],
+        2, ["registers", "mapping", "mapping"]),
+}
+
+
+@pytest.mark.parametrize("case", list(DERIVATIONS))
+def test_each_call_derives_timing_and_models_once(inputs, monkeypatch, case):
+    import memsched.cli as cli
+    import memsched.memmap as memmap
+    import memsched.scheduler as scheduler
+
+    argv, timing_passes, models = DERIVATIONS[case]
+    timings, built = [], []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            timings.append(args[2])
+            return original(*args, **kwargs)
+        return wrapper
+
+    build = memmap.AccessModel.__init__
+
+    def counting_build(self, g, mapping=None):
+        built.append(mapping)
+        build(self, g, mapping)
+
+    monkeypatch.setattr(cli, "compute_timing", counting(cli.compute_timing))
+    monkeypatch.setattr(scheduler, "compute_timing", counting(scheduler.compute_timing))
+    monkeypatch.setattr(memmap.AccessModel, "__init__", counting_build)
+    files = [inputs.get(arg, arg) for arg in argv]
+    assert main(files + ["--library", inputs["dsp.lib.json"], "--out", inputs["out"]]) == 0
+    assert len(timings) == timing_passes
+    assert ["registers" if m is None else "mapping" for m in built] == models
 
 
 # -- the input contract: one document per rule --------------------------------
@@ -421,6 +471,31 @@ def test_validate_library_value_rules_are_exit_2(inputs, capsys):
         assert rc == 2, change
         assert err.startswith("error: classes[0]:"), err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("document, where", [("library", "classes[0]"), ("mapping", "banks[0]")])
+def test_schedule_rejects_non_finite_energy(inputs, capsys, document, where, value):
+    # json.loads reads NaN and Infinity; neither may reach metrics.json
+    docs = {"library": json.loads(fixture_text("dsp.lib.json")),
+            "mapping": json.loads(fixture_text("fir4.map.json"))}
+    if document == "library":
+        docs["library"]["classes"][0]["energy"] = value
+    else:
+        docs["mapping"]["banks"][0]["energy_per_access"] = value
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = inputs["tmp"] / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    rc = main([
+        "schedule", "--dfg", inputs["fir4.dfg.json"], "--library", str(paths["library"]),
+        "--mapping", str(paths["mapping"]), "--T", "12", "--out", inputs["out"],
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {where}: "), err
+    assert "finite" in err
+    assert not (inputs["tmp"] / "out" / "metrics.json").exists()
 
 
 # -- error precedence: which failure a run with several reports ----------------

@@ -110,7 +110,7 @@ def random_digests() -> dict[str, str]:
         aware = schedule_memory_aware(
             g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE), timing
         )
-        metrics = metrics_to_json(analyze(aware, g, lib, mapping))
+        metrics = metrics_to_json(analyze(aware, g, lib, aware.model))
         out[f"random/{i:03d}"] = _digest(
             "\0".join((base.to_json(), aware.to_json(), metrics))
         )

@@ -1,10 +1,12 @@
 """Metrics, comparison and exports."""
 
 import dataclasses
+import re
 
 import pytest
 
 from memsched import (
+    AccessModel,
     Allocation,
     Dfg,
     InconsistentSchedule,
@@ -112,7 +114,7 @@ def test_memory_aware_schedule_has_zero_conflicts():
     s = schedule_memory_aware(
         g, Allocation({"alu": 2}), mapping, SchedulerConfig(4, Policy.MEMORY_AWARE), timing
     )
-    m = analyze(s, g, LIB, mapping)
+    m = analyze(s, g, LIB, s.model)
     assert m.total_conflicts == 0
     assert m.per_bank["M0"].accesses == 2
     assert m.per_bank["M0"].peak_simultaneous_requests == 1
@@ -125,7 +127,7 @@ def test_baseline_replay_counts_conflicts():
         g, Allocation({"alu": 2}), SchedulerConfig(4, Policy.BASELINE), timing
     )
     assert {e.start_cycle for e in s.entries.values()} == {0}
-    m = analyze(s, g, LIB, mapping)
+    m = analyze(s, g, LIB, AccessModel(g, mapping))
     # both fetches land on the cycle before start: 2 requests on one port
     assert m.per_bank["M0"].peak_simultaneous_requests == 2
     assert m.per_bank["M0"].port_conflict_cycles == 1
@@ -149,7 +151,7 @@ def test_replay_counts_full_multi_cycle_fetch_windows():
         for i, (oid, start) in enumerate((("r1", 2), ("r2", 3)))
     }
     s = Schedule(entries, 4, Policy.BASELINE, SchedulerConfig(8), Allocation({"alu": 2}))
-    m = analyze(s, g, LIB, mapping)
+    m = analyze(s, g, LIB, AccessModel(g, mapping))
     assert m.per_bank["M0"].peak_simultaneous_requests == 2
     assert m.per_bank["M0"].port_conflict_cycles == 1
     assert m.total_conflicts == 1
@@ -175,7 +177,7 @@ def test_replay_conflicts_match_per_cycle_recount():
         timing = compute_timing(g, lib, T)
         alloc = compute_min_allocation(g, lib, T)
         s = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
-        m = analyze(s, g, lib, mapping)
+        m = analyze(s, g, lib, AccessModel(g, mapping))
 
         demand: dict[str, Counter] = {}
         for op in g.operations:
@@ -264,6 +266,22 @@ def test_gantt_port_rows_show_serialized_fetches():
     assert svg.count(_READ_COLOR) == 2
     assert svg.count(_WRITE_COLOR) == 0
     assert export_gantt(s, mapping) == svg  # deterministic
+
+
+@pytest.mark.parametrize("horizon", [19, 41, 2001, 200_000])
+def test_gantt_axis_has_at_most_41_ticks(horizon):
+    # one op as long as the horizon; every tick is one grid line and one label
+    entry = ScheduleEntry("op00", 0, horizon, "u", 0)
+    s = Schedule({"op00": entry}, horizon, Policy.BASELINE, SchedulerConfig(horizon),
+                 Allocation({"u": 1}))
+    svg = export_gantt(s, None)
+    labels = re.findall(r'text-anchor="middle" fill="#333333">(\d+)<', svg)
+    step = int(labels[1])
+    assert str(step)[0] in "125" and set(str(step)[1:]) <= {"0"}
+    assert labels == [str(c) for c in range(0, horizon + 1, step)]
+    assert len(labels) <= 41
+    assert svg.count('stroke="#dddddd"') == len(labels)
+    assert len(svg) < 10_000
 
 
 def test_csv_empty_and_sorted():
