@@ -588,7 +588,8 @@ def _find_cycle(g: Dfg, remaining: set[str]) -> list[str]:
 @dataclass(frozen=True)
 class TimingAnalysis:
     """ASAP/ALAP start cycles, per-operation mobility and the critical path
-    length under a given deadline."""
+    length under a given deadline. ``asap`` iterates in
+    :func:`topological_order`."""
 
     asap: Mapping[str, int]
     alap: Mapping[str, int]

@@ -33,6 +33,10 @@ candidate after every placement:
   only fill up within a cycle. Binding has no side effects, so a popped
   operation is gated first and dropped unbound when a port is busy, as it
   is when its class has no free instance left.
+- A cycle whose queue is empty is idle until the next arrival or the next
+  instance release, so the engine jumps there (to T when neither comes):
+  ports matter only to a queued operation, and an operation whose
+  completion misses the deadline misses it at every later cycle too.
 
 Priorities do not change under a deadline shift: moving the deadline moves
 every ALAP start, hence every slack, equally. So when a deadline T is
@@ -42,6 +46,11 @@ so a run at kT succeeds exactly when the 8T run finishes by kT.
 
 A branch-and-bound search over start cycles provides exact optimal makespans
 for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
+It builds the engine once for its deadline and takes the classes, the
+access model, the allocation check and the instances from it. The search
+counts occupancy per (resource, cycle) over each operation's class interval
+and port windows; the witness schedule is then placed by the engine's own
+placement step, in (start, id) order, so the port ledger checks it too.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .dfg import DataRef, Dfg, OperatorClass, TimingAnalysis, compute_timing, topological_order
+from .dfg import DataRef, Dfg, OperatorClass, TimingAnalysis, compute_timing
 from .errors import (
     ClassMismatch,
     Infeasible,
@@ -358,6 +367,14 @@ class _Engine:
                 for oid in ready
                 if free[cls[oid].name] and model.completion(oid, t) <= T
             ]
+            if not queue:
+                # idle until an op arrives or an instance frees (module docs)
+                wake = [i.busy_until_cycle for insts in self.instances.values()
+                        for i in insts if i.busy_until_cycle > t]
+                if arrivals:
+                    wake.append(arrivals[0][0])
+                t = min(wake, default=T)
+                continue
             heapq.heapify(queue)
             while queue:
                 key, shared, inst = heapq.heappop(queue)
@@ -517,63 +534,62 @@ def bruteforce_optimal_makespan(
     the access model the list scheduler uses and returns the best makespan
     with one witness schedule. Exponential: guarded to 10 operations.
     """
-    ops = list(g.operations)
-    if len(ops) > _BRUTEFORCE_MAX_OPS:
-        raise TooLarge(f"{len(ops)} operations exceed the oracle guard of "
+    if len(g.operations) > _BRUTEFORCE_MAX_OPS:
+        raise TooLarge(f"{len(g.operations)} operations exceed the oracle guard of "
                        f"{_BRUTEFORCE_MAX_OPS}")
     try:
         timing = compute_timing(g, g.library, T_max)
     except InfeasibleConstraint:
         raise Infeasible(f"no schedule fits within {T_max} cycles") from None
+    policy = Policy.MEMORY_AWARE if mapping is not None else Policy.BASELINE
+    engine = _Engine(g, alloc, SchedulerConfig(T_max, policy), timing, AccessModel(g, mapping))
+    cls, model = engine.cls, engine.model
     # longest path from an op's start to the end of the graph
     tail = {oid: T_max - alap for oid, alap in timing.alap.items()}
-    order = topological_order(g)
-    cls = {op.id: g.class_of(op) for op in ops}
-    model = AccessModel(g, mapping)
+    order = list(timing.asap)  # topological
 
-    # admissible global lower bound: critical path, per-class pigeonhole,
-    # per-bank port-cycle pigeonhole
-    lower = timing.critical_path_cycles
-    per_class: Counter[str] = Counter()
-    port_work: Counter[MemoryBank] = Counter()
-    for oid in order:
-        per_class[cls[oid].name] += cls[oid].latency_cycles
-        for w in model.windows(oid, 0):
-            port_work[w.bank] += w.count * (w.end - w.start)
-    for name, work in per_class.items():
-        lower = max(lower, -(-work // alloc.count(name)))
-    for bank, work in port_work.items():
-        lower = max(lower, -(-work // bank.ports))
+    # what an op holds relative to its start, as (resource, first cycle,
+    # end cycle, amount): one instance of its class over its latency and the
+    # ports of each access window. Resources are indices because a class
+    # and a bank may share a name.
+    capacity = [len(insts) for insts in engine.instances.values()]
+    rid = {("class", name): r for r, name in enumerate(engine.instances)}
+    for bank in mapping.banks if mapping is not None else ():
+        rid["bank", bank.id] = len(capacity)
+        capacity.append(bank.ports)
+    holds = {
+        oid: [(rid["class", cls[oid].name], 0, cls[oid].latency_cycles, 1)]
+        + [(rid["bank", w.bank.id], w.start, w.end, w.count) for w in model.windows(oid, 0)]
+        for oid in order
+    }
 
-    class_usage: Counter[tuple[str, int]] = Counter()
-    port_usage: Counter[tuple[str, int]] = Counter()
+    # admissible global lower bound: critical path, and per resource its
+    # total occupancy spread over its capacity
+    work = [0] * len(capacity)
+    for held in holds.values():
+        for r, first, end, amount in held:
+            work[r] += amount * (end - first)
+    lower = max([timing.critical_path_cycles]
+                + [-(-w // cap) for w, cap in zip(work, capacity)])
+
+    usage: Counter[tuple[int, int]] = Counter()
     starts: dict[str, int] = {}
     finish: dict[str, int] = {}
     best = T_max + 1
     best_starts: dict[str, int] | None = None
 
-    def cycles_needed(oid: str, s: int):
-        """(counter, key, first cycle, end cycle, amount, capacity) for
-        starting oid at s."""
-        c = cls[oid]
-        needs = [(class_usage, c.name, s, s + c.latency_cycles, 1, alloc.count(c.name))]
-        needs.extend(
-            (port_usage, w.bank.id, w.start, w.end, w.count, w.bank.ports)
-            for w in model.windows(oid, s)
-        )
-        return needs
-
-    def capacity_ok(needs) -> bool:
-        for counter, key, lo_c, hi_c, amount, cap in needs:
-            for c in range(lo_c, hi_c):
-                if counter[(key, c)] + amount > cap:
+    def fits(oid: str, s: int) -> bool:
+        for r, first, end, amount in holds[oid]:
+            room = capacity[r] - amount
+            for c in range(s + first, s + end):
+                if usage[(r, c)] > room:
                     return False
         return True
 
-    def apply(needs, sign: int) -> None:
-        for counter, key, lo_c, hi_c, amount, _ in needs:
-            for c in range(lo_c, hi_c):
-                counter[(key, c)] += sign * amount
+    def hold(oid: str, s: int, sign: int) -> None:
+        for r, first, end, amount in holds[oid]:
+            for c in range(s + first, s + end):
+                usage[(r, c)] += sign * amount
 
     def dfs(i: int) -> None:
         nonlocal best, best_starts
@@ -592,92 +608,58 @@ def bruteforce_optimal_makespan(
         for s in range(lo, hi + 1):
             if s + tail[oid] >= best:  # best may have dropped in a child
                 break
-            needs = cycles_needed(oid, s)
-            if not capacity_ok(needs):
+            if not fits(oid, s):
                 continue
-            apply(needs, +1)
+            hold(oid, s, +1)
             starts[oid] = s
             finish[oid] = model.completion(oid, s)
             dfs(i + 1)
             del starts[oid], finish[oid]
-            apply(needs, -1)
+            hold(oid, s, -1)
 
     dfs(0)
     if best_starts is None:
         raise Infeasible(f"no schedule fits within {T_max} cycles")
-    witness = _witness_schedule(g, alloc, model, best_starts, best, T_max)
-    return best, witness
+    return best, _witness_schedule(engine, alloc, best_starts, best)
 
 
 def _witness_schedule(
-    g: Dfg,
-    alloc: Allocation,
-    model: AccessModel,
-    starts: Mapping[str, int],
-    makespan: int,
-    T_max: int,
+    engine: _Engine, alloc: Allocation, starts: Mapping[str, int], makespan: int
 ) -> Schedule:
-    """Turn a feasible start assignment into a full schedule: instances and
-    ports by greedy interval partitioning in window-start order (exact when
-    per-cycle occupancy fits, which the search guaranteed), sharing flags
-    replayed per instance in execution order."""
-    mapping = model.mapping
-    cfg = SchedulerConfig(
-        time_constraint_cycles=T_max,
-        policy=Policy.MEMORY_AWARE if mapping is not None else Policy.BASELINE,
+    """Place a feasible start assignment with the engine's own step, in
+    (start, id) order: each op on the lowest-index instance free at its
+    start, each access on the lowest port whose last window ended by the
+    access's start. Both are exact interval partitions when the per-cycle
+    occupancy fits, which the search guaranteed, and the ledger re-checks
+    every booking."""
+    g, model = engine.g, engine.model
+    reads: dict[str, list[PortBooking]] = {oid: [] for oid in starts}
+    writes: dict[str, PortBooking] = {}
+    accesses = sorted(
+        (w.start, w.end, oid, w.is_store, w.bank.id, w.bank.ports)
+        for oid, s in starts.items()
+        for w in model.windows(oid, s)
+        for _ in range(w.count)
     )
-    cls = {op.id: g.class_of(op) for op in g.operations}
-    by_start = sorted(g.operations, key=lambda op: (starts[op.id], op.id))
-
-    instance_free: dict[str, list[int]] = {}
-    chosen: dict[str, int] = {}
-    for op in by_start:
-        name = cls[op.id].name
-        frees = instance_free.setdefault(name, [0] * alloc.count(name))
-        start = starts[op.id]
-        idx = next(i for i, until in enumerate(frees) if until <= start)
-        frees[idx] = start + cls[op.id].latency_cycles
-        chosen[op.id] = idx
-
-    # All port windows of all ops, one per access, assigned in window-start
-    # order so greedy lowest-free-port packing never exceeds the per-cycle
-    # occupancy bound.
-    ledger = PortLedger()
-    read_by_op: dict[str, list[PortBooking]] = {op.id: [] for op in g.operations}
-    write_by_op: dict[str, PortBooking | None] = {op.id: None for op in g.operations}
-    windows: list[tuple[int, int, str, str, bool]] = []
-    for op in by_start:
-        for w in model.windows(op.id, starts[op.id]):
-            windows.extend([(w.start, w.end, w.bank.id, op.id, w.is_store)] * w.count)
-    for w_start, w_end, bank_id, op_id, is_write in sorted(windows):
-        bank = mapping.bank_by_id[bank_id]
-        port = ledger.free_ports(bank, w_start, w_end)[0]
-        ledger.book(bank_id, port, w_start, w_end)
-        booking = PortBooking(bank_id, port, w_start, w_end)
-        if is_write:
-            write_by_op[op_id] = booking
+    port_ends: dict[str, list[int]] = {}  # end of each port's last window
+    for start, end, oid, is_store, bank_id, ports in accesses:
+        ends = port_ends.setdefault(bank_id, [0] * ports)
+        port = next(p for p, e in enumerate(ends) if e <= start)
+        ends[port] = end
+        booking = PortBooking(bank_id, port, start, end)
+        if is_store:
+            writes[oid] = booking
         else:
-            read_by_op[op_id].append(booking)
+            reads[oid].append(booking)
 
-    last_ops: dict[tuple[str, int], tuple[DataRef, ...]] = {}
+    ledger = PortLedger()
     entries: dict[str, ScheduleEntry] = {}
-    for op in by_start:
-        start = starts[op.id]
-        end = start + cls[op.id].latency_cycles
-        idx = chosen[op.id]
-        shared = _affinity(op.operands, last_ops.get((cls[op.id].name, idx)), False)
-        last_ops[(cls[op.id].name, idx)] = op.operands
-        entries[op.id] = ScheduleEntry(
-            op_id=op.id,
-            start_cycle=start,
-            end_cycle=end,
-            class_name=cls[op.id].name,
-            instance_index=idx,
-            read_bookings=tuple(
-                sorted(read_by_op[op.id], key=lambda b: (b.bank_id, b.port_index))
-            ),
-            write_booking=write_by_op[op.id],
-            is_model2=shared >= 1,
-            shared_inputs=shared,
-        )
-    return Schedule(entries, makespan, cfg.policy, cfg, alloc, model)
+    finish: dict[str, int] = {}
+    for oid in sorted(starts, key=lambda o: (starts[o], o)):
+        start = starts[oid]
+        inst = next(i for i in engine.instances[engine.cls[oid].name]
+                    if i.busy_until_cycle <= start)
+        shared = _affinity(g.operation(oid).operands, inst.last_operand_sources, False)
+        plan = (reads[oid], writes.get(oid))
+        engine._place(oid, start, shared, inst, plan, ledger, entries, finish)
+    return Schedule(entries, makespan, engine.cfg.policy, engine.cfg, alloc, model)

@@ -373,3 +373,18 @@ def test_timing_mobility_nonnegative_and_zero_on_critical_path():
     assert all(m >= 0 for m in t.mobility.values())
     assert min(t.mobility.values()) == 0
     assert min(t.asap.values()) == 0
+
+
+def test_timing_asap_iterates_in_topological_order():
+    # declared consumers first, so only the ordering rule puts producers first
+    ops = [
+        Operation("d", "f", (scalar("rb"), scalar("rc")), scalar("rd")),
+        Operation("z", "f", (scalar("i"),), scalar("rz")),
+        Operation("c", "f", (scalar("ra"),), scalar("rc")),
+        Operation("b", "f", (scalar("ra"),), scalar("rb")),
+        Operation("a", "f", (scalar("i"),), scalar("ra")),
+    ]
+    g = Dfg.build(ops, UNIT)
+    assert list(compute_timing(g, UNIT, 4).asap) == topological_order(g) == [
+        "a", "b", "c", "d", "z"
+    ]

@@ -26,6 +26,7 @@ from memsched import (
 from memsched import fixtures
 from oracles import (
     check_schedule_safety,
+    enumerate_independent_starts,
     generous_deadline,
     make_library,
     random_dfg,
@@ -136,3 +137,54 @@ def test_oracle_work_does_not_grow_with_the_horizon(monkeypatch):
         counts.append(len(calls))
     assert results[0] == results[1]
     assert counts[1] <= 2 * counts[0]
+
+
+def test_oracle_checks_the_allocation_like_the_engine():
+    lib = fixtures.load_library()
+    g = fixtures.load_dfg("fir4", lib)
+    with pytest.raises(ValueError, match="allocation covers no instances of class 'mul'"):
+        bruteforce_optimal_makespan(g, Allocation({"alu": 1}), None, 12)
+
+
+def test_search_proves_a_resource_bound():
+    # the critical path is 2 cycles, but one instance runs the muls in turn
+    ops = [Operation(f"m{i}", "mul", (scalar(f"x{i}"),), scalar(f"p{i}")) for i in range(4)]
+    g = Dfg.build(ops, LIB)
+    with pytest.raises(Infeasible):
+        bruteforce_optimal_makespan(g, Allocation({"mul": 1}), None, 7)
+    best, witness = bruteforce_optimal_makespan(g, Allocation({"mul": 1}), None, 8)
+    assert best == witness.makespan_cycles == 8
+
+
+def test_a_bank_may_share_a_class_name():
+    ops = [
+        Operation("r1", "add", (scalar("a"),), scalar("u")),
+        Operation("r2", "add", (scalar("b"),), scalar("v")),
+    ]
+    g = Dfg.build(ops, LIB)
+    mapping = MemoryMapping([MemoryBank("alu", 1, 1, 1, 0)], {"a": "alu"}, default_register=True)
+    best, witness = bruteforce_optimal_makespan(g, Allocation({"alu": 1}), mapping, 4)
+    assert best == 2  # r2 runs while r1 fetches from the bank
+    assert check_schedule_safety(g, witness, mapping, Allocation({"alu": 1})) == []
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_oracle_matches_exhaustive_search_on_independent_ops(seed):
+    rng = random.Random(seed)
+    banks = [MemoryBank(f"M{i}", rng.randint(1, 2), rng.randint(1, 2), 1, 0) for i in range(2)]
+    ops, spec, placement = [], [], {}
+    for i in range(rng.randint(2, 4)):
+        cls = rng.choice([ALU, MUL])
+        fetched = rng.sample(banks, rng.randint(1, 2))
+        placement.update({f"x{i}{b.id}": b.id for b in fetched})
+        operands = tuple(scalar(f"x{i}{b.id}") for b in fetched)
+        ops.append(Operation(f"o{i}", min(cls.opcodes), operands, scalar(f"r{i}")))
+        spec.append((f"o{i}", cls.name, cls.latency_cycles, {b.id: 1 for b in fetched}))
+    g = Dfg.build(ops, LIB)
+    mapping = MemoryMapping(banks, placement, default_register=True)
+    alloc = Allocation({name: rng.randint(1, 2) for name in sorted({s[1] for s in spec})})
+    # starts 2, 4, 6, 8 in turn always fit, so no optimum ends after cycle 10
+    feasible = enumerate_independent_starts(spec, alloc.counts, banks, horizon=8)
+    best, witness = bruteforce_optimal_makespan(g, alloc, mapping, 10)
+    assert best == min(makespan for _, makespan in feasible)
+    assert check_schedule_safety(g, witness, mapping, alloc) == []

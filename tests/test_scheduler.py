@@ -209,6 +209,43 @@ def test_deadline_miss_without_suggestion_runs_engine_twice(monkeypatch):
     assert len(runs) <= 2
 
 
+def test_idle_cycles_cost_no_work(monkeypatch):
+    import memsched.memmap as memmap
+
+    calls = []
+    original = memmap.AccessModel.completion
+
+    def counting(self, op_id, start):
+        calls.append(op_id)
+        return original(self, op_id, start)
+
+    monkeypatch.setattr(memmap.AccessModel, "completion", counting)
+    slow = OperatorLibrary([OperatorClass("mul", frozenset({"mul"}), 200000, 8.0), ALU])
+    # fir4 at its minimum allocation: two muls at a time, 200000 cycles each
+    g = fixtures.load_dfg("fir4", slow)
+    T = 400100
+    timing = compute_timing(g, slow, T)
+    alloc = compute_min_allocation(g, slow, T)
+    base = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+    aware = schedule_memory_aware(
+        g, alloc, fixtures.load_mapping("fir4"), SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+    )
+    assert (base.makespan_cycles, aware.makespan_cycles) == (400002, 400003)
+    assert len(calls) <= 10 * len(g.operations)
+
+    # one instance: from cycle 200000 the second mul is ready on a free
+    # instance but ends after the deadline, which only gets worse
+    g = Dfg.build(
+        [Operation(f"m{i}", "mul", (scalar(f"x{i}"),), scalar(f"p{i}")) for i in range(2)],
+        slow,
+    )
+    calls.clear()
+    with pytest.raises(TimeConstraintViolated) as err:
+        run_baseline(g, {"mul": 1}, 300000)
+    assert err.value.suggested_time_constraint == 600000
+    assert len(calls) <= 10 * len(g.operations)
+
+
 def test_infeasible_constraint_before_scheduling():
     g = muls(1)
     timing = compute_timing(g, LIB, 4)
