@@ -11,7 +11,6 @@ from pathlib import Path
 
 from memsched import (
     Allocation,
-    Policy,
     SchedulerConfig,
     analyze,
     compute_min_allocation,
@@ -34,9 +33,9 @@ alloc = Allocation({"alu": 2})
 T = 4
 timing = compute_timing(g, lib, T)
 
-base = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
 aware = schedule_memory_aware(
-    g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+    g, alloc, mapping, SchedulerConfig(T), timing
 )
 print("memory-blind starts:", {e.op_id: e.start_cycle for e in base.sorted_entries()},
       "- both fetch 'a' and 'b' from M0 in the same cycle")
@@ -58,9 +57,9 @@ mapping = load_mapping("fir16")
 T = 24
 alloc = compute_min_allocation(g, lib, T)
 timing = compute_timing(g, lib, T)
-base = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
 aware = schedule_memory_aware(
-    g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+    g, alloc, mapping, SchedulerConfig(T), timing
 )
 m_base = analyze(base, g, lib, aware.model)
 m_aware = analyze(aware, g, lib, aware.model)

@@ -15,7 +15,6 @@ from memsched import (
     Operation,
     OperatorClass,
     OperatorLibrary,
-    Policy,
     SchedulerConfig,
     analyze,
     compute_min_allocation,
@@ -36,7 +35,7 @@ g = Dfg.build(
     ],
     mul_lib,
 )
-cfg = SchedulerConfig(10, Policy.BASELINE)
+cfg = SchedulerConfig(10)
 timing = compute_timing(g, mul_lib, 10)
 
 for use_affinity, label in ((True, "input-sharing priority"), (False, "id order")):
@@ -64,7 +63,7 @@ g = load_dfg("fft8_stage", lib)
 T = 12
 alloc = compute_min_allocation(g, lib, T)
 timing = compute_timing(g, lib, T)
-cfg = SchedulerConfig(T, Policy.BASELINE)
+cfg = SchedulerConfig(T)
 s = schedule_baseline(g, alloc, cfg, timing)
 m = analyze(s, g, lib, None, cfg)
 print(f"allocation {dict(alloc.counts)}, makespan {s.makespan_cycles}")

@@ -17,7 +17,6 @@ from memsched import (
     Operation,
     OperatorClass,
     OperatorLibrary,
-    Policy,
     SchedulerConfig,
     bruteforce_optimal_makespan,
     compute_min_allocation,
@@ -40,7 +39,7 @@ mapping = MemoryMapping(
 )
 alloc = Allocation({"alu": 2})
 timing = compute_timing(g, LIB, 4)
-s = schedule_memory_aware(g, alloc, mapping, SchedulerConfig(4, Policy.MEMORY_AWARE), timing)
+s = schedule_memory_aware(g, alloc, mapping, SchedulerConfig(4), timing)
 best, witness = bruteforce_optimal_makespan(g, alloc, mapping, 4)
 print(f"greedy makespan {s.makespan_cycles}, exact optimum {best}: "
       "serializing the two fetches is provably unavoidable")
@@ -77,7 +76,7 @@ while checked < 60:
     alloc = compute_min_allocation(g, LIB, T)
     timing = compute_timing(g, LIB, T)
     s = schedule_memory_aware(
-        g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+        g, alloc, mapping, SchedulerConfig(T), timing
     )
     best, _ = bruteforce_optimal_makespan(g, alloc, mapping, s.makespan_cycles)
     checked += 1

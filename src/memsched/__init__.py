@@ -27,7 +27,6 @@ from .dfg import (
 )
 from .errors import (
     CapacityExceeded,
-    ClassMismatch,
     CycleDetected,
     Diagnostic,
     DuplicateOpcode,
@@ -50,13 +49,12 @@ from .memmap import (
     REGISTER,
     AccessModel,
     AccessWindow,
-    MappingPolicy,
     MemoryBank,
     MemoryMapping,
     all_registers,
-    generate_default_mapping,
     memory_read_refs,
     parse_mapping,
+    round_robin_mapping,
     serialize_mapping,
     validate_mapping,
 )
@@ -74,7 +72,6 @@ from .metrics import (
 )
 from .scheduler import (
     Allocation,
-    OperatorInstanceState,
     Policy,
     PortBooking,
     Schedule,
@@ -83,7 +80,6 @@ from .scheduler import (
     ample_allocation,
     bruteforce_optimal_makespan,
     compute_min_allocation,
-    model2_affinity,
     schedule_baseline,
     schedule_memory_aware,
 )

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
+# validate_dfg is imported for bench/tracing.py, which wraps cli.validate_dfg
 from .dfg import Dfg, TimingAnalysis, compute_timing, parse_dfg, parse_library, validate_dfg
 from .errors import FormatError, SchedulingError, TooLarge
 from .memmap import (
     AccessModel,
-    MappingPolicy,
     MemoryMapping,
-    generate_default_mapping,
+    all_registers,
     parse_mapping,
+    round_robin_mapping,
     validate_mapping,
 )
 from .metrics import (
@@ -44,8 +44,8 @@ from .scheduler import (
 
 _POLICIES = {"baseline": Policy.BASELINE, "mem-aware": Policy.MEMORY_AWARE}
 _DEFAULT_MAPPINGS = {
-    "registers": MappingPolicy.ALL_REGISTERS,
-    "round-robin": MappingPolicy.ROUND_ROBIN,
+    "registers": lambda g, banks: all_registers(banks),
+    "round-robin": round_robin_mapping,
 }
 
 
@@ -65,13 +65,11 @@ def _resolve_mapping(args, g: Dfg) -> MemoryMapping | None:
         file_mapping = parse_mapping(Path(args.mapping).read_text(encoding="utf-8"))
     if args.default_mapping is None:
         return file_mapping
-    policy = _DEFAULT_MAPPINGS[args.default_mapping]
     banks = file_mapping.banks if file_mapping is not None else ()
-    if policy is MappingPolicy.ROUND_ROBIN and not banks:
-        raise FormatError(
-            "--default-mapping round-robin needs a --mapping file declaring banks"
-        )
-    return generate_default_mapping(g, banks, policy)
+    try:
+        return _DEFAULT_MAPPINGS[args.default_mapping](g, banks)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
 
 
 def _allocation(args, g: Dfg) -> Allocation:
@@ -85,9 +83,7 @@ def _allocation(args, g: Dfg) -> Allocation:
     return Allocation(counts)
 
 
-def _prepare(
-    args, g: Dfg, policy: Policy
-) -> tuple[TimingAnalysis, Allocation, SchedulerConfig]:
+def _prepare(args, g: Dfg) -> tuple[TimingAnalysis, Allocation, SchedulerConfig]:
     """Timing, allocation and scheduler settings, each derived once per
     call and in this order, so the deadline check reports first."""
     timing = compute_timing(g, g.library, args.time_constraint)
@@ -95,7 +91,6 @@ def _prepare(
     try:
         cfg = SchedulerConfig(
             time_constraint_cycles=args.time_constraint,
-            policy=policy,
             model2_reduction=args.reduction,
             dynamic_mobility=args.dynamic_mobility,
             positional_affinity=args.positional_affinity,
@@ -129,11 +124,9 @@ def _guard(command, args) -> int:
 
 def _validate(args) -> int:
     """Exit 0 iff the graph (and mapping, when given) is clean."""
-    g = _load_graph(args)
-    diagnostics = list(validate_dfg(g))
+    g = _load_graph(args)  # parse_dfg raises the graph's first finding
     mapping = _resolve_mapping(args, g)
-    if mapping is not None:
-        diagnostics.extend(validate_mapping(mapping, g))
+    diagnostics = validate_mapping(mapping, g) if mapping is not None else []
     for diag in diagnostics:
         print(diag, file=sys.stderr)
     return 1 if diagnostics else 0
@@ -147,7 +140,7 @@ def _schedule(args) -> int:
     mapping = _resolve_mapping(args, g)
     if policy is Policy.MEMORY_AWARE and mapping is None:
         raise FormatError("policy mem-aware needs --mapping or --default-mapping")
-    timing, alloc, sched_cfg = _prepare(args, g, policy)
+    timing, alloc, sched_cfg = _prepare(args, g)
     if policy is Policy.MEMORY_AWARE:
         schedule = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
         model = schedule.model
@@ -181,11 +174,9 @@ def _compare(args) -> int:
     mapping = _resolve_mapping(args, g)
     if mapping is None:
         raise FormatError("compare needs --mapping or --default-mapping")
-    timing, alloc, sched_cfg = _prepare(args, g, Policy.BASELINE)
+    timing, alloc, sched_cfg = _prepare(args, g)
     s_base = schedule_baseline(g, alloc, sched_cfg, timing)
-    s_aware = schedule_memory_aware(
-        g, alloc, mapping, replace(sched_cfg, policy=Policy.MEMORY_AWARE), timing
-    )
+    s_aware = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
     m_base = analyze(s_base, g, g.library, s_aware.model, s_base.config)
     m_aware = analyze(s_aware, g, g.library, s_aware.model, s_aware.config)
     report = compare(m_base, m_aware)

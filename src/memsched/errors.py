@@ -83,10 +83,6 @@ class UnmappedData(SchedulingError):
     code = "UnmappedData"
 
 
-class ClassMismatch(SchedulingError):
-    code = "ClassMismatch"
-
-
 class TimeConstraintViolated(SchedulingError):
     """Some operations could not be placed before the deadline.
 

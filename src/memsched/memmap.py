@@ -10,7 +10,6 @@ default, otherwise they are unmapped.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -115,9 +114,33 @@ def all_registers(banks: Iterable[MemoryBank] = ()) -> MemoryMapping:
     return MemoryMapping(banks, {}, default_register=True)
 
 
-class MappingPolicy(enum.Enum):
-    ALL_REGISTERS = "all-registers"
-    ROUND_ROBIN = "round-robin"
+def round_robin_mapping(g: Dfg, banks: Iterable[MemoryBank]) -> MemoryMapping:
+    """Deterministic stand-in for an upstream placement tool: walks data items
+    in ascending name order and deals them onto banks in declaration order,
+    skipping full banks. Raises ValueError without banks and
+    CapacityExceeded when every bank is full.
+    """
+    banks = tuple(banks)
+    if not banks:
+        raise ValueError("round-robin placement needs at least one bank")
+    names = sorted(ref.name for ref in g.data_items())
+    fill: dict[str, int] = {bank.id: 0 for bank in banks}
+    placement: dict[str, str] = {}
+    cursor = 0
+    for name in names:
+        for attempt in range(len(banks)):
+            bank = banks[(cursor + attempt) % len(banks)]
+            cap = bank.capacity_words
+            if cap is None or fill[bank.id] < cap:
+                placement[name] = bank.id
+                fill[bank.id] += 1
+                cursor = cursor + attempt + 1
+                break
+        else:
+            raise CapacityExceeded(
+                f"all banks full while placing {name!r}", item=name
+            )
+    return MemoryMapping(banks, placement)
 
 
 def parse_mapping(text: str) -> MemoryMapping:
@@ -316,42 +339,6 @@ def validate_mapping(mapping: MemoryMapping, g: Dfg) -> list[Diagnostic]:
                     )
                 )
     return diags
-
-
-def generate_default_mapping(
-    g: Dfg,
-    banks: Iterable[MemoryBank],
-    policy: MappingPolicy,
-) -> MemoryMapping:
-    """Deterministic stand-in for an upstream placement tool.
-
-    ALL_REGISTERS keeps everything in registers. ROUND_ROBIN walks data items
-    in ascending name order and deals them onto banks in declaration order,
-    skipping full banks; raises CapacityExceeded when every bank is full.
-    """
-    banks = tuple(banks)
-    if policy is MappingPolicy.ALL_REGISTERS:
-        return all_registers(banks)
-    if not banks:
-        raise ValueError("ROUND_ROBIN placement needs at least one bank")
-    names = sorted(ref.name for ref in g.data_items())
-    fill: dict[str, int] = {bank.id: 0 for bank in banks}
-    placement: dict[str, str] = {}
-    cursor = 0
-    for name in names:
-        for attempt in range(len(banks)):
-            bank = banks[(cursor + attempt) % len(banks)]
-            cap = bank.capacity_words
-            if cap is None or fill[bank.id] < cap:
-                placement[name] = bank.id
-                fill[bank.id] += 1
-                cursor = cursor + attempt + 1
-                break
-        else:
-            raise CapacityExceeded(
-                f"all banks full while placing {name!r}", item=name
-            )
-    return MemoryMapping(banks, placement)
 
 
 def serialize_mapping(mapping: MemoryMapping) -> str:

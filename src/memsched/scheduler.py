@@ -1,12 +1,13 @@
 """Resource-constrained list scheduling with optional memory-port gating.
 
-Two policies share one engine. BASELINE treats every data item as
+Two policies share one engine and one ``SchedulerConfig``; the mapping
+decides which one runs. BASELINE (no mapping) treats every data item as
 register-resident and packs operations onto a fixed pool of operator
 instances, highest priority first (least mobility, then input-sharing
-affinity, then id). MEMORY_AWARE adds one bookable access token per bank
-port: an operation may only start at cycle t if it is legal under the
-mapping's access model (``memmap.AccessModel``) and a port is free for each
-of its fetch and store windows. An operation joins the ready list at its
+affinity, then id). MEMORY_AWARE (a mapping) adds one bookable access token
+per bank port: an operation may only start at cycle t if it is legal under
+the mapping's access model (``memmap.AccessModel``) and a port is free for
+each of its fetch and store windows. An operation joins the ready list at its
 earliest legal start; each cycle the engine queues the ready operations
 whose class has a free instance, pops the best, binds it to its best free
 instance and places it if its ports are free, otherwise the operation waits
@@ -20,6 +21,10 @@ candidate after every placement:
   counts its unplaced predecessors, and when the count reaches 0 its
   earliest start is computed once and it waits on a heap for that cycle.
   Every latency is >= 1, so an operation placed at t readies nothing at t.
+- Each operation's key is static, computed once per run. Dynamic mobility
+  ranks by ALAP start minus the current cycle, but the queue is rebuilt every
+  cycle and that shifts every key in it equally, so the ALAP start alone
+  gives the same order.
 - The optimistic key (slack, -operand count, id) is a lower bound on the
   true priority (slack, -shared inputs, id): an operation cannot share more
   inputs than it has operands. Within a cycle instances only fill up, and
@@ -64,7 +69,6 @@ from typing import Mapping
 
 from .dfg import DataRef, Dfg, OperatorClass, TimingAnalysis, compute_timing
 from .errors import (
-    ClassMismatch,
     Infeasible,
     InfeasibleConstraint,
     MappingInfeasible,
@@ -105,7 +109,6 @@ class SchedulerConfig:
     """
 
     time_constraint_cycles: int
-    policy: Policy = Policy.BASELINE
     model2_reduction: float = 0.25
     dynamic_mobility: bool = False
     positional_affinity: bool = False
@@ -240,29 +243,18 @@ class Schedule:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def model2_affinity(
-    op, inst: OperatorInstanceState, positional: bool = False
-) -> int:
-    """How many inputs ``op`` shares with the previous operation executed on
-    ``inst`` (0 on a fresh instance).
-
-    By default sharing is positional-agnostic: the size of the multiset
-    intersection of the two operand lists. With ``positional`` only matching
-    port positions count.
-    """
-    if op.opcode not in inst.operator_class.opcodes:
-        raise ClassMismatch(
-            f"operation {op.id!r} ({op.opcode}) cannot run on class "
-            f"{inst.operator_class.name!r}"
-        )
-    return _affinity(op.operands, inst.last_operand_sources, positional)
-
-
 def _affinity(
     operands: tuple[DataRef, ...],
     last: tuple[DataRef, ...] | None,
     positional: bool,
 ) -> int:
+    """How many of ``operands`` an instance shares with the operands ``last``
+    of its previous operation (0 on a fresh instance, ``last`` None).
+
+    By default sharing is positional-agnostic: the size of the multiset
+    intersection of the two operand lists. With ``positional`` only matching
+    port positions count.
+    """
     if last is None:
         return 0
     if positional:
@@ -333,11 +325,13 @@ class _Engine:
         g, model = self.g, self.model
         T = self.cfg.time_constraint_cycles
         affinity = self.cfg.use_affinity
-        dynamic = self.cfg.dynamic_mobility
-        # slack at cycle t: ALAP start minus t, or the static mobility
-        slack_base = self.timing.alap if dynamic else self.timing.mobility
-        # optimistic affinity term: shared inputs never exceed the operands
-        optimistic = {op.id: -len(op.operands) if affinity else 0 for op in g.operations}
+        # optimistic static key (module docs): shared inputs never exceed
+        # the operands
+        slack = self.timing.alap if self.cfg.dynamic_mobility else self.timing.mobility
+        prio = {
+            op.id: (slack[op.id], -len(op.operands) if affinity else 0, op.id)
+            for op in g.operations
+        }
         cls = self.cls
         ledger = PortLedger()
         entries: dict[str, ScheduleEntry] = {}
@@ -359,11 +353,10 @@ class _Engine:
                 name: [inst for inst in insts if inst.busy_until_cycle <= t]
                 for name, insts in self.instances.items()
             }
-            shift = t if dynamic else 0
             # entries (key, shared, instance); unbound ones carry the
             # optimistic key and no instance
             queue = [
-                ((slack_base[oid] - shift, optimistic[oid], oid), 0, None)
+                (prio[oid], 0, None)
                 for oid in ready
                 if free[cls[oid].name] and model.completion(oid, t) <= T
             ]
@@ -478,15 +471,20 @@ def _run_or_raise(
             suggestion = next(k * T for k in (2, 4, 8) if k * T >= makespan)
         raise TimeConstraintViolated(sorted(unscheduled), T, suggestion)
     makespan = max((e.finish_cycle for e in entries.values()), default=0)
-    return Schedule(entries, makespan, cfg.policy, cfg, alloc, model)
+    return _make_schedule(entries, makespan, cfg, alloc, model)
+
+
+def _make_schedule(entries, makespan, cfg, alloc, model: AccessModel) -> Schedule:
+    """A run's schedule, its policy read off the model: BASELINE without a
+    mapping, MEMORY_AWARE with one."""
+    policy = Policy.BASELINE if model.mapping is None else Policy.MEMORY_AWARE
+    return Schedule(entries, makespan, policy, cfg, alloc, model)
 
 
 def schedule_baseline(
     g: Dfg, alloc: Allocation, cfg: SchedulerConfig, timing: TimingAnalysis
 ) -> Schedule:
     """Priority-list scheduling that ignores memory placement entirely."""
-    if cfg.policy is not Policy.BASELINE:
-        raise ValueError("schedule_baseline needs cfg.policy = BASELINE")
     return _run_or_raise(g, alloc, cfg, timing, None)
 
 
@@ -503,8 +501,6 @@ def schedule_memory_aware(
     UnmappedData, single operations demanding more ports than a bank owns
     raise MappingInfeasible.
     """
-    if cfg.policy is not Policy.MEMORY_AWARE:
-        raise ValueError("schedule_memory_aware needs cfg.policy = MEMORY_AWARE")
     problems = validate_mapping(mapping, g)
     for diag in problems:
         if diag.code == "UnmappedData":
@@ -541,8 +537,7 @@ def bruteforce_optimal_makespan(
         timing = compute_timing(g, g.library, T_max)
     except InfeasibleConstraint:
         raise Infeasible(f"no schedule fits within {T_max} cycles") from None
-    policy = Policy.MEMORY_AWARE if mapping is not None else Policy.BASELINE
-    engine = _Engine(g, alloc, SchedulerConfig(T_max, policy), timing, AccessModel(g, mapping))
+    engine = _Engine(g, alloc, SchedulerConfig(T_max), timing, AccessModel(g, mapping))
     cls, model = engine.cls, engine.model
     # longest path from an op's start to the end of the graph
     tail = {oid: T_max - alap for oid, alap in timing.alap.items()}
@@ -662,4 +657,4 @@ def _witness_schedule(
         shared = _affinity(g.operation(oid).operands, inst.last_operand_sources, False)
         plan = (reads[oid], writes.get(oid))
         engine._place(oid, start, shared, inst, plan, ledger, entries, finish)
-    return Schedule(entries, makespan, engine.cfg.policy, engine.cfg, alloc, model)
+    return _make_schedule(entries, makespan, engine.cfg, alloc, model)

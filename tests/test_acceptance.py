@@ -18,7 +18,6 @@ from memsched import (
     Operation,
     OperatorClass,
     OperatorLibrary,
-    Policy,
     SchedulerConfig,
     all_registers,
     ample_allocation,
@@ -54,10 +53,10 @@ def criterion(name):
 def run_both(g, alloc, mapping, T, **cfg_kwargs):
     timing = compute_timing(g, g.library, T)
     base = schedule_baseline(
-        g, alloc, SchedulerConfig(T, Policy.BASELINE, **cfg_kwargs), timing
+        g, alloc, SchedulerConfig(T, **cfg_kwargs), timing
     )
     aware = schedule_memory_aware(
-        g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE, **cfg_kwargs), timing
+        g, alloc, mapping, SchedulerConfig(T, **cfg_kwargs), timing
     )
     return base, aware
 
@@ -189,11 +188,11 @@ def test_oracle_sandwich_family():
             timing = compute_timing(g, g.library, T)
             if mapping is None:
                 sched = schedule_baseline(
-                    g, alloc, SchedulerConfig(T, Policy.BASELINE), timing
+                    g, alloc, SchedulerConfig(T), timing
                 )
             else:
                 sched = schedule_memory_aware(
-                    g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+                    g, alloc, mapping, SchedulerConfig(T), timing
                 )
             best, witness = bruteforce_optimal_makespan(
                 g, alloc, mapping, sched.makespan_cycles
@@ -262,7 +261,7 @@ def test_model2_economics():
             T = generous_deadline(g)
             timing = compute_timing(g, lib, T)
             alloc = compute_min_allocation(g, lib, T)
-            cfg = SchedulerConfig(T, Policy.BASELINE)
+            cfg = SchedulerConfig(T)
             s = schedule_baseline(g, alloc, cfg, timing)
             m = analyze(s, g, lib, None, cfg)
             expected = 0.0
@@ -282,7 +281,7 @@ def test_model2_economics():
             ],
             mul_lib,
         )
-        cfg = SchedulerConfig(10, Policy.BASELINE)
+        cfg = SchedulerConfig(10)
         s = schedule_baseline(g, Allocation({"mul": 1}), cfg,
                               compute_timing(g, mul_lib, 10))
         m = analyze(s, g, mul_lib, None, cfg)
@@ -300,17 +299,17 @@ def test_model2_economics():
                 if use_mapping:
                     on = schedule_memory_aware(
                         g, alloc, mapping,
-                        SchedulerConfig(T, Policy.MEMORY_AWARE), timing)
+                        SchedulerConfig(T), timing)
                     off = schedule_memory_aware(
                         g, alloc, mapping,
-                        SchedulerConfig(T, Policy.MEMORY_AWARE, use_affinity=False),
+                        SchedulerConfig(T, use_affinity=False),
                         timing)
                 else:
                     on = schedule_baseline(
-                        g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+                        g, alloc, SchedulerConfig(T), timing)
                     off = schedule_baseline(
                         g, alloc,
-                        SchedulerConfig(T, Policy.BASELINE, use_affinity=False),
+                        SchedulerConfig(T, use_affinity=False),
                         timing)
                 m2_on = sum(1 for x in on.entries.values() if x.is_model2)
                 m2_off = sum(1 for x in off.entries.values() if x.is_model2)
@@ -327,7 +326,7 @@ def test_energy_reduction_sweep_exact():
             T = generous_deadline(g)
             timing = compute_timing(g, lib, T)
             alloc = compute_min_allocation(g, lib, T)
-            cfg_low = SchedulerConfig(T, Policy.BASELINE, model2_reduction=0.25)
+            cfg_low = SchedulerConfig(T, model2_reduction=0.25)
             s = schedule_baseline(g, alloc, cfg_low, timing)
             cfg_high = dataclasses.replace(cfg_low, model2_reduction=0.50)
             m_low = analyze(s, g, lib, None, cfg_low)

@@ -256,6 +256,34 @@ def test_compare_round_robin_default_mapping(inputs):
     assert rc == 0
 
 
+def test_validate_checks_the_graph_once(inputs, monkeypatch):
+    import memsched.cli as cli
+    import memsched.dfg as dfg
+
+    calls = []
+
+    def counting(original):
+        def wrapper(g):
+            findings = original(g)
+            calls.append(findings)
+            return findings
+        return wrapper
+
+    monkeypatch.setattr(dfg, "validate_dfg", counting(dfg.validate_dfg))
+    monkeypatch.setattr(cli, "validate_dfg", counting(cli.validate_dfg))
+    rc = main(
+        [
+            "validate",
+            "--dfg", inputs["fir16.dfg.json"],
+            "--library", inputs["dsp.lib.json"],
+            "--mapping", inputs["fir16.map.json"],
+        ]
+    )
+    assert rc == 0
+    # parse_dfg's check is the only one
+    assert calls == [[]]
+
+
 def test_compare_byte_identical_runs(inputs, capsys):
     def run(out):
         rc = main(
@@ -533,6 +561,12 @@ PRECEDENCE = {
     "unknown alloc class before reduction range and mapping": (
         "fir4", X_ONLY_MAPPING, ["compare", "--T", "12", "--reduction", "0.1", "--alloc", "nope=1"],
         1, "ERROR UnknownOpcode: "),
+    "round-robin without a mapping": (
+        "fir4", None, ["compare", "--T", "12", "--default-mapping", "round-robin"],
+        2, "error: round-robin placement needs at least one bank"),
+    "round-robin without banks": (
+        "fir4", '{"banks": []}', ["compare", "--T", "12", "--default-mapping", "round-robin"],
+        2, "error: round-robin placement needs at least one bank"),
 }
 
 

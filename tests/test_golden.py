@@ -28,7 +28,6 @@ import sys
 from pathlib import Path
 
 from memsched import (
-    Policy,
     SchedulerConfig,
     analyze,
     bruteforce_optimal_makespan,
@@ -106,9 +105,9 @@ def random_digests() -> dict[str, str]:
         T = generous_deadline(g, mapping)
         alloc = compute_min_allocation(g, lib, T)
         timing = compute_timing(g, lib, T)
-        base = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+        base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
         aware = schedule_memory_aware(
-            g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+            g, alloc, mapping, SchedulerConfig(T), timing
         )
         metrics = metrics_to_json(analyze(aware, g, lib, aware.model))
         out[f"random/{i:03d}"] = _digest(
@@ -125,10 +124,10 @@ def oracle_digests() -> dict[str, str]:
         T = generous_deadline(g, mapping)
         timing = compute_timing(g, g.library, T)
         if mapping is None:
-            sched = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+            sched = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
         else:
             sched = schedule_memory_aware(
-                g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+                g, alloc, mapping, SchedulerConfig(T), timing
             )
         best, witness = bruteforce_optimal_makespan(g, alloc, mapping, sched.makespan_cycles)
         out[f"oracle/{name}"] = _digest(json.dumps([best, witness.to_json()]))

@@ -64,7 +64,7 @@ def failure_digests() -> tuple[dict[str, str], Counter]:
         for policy in Policy:
             for dynamic, positional, affinity in FLAGS:
                 cfg = SchedulerConfig(
-                    T, policy, dynamic_mobility=dynamic,
+                    T, dynamic_mobility=dynamic,
                     positional_affinity=positional, use_affinity=affinity,
                 )
                 try:

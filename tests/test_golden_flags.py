@@ -44,7 +44,7 @@ FLAGS = list(itertools.product((False, True), repeat=3))
 def _run(g, alloc, mapping, policy, flags, T):
     dynamic, positional, affinity = flags
     cfg = SchedulerConfig(
-        T, policy, dynamic_mobility=dynamic,
+        T, dynamic_mobility=dynamic,
         positional_affinity=positional, use_affinity=affinity,
     )
     timing = compute_timing(g, g.library, T)

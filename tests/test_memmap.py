@@ -9,7 +9,6 @@ from memsched import (
     AccessWindow,
     CapacityExceeded,
     Dfg,
-    MappingPolicy,
     MemoryBank,
     MemoryMapping,
     Operation,
@@ -18,9 +17,10 @@ from memsched import (
     REGISTER,
     UnknownBank,
     UnmappedData,
+    all_registers,
     elem,
-    generate_default_mapping,
     parse_mapping,
+    round_robin_mapping,
     scalar,
     serialize_mapping,
     validate_mapping,
@@ -242,28 +242,32 @@ def three_item_graph():
 
 def test_round_robin_cycles_banks_in_order():
     g = three_item_graph()  # items a1x, a2x, a3x
-    m = generate_default_mapping(g, [bank("B0"), bank("B1")], MappingPolicy.ROUND_ROBIN)
+    m = round_robin_mapping(g, [bank("B0"), bank("B1")])
     assert m.placement == {"a1x": "B0", "a2x": "B1", "a3x": "B0"}
 
 
 def test_all_registers_places_nothing():
-    g = three_item_graph()
-    m = generate_default_mapping(g, [bank("B0")], MappingPolicy.ALL_REGISTERS)
+    m = all_registers([bank("B0")])
     assert m.placement == {}
     assert m.location_of(scalar("a1x")) == REGISTER
+
+
+def test_round_robin_without_banks_raises():
+    with pytest.raises(ValueError):
+        round_robin_mapping(three_item_graph(), [])
 
 
 def test_round_robin_capacity_exceeded():
     g = three_item_graph()
     with pytest.raises(CapacityExceeded):
-        generate_default_mapping(g, [bank("B0", capacity=2)], MappingPolicy.ROUND_ROBIN)
+        round_robin_mapping(g, [bank("B0", capacity=2)])
 
 
 def test_round_robin_skips_full_banks_and_is_deterministic():
     g = three_item_graph()
     banks = [bank("B0", capacity=1), bank("B1")]
-    m1 = generate_default_mapping(g, banks, MappingPolicy.ROUND_ROBIN)
-    m2 = generate_default_mapping(g, banks, MappingPolicy.ROUND_ROBIN)
+    m1 = round_robin_mapping(g, banks)
+    m2 = round_robin_mapping(g, banks)
     assert m1.placement == m2.placement == {"a1x": "B0", "a2x": "B1", "a3x": "B1"}
 
 

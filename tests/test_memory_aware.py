@@ -14,7 +14,6 @@ from memsched import (
     Operation,
     OperatorClass,
     OperatorLibrary,
-    Policy,
     SchedulerConfig,
     UnmappedData,
     all_registers,
@@ -55,7 +54,7 @@ def two_adds(place):
 
 
 def run_aware(g, mapping, counts, T, **cfg_kwargs):
-    cfg = SchedulerConfig(T, Policy.MEMORY_AWARE, **cfg_kwargs)
+    cfg = SchedulerConfig(T, **cfg_kwargs)
     timing = compute_timing(g, g.library, T)
     return schedule_memory_aware(g, Allocation(counts), mapping, cfg, timing)
 
@@ -99,9 +98,9 @@ def test_all_registers_degenerates_to_baseline():
         T = generous_deadline(g)
         timing = compute_timing(g, lib, T)
         alloc = compute_min_allocation(g, lib, T)
-        base = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+        base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
         aware = schedule_memory_aware(
-            g, alloc, all_registers(), SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+            g, alloc, all_registers(), SchedulerConfig(T), timing
         )
         assert aware.entries == base.entries
         assert aware.makespan_cycles == base.makespan_cycles
@@ -251,9 +250,9 @@ def test_policy_monotone_and_safe_on_random_instances():
         T = generous_deadline(g, mapping)
         alloc = compute_min_allocation(g, lib, T)
         timing = compute_timing(g, lib, T)
-        base = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+        base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
         aware = schedule_memory_aware(
-            g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+            g, alloc, mapping, SchedulerConfig(T), timing
         )
         assert check_schedule_safety(g, base, None, alloc) == []
         assert check_schedule_safety(g, aware, mapping, alloc) == []

@@ -47,7 +47,7 @@ def flat_graph(n, library=UNIT, opcode="f"):
 
 
 def manual_schedule(g, model2_ids, policy=Policy.BASELINE, T=32):
-    cfg = SchedulerConfig(T, policy)
+    cfg = SchedulerConfig(T)
     entries = {}
     for i, op in enumerate(g.operations):
         entries[op.id] = ScheduleEntry(
@@ -89,7 +89,7 @@ def test_per_shared_input_scaling_flag():
     ]
     g = Dfg.build(ops, LIB)
     timing = compute_timing(g, LIB, 8)
-    cfg = SchedulerConfig(8, Policy.BASELINE, per_shared_input_energy=True)
+    cfg = SchedulerConfig(8, per_shared_input_energy=True)
     s = schedule_baseline(g, Allocation({"alu": 1}), cfg, timing)
     m = analyze(s, g, LIB, cfg=cfg)
     # a1 shares 1 of 2 inputs: discount scales to 0.25 * 1/2
@@ -112,7 +112,7 @@ def test_memory_aware_schedule_has_zero_conflicts():
     g, mapping = two_adds_one_bank()
     timing = compute_timing(g, LIB, 4)
     s = schedule_memory_aware(
-        g, Allocation({"alu": 2}), mapping, SchedulerConfig(4, Policy.MEMORY_AWARE), timing
+        g, Allocation({"alu": 2}), mapping, SchedulerConfig(4), timing
     )
     m = analyze(s, g, LIB, s.model)
     assert m.total_conflicts == 0
@@ -124,7 +124,7 @@ def test_baseline_replay_counts_conflicts():
     g, mapping = two_adds_one_bank()
     timing = compute_timing(g, LIB, 4)
     s = schedule_baseline(
-        g, Allocation({"alu": 2}), SchedulerConfig(4, Policy.BASELINE), timing
+        g, Allocation({"alu": 2}), SchedulerConfig(4), timing
     )
     assert {e.start_cycle for e in s.entries.values()} == {0}
     m = analyze(s, g, LIB, AccessModel(g, mapping))
@@ -176,7 +176,7 @@ def test_replay_conflicts_match_per_cycle_recount():
         T = generous_deadline(g, mapping)
         timing = compute_timing(g, lib, T)
         alloc = compute_min_allocation(g, lib, T)
-        s = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+        s = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
         m = analyze(s, g, lib, AccessModel(g, mapping))
 
         demand: dict[str, Counter] = {}
@@ -259,7 +259,7 @@ def test_gantt_port_rows_show_serialized_fetches():
     g, mapping = two_adds_one_bank()
     timing = compute_timing(g, LIB, 4)
     s = schedule_memory_aware(
-        g, Allocation({"alu": 2}), mapping, SchedulerConfig(4, Policy.MEMORY_AWARE), timing
+        g, Allocation({"alu": 2}), mapping, SchedulerConfig(4), timing
     )
     svg = export_gantt(s, mapping)
     assert "M0.p0" in svg

@@ -103,13 +103,13 @@ def test_oracle_never_beaten_by_list_scheduler():
         alloc = compute_min_allocation(g, lib, T)
         timing = compute_timing(g, lib, T)
         aware = schedule_memory_aware(
-            g, alloc, mapping, SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+            g, alloc, mapping, SchedulerConfig(T), timing
         )
         best, witness = bruteforce_optimal_makespan(g, alloc, mapping, T)
         assert best <= aware.makespan_cycles
         assert check_schedule_safety(g, witness, mapping, alloc) == []
 
-        base = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+        base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
         best_reg, _ = bruteforce_optimal_makespan(g, alloc, None, T)
         assert best_reg <= base.makespan_cycles
 

@@ -40,7 +40,7 @@ def _instances(seed: int, n: int):
 
 def _engine(g, mapping, counts, T, policy, flags):
     dynamic, positional, affinity = flags
-    cfg = SchedulerConfig(T, policy, dynamic_mobility=dynamic,
+    cfg = SchedulerConfig(T, dynamic_mobility=dynamic,
                           positional_affinity=positional, use_affinity=affinity)
     timing = compute_timing(g, g.library, T)
     try:

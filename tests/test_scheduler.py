@@ -1,5 +1,6 @@
 """Baseline list scheduling: allocation, priorities, binding, determinism."""
 
+import json
 import random
 
 import pytest
@@ -7,27 +8,26 @@ from hypothesis import given, strategies as st
 
 from memsched import (
     Allocation,
-    ClassMismatch,
     Dfg,
     InfeasibleConstraint,
     Operation,
     OperatorClass,
-    OperatorInstanceState,
     OperatorLibrary,
     Policy,
     SchedulerConfig,
     SchedulingError,
     TimeConstraintViolated,
+    all_registers,
     ample_allocation,
     bruteforce_optimal_makespan,
     compute_min_allocation,
     compute_timing,
-    model2_affinity,
     scalar,
     schedule_baseline,
     schedule_memory_aware,
 )
 from memsched import fixtures
+from memsched.scheduler import _affinity
 from oracles import check_schedule_safety, generous_deadline, make_library, random_dfg
 
 MUL = OperatorClass("mul", frozenset({"mul"}), 2, 8.0)
@@ -44,7 +44,7 @@ def muls(n, shared=None):
 
 
 def run_baseline(g, counts, T, **cfg_kwargs):
-    cfg = SchedulerConfig(T, Policy.BASELINE, **cfg_kwargs)
+    cfg = SchedulerConfig(T, **cfg_kwargs)
     timing = compute_timing(g, g.library, T)
     return schedule_baseline(g, Allocation(counts), cfg, timing)
 
@@ -170,7 +170,7 @@ def test_binding_work_is_bounded_by_placements(monkeypatch, policy):
     monkeypatch.setattr(scheduler, "_affinity", counting)
     lib = fixtures.load_library()
     g = fixtures.load_dfg("fir16", lib)
-    cfg = SchedulerConfig(200, policy)
+    cfg = SchedulerConfig(200)
     timing = compute_timing(g, lib, 200)
     alloc = Allocation({"mul": 1, "alu": 1})
     if policy is Policy.BASELINE:
@@ -184,7 +184,7 @@ def test_binding_work_is_bounded_by_placements(monkeypatch, policy):
 def test_time_constraint_violated_reports_doubling_suggestion():
     g = muls(4)
     timing = compute_timing(g, LIB, 4)
-    cfg = SchedulerConfig(4, Policy.BASELINE)
+    cfg = SchedulerConfig(4)
     with pytest.raises(TimeConstraintViolated) as err:
         schedule_baseline(g, Allocation({"mul": 1}), cfg, timing)
     assert err.value.suggested_time_constraint == 8
@@ -226,9 +226,9 @@ def test_idle_cycles_cost_no_work(monkeypatch):
     T = 400100
     timing = compute_timing(g, slow, T)
     alloc = compute_min_allocation(g, slow, T)
-    base = schedule_baseline(g, alloc, SchedulerConfig(T, Policy.BASELINE), timing)
+    base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
     aware = schedule_memory_aware(
-        g, alloc, fixtures.load_mapping("fir4"), SchedulerConfig(T, Policy.MEMORY_AWARE), timing
+        g, alloc, fixtures.load_mapping("fir4"), SchedulerConfig(T), timing
     )
     assert (base.makespan_cycles, aware.makespan_cycles) == (400002, 400003)
     assert len(calls) <= 10 * len(g.operations)
@@ -249,17 +249,26 @@ def test_idle_cycles_cost_no_work(monkeypatch):
 def test_infeasible_constraint_before_scheduling():
     g = muls(1)
     timing = compute_timing(g, LIB, 4)
-    cfg = SchedulerConfig(1, Policy.BASELINE)
+    cfg = SchedulerConfig(1)
     with pytest.raises(InfeasibleConstraint):
         schedule_baseline(g, Allocation({"mul": 1}), cfg, timing)
 
 
-def test_policy_guard():
-    g = muls(1)
-    timing = compute_timing(g, LIB, 4)
-    with pytest.raises(ValueError):
-        schedule_baseline(g, Allocation({"mul": 1}),
-                          SchedulerConfig(4, Policy.MEMORY_AWARE), timing)
+@pytest.mark.parametrize("mapping", ["fixture", "registers"])
+def test_one_config_drives_both_policies(mapping):
+    # the mapping, not the config, decides the policy a schedule reports
+    lib = fixtures.load_library()
+    g = fixtures.load_dfg("fir16", lib)
+    m = fixtures.load_mapping("fir16") if mapping == "fixture" else all_registers()
+    cfg = SchedulerConfig(24)
+    timing = compute_timing(g, lib, 24)
+    alloc = compute_min_allocation(g, lib, 24)
+    base = schedule_baseline(g, alloc, cfg, timing)
+    aware = schedule_memory_aware(g, alloc, m, cfg, timing)
+    assert (base.policy, aware.policy) == (Policy.BASELINE, Policy.MEMORY_AWARE)
+    assert base.config is aware.config is cfg
+    assert json.loads(base.to_json())["policy"] == "baseline"
+    assert json.loads(aware.to_json())["policy"] == "memory_aware"
 
 
 def test_scheduler_config_bounds():
@@ -271,38 +280,25 @@ def test_scheduler_config_bounds():
 
 # -- model2 affinity ------------------------------------------------------------
 
-def inst(last=None):
-    state = OperatorInstanceState(MUL, 0)
-    if last is not None:
-        state.last_operand_sources = tuple(scalar(x) for x in last)
-    return state
-
-
-def op_with(operands):
-    return Operation("m", "mul", tuple(scalar(x) for x in operands), scalar("r"))
+def refs(names):
+    return tuple(scalar(x) for x in names)
 
 
 def test_affinity_examples():
-    assert model2_affinity(op_with("ab"), inst("ac")) == 1
-    assert model2_affinity(op_with("ab"), inst("ba")) == 2
-    assert model2_affinity(op_with("ab"), inst()) == 0
+    assert _affinity(refs("ab"), refs("ac"), False) == 1
+    assert _affinity(refs("ab"), refs("ba"), False) == 2
+    assert _affinity(refs("ab"), None, False) == 0
 
 
 def test_affinity_positional_mode():
-    assert model2_affinity(op_with("ab"), inst("ba"), positional=True) == 0
-    assert model2_affinity(op_with("ab"), inst("ac"), positional=True) == 1
-
-
-def test_affinity_class_mismatch():
-    add = Operation("a", "add", (scalar("x"),), scalar("r"))
-    with pytest.raises(ClassMismatch):
-        model2_affinity(add, inst())
+    assert _affinity(refs("ab"), refs("ba"), True) == 0
+    assert _affinity(refs("ab"), refs("ac"), True) == 1
 
 
 @given(st.permutations(["a", "b", "c"]))
 def test_affinity_invariant_under_operand_permutation(perm):
-    reference = model2_affinity(op_with("abc"), inst("axb"))
-    assert model2_affinity(op_with(perm), inst("axb")) == reference
+    reference = _affinity(refs("abc"), refs("axb"), False)
+    assert _affinity(refs(perm), refs("axb"), False) == reference
 
 
 # -- schedule-wide properties ------------------------------------------------------
