@@ -21,12 +21,12 @@ for op in g.operations:
     args = ", ".join(r.name for r in op.operands)
     print(f"  {op.id}: {op.opcode}({args}) -> {op.result.name}")
 
-critical = compute_timing(g, lib, 1000).critical_path_cycles
+critical = compute_timing(g, 1000).critical_path_cycles
 print(f"\ncritical path: {critical} cycles "
       "(one multiply feeding a serial chain of three adds)")
 
 for T in (critical, critical + 2, critical + 5):
-    t = compute_timing(g, lib, T)
+    t = compute_timing(g, T)
     print(f"\ndeadline T = {T}")
     print(f"  {'op':<4} {'asap':>4} {'alap':>4} {'mobility':>8}")
     for op_id in topological_order(g):

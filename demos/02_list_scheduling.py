@@ -17,17 +17,17 @@ from memsched.fixtures import load_dfg, load_library
 
 lib = load_library()
 g = load_dfg("fir16", lib)
-critical = compute_timing(g, lib, 1000).critical_path_cycles
+critical = compute_timing(g, 1000).critical_path_cycles
 print(f"FIR-16: {len(g.operations)} operations, critical path {critical} cycles")
 
 print("\nminimum allocation per deadline (ceil of work / deadline):")
 for T in (critical, 20, 24, 34, 64):
-    alloc = compute_min_allocation(g, lib, T)
+    alloc = compute_min_allocation(g, T)
     print(f"  T={T:<3} -> {dict(alloc.counts)}")
 
 T = critical
-alloc = compute_min_allocation(g, lib, T)
-timing = compute_timing(g, lib, T)
+alloc = compute_min_allocation(g, T)
+timing = compute_timing(g, T)
 print(f"\ntrying T={T} with the minimum allocation {dict(alloc.counts)} ...")
 try:
     schedule_baseline(g, alloc, SchedulerConfig(T), timing)
@@ -37,8 +37,8 @@ except TimeConstraintViolated as err:
           "doubling probe reports the first power-of-two scale that fits)")
 
 T = 24
-alloc = compute_min_allocation(g, lib, T)
-timing = compute_timing(g, lib, T)
+alloc = compute_min_allocation(g, T)
+timing = compute_timing(g, T)
 s = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
 print(f"\nT={T}, allocation {dict(alloc.counts)}: makespan {s.makespan_cycles}")
 

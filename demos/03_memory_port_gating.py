@@ -31,7 +31,7 @@ g = load_dfg("two_adds_one_bank", lib)
 mapping = load_mapping("two_adds_one_bank")
 alloc = Allocation({"alu": 2})
 T = 4
-timing = compute_timing(g, lib, T)
+timing = compute_timing(g, T)
 
 base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
 aware = schedule_memory_aware(
@@ -46,8 +46,8 @@ for e in aware.sorted_entries():
         print(f"  {e.op_id} holds {b.bank_id}.p{b.port_index} during "
               f"[{b.start},{b.end})")
 
-m_base = analyze(base, g, lib, aware.model)
-m_aware = analyze(aware, g, lib, aware.model)
+m_base = analyze(base, g, aware.model)
+m_aware = analyze(aware, g, aware.model)
 print(f"replayed conflicts: memory-blind {m_base.total_conflicts}, "
       f"memory-aware {m_aware.total_conflicts}")
 
@@ -55,14 +55,14 @@ print("\n== FIR-16 with samples on M0 and coefficients on M1 ==")
 g = load_dfg("fir16", lib)
 mapping = load_mapping("fir16")
 T = 24
-alloc = compute_min_allocation(g, lib, T)
-timing = compute_timing(g, lib, T)
+alloc = compute_min_allocation(g, T)
+timing = compute_timing(g, T)
 base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
 aware = schedule_memory_aware(
     g, alloc, mapping, SchedulerConfig(T), timing
 )
-m_base = analyze(base, g, lib, aware.model)
-m_aware = analyze(aware, g, lib, aware.model)
+m_base = analyze(base, g, aware.model)
+m_aware = analyze(aware, g, aware.model)
 
 print(f"{'':>24} {'memory-blind':>14} {'memory-aware':>14}")
 print(f"{'makespan [cycles]':>24} {base.makespan_cycles:>14} {aware.makespan_cycles:>14}")

@@ -36,12 +36,12 @@ g = Dfg.build(
     mul_lib,
 )
 cfg = SchedulerConfig(10)
-timing = compute_timing(g, mul_lib, 10)
+timing = compute_timing(g, 10)
 
 for use_affinity, label in ((True, "input-sharing priority"), (False, "id order")):
     run_cfg = dataclasses.replace(cfg, use_affinity=use_affinity)
     s = schedule_baseline(g, Allocation({"mul": 1}), run_cfg, timing)
-    m = analyze(s, g, mul_lib, None, run_cfg)
+    m = analyze(s, g, None, run_cfg)
     seq = " -> ".join(f"{x.op_id}{'*' if x.is_model2 else ''}"
                       for x in s.sorted_entries())
     print(f"  {label:<24} {seq:<22} sharing ops: {m.model2_count}, "
@@ -50,9 +50,9 @@ print("  (*) operation reuses an input of its predecessor on that instance;"
       " m2 follows m0 only when sharing is rewarded")
 
 s_shared = schedule_baseline(g, Allocation({"mul": 1}), cfg, timing)
-m_flat = analyze(s_shared, g, mul_lib, None, cfg)
+m_flat = analyze(s_shared, g, None, cfg)
 m_frac = analyze(
-    s_shared, g, mul_lib, None, dataclasses.replace(cfg, per_shared_input_energy=True)
+    s_shared, g, None, dataclasses.replace(cfg, per_shared_input_energy=True)
 )
 print(f"  m2 shares 1 of its 2 inputs: flat discount gives {m_flat.datapath_energy}, "
       f"per-shared-input scaling (experimental) gives {m_frac.datapath_energy}")
@@ -61,11 +61,11 @@ print("\n== butterfly stage: sum and difference reuse both inputs ==")
 lib = load_library()
 g = load_dfg("fft8_stage", lib)
 T = 12
-alloc = compute_min_allocation(g, lib, T)
-timing = compute_timing(g, lib, T)
+alloc = compute_min_allocation(g, T)
+timing = compute_timing(g, T)
 cfg = SchedulerConfig(T)
 s = schedule_baseline(g, alloc, cfg, timing)
-m = analyze(s, g, lib, None, cfg)
+m = analyze(s, g, None, cfg)
 print(f"allocation {dict(alloc.counts)}, makespan {s.makespan_cycles}")
 print(f"sharing operations: {m.model2_count}/{m.op_count} "
       f"(ratio {m.model2_ratio:.2f})")
@@ -76,7 +76,7 @@ for x in s.sorted_entries():
 
 print("\n== the discount parameter is a reporting knob, not a schedule knob ==")
 for reduction in (0.25, 0.375, 0.50):
-    m_r = analyze(s, g, lib, None, dataclasses.replace(cfg, model2_reduction=reduction))
+    m_r = analyze(s, g, None, dataclasses.replace(cfg, model2_reduction=reduction))
     print(f"  reduction {reduction:<5} -> datapath energy {m_r.datapath_energy}")
 shared_base = sum(
     lib.class_for(g.operation(x.op_id).opcode).base_energy

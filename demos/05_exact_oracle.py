@@ -38,7 +38,7 @@ mapping = MemoryMapping(
     [MemoryBank("M0", 1, 1, 1, 0)], {"a": "M0", "b": "M0"}, default_register=True
 )
 alloc = Allocation({"alu": 2})
-timing = compute_timing(g, LIB, 4)
+timing = compute_timing(g, 4)
 s = schedule_memory_aware(g, alloc, mapping, SchedulerConfig(4), timing)
 best, witness = bruteforce_optimal_makespan(g, alloc, mapping, 4)
 print(f"greedy makespan {s.makespan_cycles}, exact optimum {best}: "
@@ -73,8 +73,8 @@ while checked < 60:
     if validate_mapping(mapping, g):
         continue
     T = 4 * n_ops + 8
-    alloc = compute_min_allocation(g, LIB, T)
-    timing = compute_timing(g, LIB, T)
+    alloc = compute_min_allocation(g, T)
+    timing = compute_timing(g, T)
     s = schedule_memory_aware(
         g, alloc, mapping, SchedulerConfig(T), timing
     )

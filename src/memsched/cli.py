@@ -33,7 +33,6 @@ from .metrics import (
 )
 from .scheduler import (
     Allocation,
-    Policy,
     SchedulerConfig,
     bruteforce_optimal_makespan,
     compute_min_allocation,
@@ -42,7 +41,6 @@ from .scheduler import (
 )
 
 
-_POLICIES = {"baseline": Policy.BASELINE, "mem-aware": Policy.MEMORY_AWARE}
 _DEFAULT_MAPPINGS = {
     "registers": lambda g, banks: all_registers(banks),
     "round-robin": round_robin_mapping,
@@ -73,7 +71,7 @@ def _resolve_mapping(args, g: Dfg) -> MemoryMapping | None:
 
 
 def _allocation(args, g: Dfg) -> Allocation:
-    alloc = compute_min_allocation(g, g.library, args.time_constraint)
+    alloc = compute_min_allocation(g, args.time_constraint)
     if not args.alloc:
         return alloc
     counts = dict(alloc.counts)
@@ -86,7 +84,7 @@ def _allocation(args, g: Dfg) -> Allocation:
 def _prepare(args, g: Dfg) -> tuple[TimingAnalysis, Allocation, SchedulerConfig]:
     """Timing, allocation and scheduler settings, each derived once per
     call and in this order, so the deadline check reports first."""
-    timing = compute_timing(g, g.library, args.time_constraint)
+    timing = compute_timing(g, args.time_constraint)
     alloc = _allocation(args, g)
     try:
         cfg = SchedulerConfig(
@@ -135,20 +133,20 @@ def _validate(args) -> int:
 def _schedule(args) -> int:
     """Run one policy and write schedule.json, metrics.json, gantt.svg and
     schedule.csv into the output directory."""
-    policy = _POLICIES[args.policy]
+    mem_aware = args.policy == "mem-aware"
     g = _load_graph(args)
     mapping = _resolve_mapping(args, g)
-    if policy is Policy.MEMORY_AWARE and mapping is None:
+    if mem_aware and mapping is None:
         raise FormatError("policy mem-aware needs --mapping or --default-mapping")
     timing, alloc, sched_cfg = _prepare(args, g)
-    if policy is Policy.MEMORY_AWARE:
+    if mem_aware:
         schedule = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
         model = schedule.model
     else:
         schedule = schedule_baseline(g, alloc, sched_cfg, timing)
         # replay the memory-blind schedule on the mapping's banks
         model = AccessModel(g, mapping) if mapping is not None else None
-    m = analyze(schedule, g, g.library, model, schedule.config)
+    m = analyze(schedule, g, model, schedule.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "schedule.json").write_text(schedule.to_json(), encoding="utf-8")
@@ -156,7 +154,7 @@ def _schedule(args) -> int:
     (out / "gantt.svg").write_text(export_gantt(schedule, mapping), encoding="utf-8")
     (out / "schedule.csv").write_text(export_csv(schedule), encoding="utf-8")
     print(
-        f"{policy.value}: makespan {schedule.makespan_cycles} cycles, "
+        f"{schedule.policy.value}: makespan {schedule.makespan_cycles} cycles, "
         f"{m.model2_count}/{m.op_count} input-sharing ops, "
         f"datapath energy {m.datapath_energy}, conflicts {m.total_conflicts}"
     )
@@ -177,8 +175,8 @@ def _compare(args) -> int:
     timing, alloc, sched_cfg = _prepare(args, g)
     s_base = schedule_baseline(g, alloc, sched_cfg, timing)
     s_aware = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
-    m_base = analyze(s_base, g, g.library, s_aware.model, s_base.config)
-    m_aware = analyze(s_aware, g, g.library, s_aware.model, s_aware.config)
+    m_base = analyze(s_base, g, s_aware.model, s_base.config)
+    m_aware = analyze(s_aware, g, s_aware.model, s_aware.config)
     report = compare(m_base, m_aware)
 
     extra = {}
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_schedule = sub.add_parser("schedule", help="run one policy and write reports")
     add_common(p_schedule, with_schedule_flags=True)
-    p_schedule.add_argument("--policy", choices=list(_POLICIES),
+    p_schedule.add_argument("--policy", choices=["baseline", "mem-aware"],
                             default="baseline")
 
     p_compare = sub.add_parser("compare", help="run both policies and compare")

@@ -317,7 +317,7 @@ def parse_library(text: str) -> OperatorLibrary:
     return OperatorLibrary(classes)
 
 
-def parse_dfg(text: str, library: OperatorLibrary | Iterable[OperatorClass]) -> Dfg:
+def parse_dfg(text: str, library: OperatorLibrary) -> Dfg:
     """Parse a data-flow-graph document and check it in full.
 
     The document has three keys: ``inputs`` (declarations with optional array
@@ -332,8 +332,6 @@ def parse_dfg(text: str, library: OperatorLibrary | Iterable[OperatorClass]) -> 
     UndefinedData, DuplicateWriter, CycleDetected, or FormatError for a dep on
     an unknown operation id.
     """
-    if not isinstance(library, OperatorLibrary):
-        library = OperatorLibrary(library)
     doc = _load_json(text, "dfg")
     _check_keys(doc, {"inputs", "outputs", "ops"}, set(), "dfg document")
 
@@ -597,19 +595,16 @@ class TimingAnalysis:
     critical_path_cycles: int
 
 
-def compute_timing(
-    g: Dfg,
-    library: OperatorLibrary,
-    time_constraint_cycles: int,
-) -> TimingAnalysis:
-    """Longest-path timing analysis under a deadline.
+def compute_timing(g: Dfg, time_constraint_cycles: int) -> TimingAnalysis:
+    """Longest-path timing analysis under a deadline, with each operation's
+    latency taken from the graph's own library.
 
     ASAP is the forward longest path from the inputs; ALAP is anchored so
     every operation finishes by ``time_constraint_cycles``; mobility is their
     difference. Raises InfeasibleConstraint when the critical path does not
     fit the deadline.
     """
-    latency = {op.id: library.class_for(op.opcode).latency_cycles for op in g.operations}
+    latency = {op.id: g.class_of(op).latency_cycles for op in g.operations}
     order = topological_order(g)
 
     asap: dict[str, int] = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 from xml.sax.saxutils import escape
 
-from .dfg import Dfg, OperatorLibrary
+from .dfg import Dfg
 from .errors import InconsistentSchedule, MismatchedInputs
 from .memmap import AccessModel, MemoryMapping
 from .scheduler import Schedule, SchedulerConfig
@@ -88,21 +88,20 @@ class ComparisonReport:
 def analyze(
     s: Schedule,
     g: Dfg,
-    library: OperatorLibrary | None = None,
     model: AccessModel | None = None,
     cfg: SchedulerConfig | None = None,
 ) -> ScheduleMetrics:
     """Measure a schedule: sharing ratio, energy estimate, bank traffic.
 
-    Bank traffic replays every entry's start against ``model``, the access
-    model of the mapping to count on (a memory-aware schedule's own
-    ``Schedule.model``): each access counts as one request in every cycle of
-    its full multi-cycle window (see the module docs), so a memory-blind
-    schedule shows the port conflicts it would cause and a memory-aware one
-    shows the traffic it booked. None, or a model without a mapping, counts
-    no bank traffic.
+    Latencies and base energies come from ``g.library``, the energy settings
+    from ``cfg`` (default: the schedule's config). Bank traffic replays every
+    entry's start against ``model``, the access model of the mapping to count
+    on (a memory-aware schedule's own ``Schedule.model``): each access counts
+    as one request in every cycle of its full multi-cycle window (see the
+    module docs), so a memory-blind schedule shows the port conflicts it
+    would cause and a memory-aware one shows the traffic it booked. None, or
+    a model without a mapping, counts no bank traffic.
     """
-    library = library or g.library
     cfg = cfg or s.config
     ids = {op.id for op in g.operations}
     if set(s.entries) != ids:
@@ -111,7 +110,7 @@ def analyze(
         )
     for op in g.operations:
         entry = s.entries[op.id]
-        latency = library.class_for(op.opcode).latency_cycles
+        latency = g.class_of(op).latency_cycles
         if entry.end_cycle - entry.start_cycle != latency:
             raise InconsistentSchedule(
                 f"entry {op.id!r} spans {entry.end_cycle - entry.start_cycle} cycles, "
@@ -123,15 +122,11 @@ def analyze(
     datapath = 0.0
     for e in s.sorted_entries():
         op = g.operation(e.op_id)
-        base = library.class_for(op.opcode).base_energy
-        if e.is_model2:
-            if cfg.per_shared_input_energy:
-                fraction = e.shared_inputs / len(op.operands)
-                datapath += base * (1.0 - cfg.model2_reduction * fraction)
-            else:
-                datapath += base * (1.0 - cfg.model2_reduction)
+        if cfg.per_shared_input_energy:
+            share = e.shared_inputs / len(op.operands)
         else:
-            datapath += base
+            share = float(e.is_model2)
+        datapath += g.class_of(op).base_energy * (1.0 - cfg.model2_reduction * share)
 
     per_bank: dict[str, BankStats] = {}
     memory_energy = 0.0
@@ -231,11 +226,9 @@ def export_gantt(s: Schedule, mapping: MemoryMapping | None = None) -> str:
         for bank in sorted(mapping.banks, key=lambda b: b.id):
             port_rows.extend((bank.id, p) for p in range(bank.ports))
 
-    horizon = max(
-        [s.makespan_cycles, 1]
-        + [b.end for e in entries for b in e.read_bookings]
-        + [e.write_booking.end for e in entries if e.write_booking is not None]
-    )
+    # the makespan covers every booking: fetches end at their op's start,
+    # and the makespan counts each store's end
+    horizon = max(s.makespan_cycles, 1)
     rows = [("op", cls, idx) for cls, idx in instance_rows]
     rows += [("port", bank, port) for bank, port in port_rows]
     width = _MARGIN_LEFT + horizon * _CYCLE_W + 20
@@ -354,16 +347,26 @@ def format_schedule_csv(rows) -> str:
 
 
 def parse_schedule_csv(text: str) -> list[dict]:
-    """Inverse of :func:`export_csv` for the exported fields."""
+    """Inverse of :func:`export_csv` for the exported fields. A row without
+    exactly one cell per header column, or a ``model2`` cell other than
+    ``true``/``false``, raises ValueError naming its line."""
     reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
+    header = tuple(next(reader, ()))
     if header != _CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {header}")
     rows = []
     for raw in reader:
         if not raw:
             continue
+        if len(raw) != len(_CSV_HEADER):
+            raise ValueError(
+                f"line {reader.line_num}: expected {len(_CSV_HEADER)} cells, got {len(raw)}"
+            )
         op, start, end, cls, instance, model2 = raw
+        if model2 not in ("true", "false"):
+            raise ValueError(
+                f"line {reader.line_num}: model2 must be true or false, got {model2!r}"
+            )
         rows.append(
             {
                 "op": op,

@@ -182,8 +182,12 @@ class ScheduleEntry:
     instance_index: int
     read_bookings: tuple[PortBooking, ...] = ()
     write_booking: PortBooking | None = None
-    is_model2: bool = False
     shared_inputs: int = 0
+
+    @property
+    def is_model2(self) -> bool:
+        """Whether the operation shares an input with its instance's last."""
+        return self.shared_inputs >= 1
 
     @property
     def finish_cycle(self) -> int:
@@ -199,14 +203,26 @@ class Schedule:
     memory-aware schedule, the register-only one for a memory-blind one, and
     None for a schedule built by hand. It is the model ``metrics.analyze``
     replays a schedule against, and it never goes into ``schedule.json``.
+    The makespan and the policy are read off the entries and the model, so
+    they always describe what the schedule holds.
     """
 
     entries: dict[str, ScheduleEntry]
-    makespan_cycles: int
-    policy: Policy
     config: SchedulerConfig
-    allocation: Allocation
     model: AccessModel | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def makespan_cycles(self) -> int:
+        """The latest finish cycle of any entry, 0 when there are none."""
+        return max((e.finish_cycle for e in self.entries.values()), default=0)
+
+    @property
+    def policy(self) -> Policy:
+        """MEMORY_AWARE when the entries obey a mapping's access model,
+        otherwise BASELINE."""
+        if self.model is None or self.model.mapping is None:
+            return Policy.BASELINE
+        return Policy.MEMORY_AWARE
 
     def sorted_entries(self) -> list[ScheduleEntry]:
         return sorted(self.entries.values(), key=lambda e: (e.start_cycle, e.op_id))
@@ -268,26 +284,22 @@ def _affinity(
     return shared
 
 
-def compute_min_allocation(
-    g: Dfg, library, time_constraint_cycles: int
-) -> Allocation:
-    """Average-parallelism lower bound on instance counts: for each class,
-    ceil(ops * latency / deadline), at least one.
+def compute_min_allocation(g: Dfg, time_constraint_cycles: int) -> Allocation:
+    """Average-parallelism lower bound on instance counts: for each class of
+    the graph's library, ceil(ops * latency / deadline), at least one.
 
     Only arithmetic: whether the deadline fits the critical path is
     :func:`compute_timing`'s rule. A deadline below one cycle on a graph with
     operations raises ValueError.
     """
-    per_class: Counter[str] = Counter()
-    for op in g.operations:
-        per_class[library.class_for(op.opcode).name] += 1
+    per_class = ample_allocation(g).counts  # operations per class
     if per_class and time_constraint_cycles < 1:
         raise ValueError("time constraint must be >= 1 cycle")
-    counts = {}
-    for name, n_ops in sorted(per_class.items()):
-        latency = library.class_named(name).latency_cycles
-        counts[name] = max(1, -(-n_ops * latency // time_constraint_cycles))
-    return Allocation(counts)
+    return Allocation({
+        name: max(1, -(-n_ops * g.library.class_named(name).latency_cycles
+                       // time_constraint_cycles))
+        for name, n_ops in sorted(per_class.items())
+    })
 
 
 def ample_allocation(g: Dfg) -> Allocation:
@@ -440,7 +452,6 @@ class _Engine:
             instance_index=inst.instance_index,
             read_bookings=tuple(sorted(reads, key=lambda b: (b.bank_id, b.port_index))),
             write_booking=write,
-            is_model2=shared >= 1,
             shared_inputs=shared,
         )
         finish[oid] = self.model.completion(oid, t)
@@ -467,18 +478,10 @@ def _run_or_raise(
         ).run()
         suggestion = None
         if not left:
-            makespan = max(e.finish_cycle for e in relaxed.values())
+            makespan = Schedule(relaxed, cfg).makespan_cycles
             suggestion = next(k * T for k in (2, 4, 8) if k * T >= makespan)
         raise TimeConstraintViolated(sorted(unscheduled), T, suggestion)
-    makespan = max((e.finish_cycle for e in entries.values()), default=0)
-    return _make_schedule(entries, makespan, cfg, alloc, model)
-
-
-def _make_schedule(entries, makespan, cfg, alloc, model: AccessModel) -> Schedule:
-    """A run's schedule, its policy read off the model: BASELINE without a
-    mapping, MEMORY_AWARE with one."""
-    policy = Policy.BASELINE if model.mapping is None else Policy.MEMORY_AWARE
-    return Schedule(entries, makespan, policy, cfg, alloc, model)
+    return Schedule(entries, cfg, model)
 
 
 def schedule_baseline(
@@ -534,7 +537,7 @@ def bruteforce_optimal_makespan(
         raise TooLarge(f"{len(g.operations)} operations exceed the oracle guard of "
                        f"{_BRUTEFORCE_MAX_OPS}")
     try:
-        timing = compute_timing(g, g.library, T_max)
+        timing = compute_timing(g, T_max)
     except InfeasibleConstraint:
         raise Infeasible(f"no schedule fits within {T_max} cycles") from None
     engine = _Engine(g, alloc, SchedulerConfig(T_max), timing, AccessModel(g, mapping))
@@ -615,12 +618,10 @@ def bruteforce_optimal_makespan(
     dfs(0)
     if best_starts is None:
         raise Infeasible(f"no schedule fits within {T_max} cycles")
-    return best, _witness_schedule(engine, alloc, best_starts, best)
+    return best, _witness_schedule(engine, best_starts)
 
 
-def _witness_schedule(
-    engine: _Engine, alloc: Allocation, starts: Mapping[str, int], makespan: int
-) -> Schedule:
+def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
     """Place a feasible start assignment with the engine's own step, in
     (start, id) order: each op on the lowest-index instance free at its
     start, each access on the lowest port whose last window ended by the
@@ -657,4 +658,4 @@ def _witness_schedule(
         shared = _affinity(g.operation(oid).operands, inst.last_operand_sources, False)
         plan = (reads[oid], writes.get(oid))
         engine._place(oid, start, shared, inst, plan, ledger, entries, finish)
-    return _make_schedule(entries, makespan, engine.cfg, alloc, model)
+    return Schedule(entries, engine.cfg, model)

@@ -1,9 +1,10 @@
 """Independent oracles and invariant checkers used by the test suite.
 
-Everything here deliberately avoids the package's scheduling and timing
-code paths: timing is checked by explicit path enumeration, small memory
-cases by exhaustive start-tuple search, and schedules by a from-scratch
-invariant checker.
+Everything here deliberately avoids the package's scheduling, timing and
+placement code paths: timing is checked by explicit path enumeration, small
+memory cases by exhaustive start-tuple search, and schedules by a
+from-scratch invariant checker that restates the README's placement and
+access rules itself.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from memsched import (
     OperatorClass,
     OperatorLibrary,
     Schedule,
-    memory_read_refs,
     scalar,
     validate_mapping,
 )
@@ -109,6 +109,30 @@ def enumerate_independent_starts(ops, alloc_counts, banks, horizon):
 
 
 # ---------------------------------------------------------------------------
+# placement and access rules, restated from the README
+
+def _bank_of(ref: DataRef, mapping: MemoryMapping | None) -> MemoryBank | None:
+    """The bank holding ``ref``, None for a register or without a mapping: an
+    element entry overrides its array's entry, then the REGISTER default
+    applies."""
+    if mapping is None:
+        return None
+    target = mapping.placement.get(ref.name)
+    if target is None and ref.array is not None:
+        target = mapping.placement.get(ref.array)
+    if target is None:
+        assert mapping.default_register, f"{ref.name} is unmapped"
+        return None
+    return None if target == "REGISTER" else next(b for b in mapping.banks if b.id == target)
+
+
+def _fetches(op: Operation, mapping: MemoryMapping | None) -> Counter:
+    """Fetches per bank: each distinct operand is fetched once."""
+    banks = [_bank_of(ref, mapping) for ref in set(op.operands)]
+    return Counter(bank for bank in banks if bank is not None)
+
+
+# ---------------------------------------------------------------------------
 # schedule invariant checker
 
 def check_schedule_safety(
@@ -137,7 +161,11 @@ def check_schedule_safety(
         if e.end_cycle - e.start_cycle != lat:
             errors.append(f"{op.id}: span {e.end_cycle - e.start_cycle} != latency {lat}")
 
-    finish = {oid: e.finish_cycle for oid, e in s.entries.items()}
+    # a result is usable at its store's end, otherwise at its execution end
+    finish = {}
+    for op in g.operations:
+        wbank = _bank_of(op.result, mapping)
+        finish[op.id] = s.entries[op.id].end_cycle + (wbank.write_latency_cycles if wbank else 0)
     for op in g.operations:
         e = s.entries[op.id]
         for pred in g.predecessors(op.id):
@@ -146,19 +174,19 @@ def check_schedule_safety(
                     f"dependency {pred}->{op.id}: finish {finish[pred]} "
                     f"> start {e.start_cycle}"
                 )
-        if mapping is not None:
-            for bank_id, refs in memory_read_refs(op, mapping).items():
-                rl = mapping.bank_by_id[bank_id].read_latency_cycles
-                w0 = e.start_cycle - rl
-                if w0 < 0:
-                    errors.append(f"{op.id}: read window before cycle 0 on {bank_id}")
-                for ref in refs:
-                    producer = g.producer_of(ref)
-                    if producer is not None and finish[producer] > w0:
-                        errors.append(
-                            f"{op.id}: operand {ref.name} arrives at "
-                            f"{finish[producer]}, window starts {w0}"
-                        )
+        for ref in set(op.operands):
+            bank = _bank_of(ref, mapping)
+            if bank is None:
+                continue
+            w0 = e.start_cycle - bank.read_latency_cycles
+            if w0 < 0:
+                errors.append(f"{op.id}: read window before cycle 0 on {bank.id}")
+            producer = g.producer_of(ref)
+            if producer is not None and finish[producer] > w0:
+                errors.append(
+                    f"{op.id}: operand {ref.name} arrives at "
+                    f"{finish[producer]}, window starts {w0}"
+                )
 
     # per-cycle operator occupancy
     usage: Counter = Counter()
@@ -183,14 +211,11 @@ def check_schedule_safety(
                 errors.append(f"{op.id}: write booking starts at {b.start}, end is {e.end_cycle}")
             per_port[(b.bank_id, b.port_index)].append((b.start, b.end, op.id))
         if mapping is not None:
-            want_reads = {
-                bank_id: len(refs)
-                for bank_id, refs in memory_read_refs(op, mapping).items()
-            }
+            want_reads = {bank.id: n for bank, n in _fetches(op, mapping).items()}
             got_reads: Counter = Counter(b.bank_id for b in e.read_bookings)
             if dict(got_reads) != want_reads:
                 errors.append(f"{op.id}: read bookings {dict(got_reads)} != required {want_reads}")
-            wbank = mapping.bank_of(op.result)
+            wbank = _bank_of(op.result, mapping)
             if (wbank is None) != (e.write_booking is None):
                 errors.append(f"{op.id}: write booking does not match result placement")
             elif wbank is not None:
@@ -202,7 +227,7 @@ def check_schedule_safety(
         if mapping is None:
             errors.append(f"bookings on {bank_id} without a mapping")
             continue
-        bank = mapping.bank_by_id.get(bank_id)
+        bank = next((b for b in mapping.banks if b.id == bank_id), None)
         if bank is None:
             errors.append(f"booking on unknown bank {bank_id}")
             continue
@@ -215,7 +240,7 @@ def check_schedule_safety(
                     f"overlap on {bank_id}.p{port}: {op1}[{s1},{e1}) vs {op2}[{s2},{e2})"
                 )
 
-    expected_makespan = max((e.finish_cycle for e in s.entries.values()), default=0)
+    expected_makespan = max(finish.values(), default=0)
     if s.makespan_cycles != expected_makespan:
         errors.append(
             f"makespan {s.makespan_cycles} != max finish {expected_makespan}"
@@ -315,10 +340,8 @@ def generous_deadline(g: Dfg, mapping: MemoryMapping | None = None) -> int:
     total = 0
     for op in g.operations:
         total += g.class_of(op).latency_cycles
-        if mapping is not None:
-            for bank_id in memory_read_refs(op, mapping):
-                total += mapping.bank_by_id[bank_id].read_latency_cycles
-            wbank = mapping.bank_of(op.result)
-            if wbank is not None:
-                total += wbank.write_latency_cycles
+        total += sum(bank.read_latency_cycles for bank in _fetches(op, mapping))
+        wbank = _bank_of(op.result, mapping)
+        if wbank is not None:
+            total += wbank.write_latency_cycles
     return total + 4

@@ -51,7 +51,7 @@ def criterion(name):
 
 
 def run_both(g, alloc, mapping, T, **cfg_kwargs):
-    timing = compute_timing(g, g.library, T)
+    timing = compute_timing(g, T)
     base = schedule_baseline(
         g, alloc, SchedulerConfig(T, **cfg_kwargs), timing
     )
@@ -73,7 +73,7 @@ def test_safety_suite_200_random_dags():
             g = random_dfg(rng, rng.randint(5, 50), lib)
             mapping = random_mapping(rng, g, rng.randint(0, 3))
             T = generous_deadline(g, mapping)
-            alloc = compute_min_allocation(g, lib, T)
+            alloc = compute_min_allocation(g, T)
             base, aware = run_both(g, alloc, mapping, T)
             assert check_schedule_safety(g, base, None, alloc) == []
             assert check_schedule_safety(g, aware, mapping, alloc) == []
@@ -185,7 +185,7 @@ def test_oracle_sandwich_family():
         assert len(cases) >= 50
         for name, g, alloc, mapping, subfamily in cases:
             T = generous_deadline(g, mapping)
-            timing = compute_timing(g, g.library, T)
+            timing = compute_timing(g, T)
             if mapping is None:
                 sched = schedule_baseline(
                     g, alloc, SchedulerConfig(T), timing
@@ -219,8 +219,8 @@ def test_port_gating_two_adds_fixture():
         base, aware = run_both(g, alloc, mapping, 4)
         starts = {e.op_id: e.start_cycle for e in aware.sorted_entries()}
         assert starts == {"r1": 1, "r2": 2}
-        m_aware = analyze(aware, g, lib, aware.model)
-        m_base = analyze(base, g, lib, aware.model)
+        m_aware = analyze(aware, g, aware.model)
+        m_base = analyze(base, g, aware.model)
         assert m_aware.total_conflicts == 0
         assert m_base.total_conflicts >= 1
 
@@ -237,12 +237,12 @@ def test_degeneracy_equivalences():
             subjects.append(random_dfg(rng, rng.randint(5, 20), rlib))
         for g in subjects:
             T = generous_deadline(g)
-            alloc = compute_min_allocation(g, g.library, T)
+            alloc = compute_min_allocation(g, T)
             base, aware = run_both(g, alloc, all_registers(), T)
             assert aware.entries == base.entries
             assert aware.makespan_cycles == base.makespan_cycles
 
-            timing = compute_timing(g, g.library, T)
+            timing = compute_timing(g, T)
             ample = ample_allocation(g)
             base_a, aware_a = run_both(g, ample, all_registers(), T)
             for op in g.operations:
@@ -259,11 +259,11 @@ def test_model2_economics():
         for kernel in ("fir4", "fft8_stage", "iir_biquad"):
             g = fixtures.load_dfg(kernel, lib)
             T = generous_deadline(g)
-            timing = compute_timing(g, lib, T)
-            alloc = compute_min_allocation(g, lib, T)
+            timing = compute_timing(g, T)
+            alloc = compute_min_allocation(g, T)
             cfg = SchedulerConfig(T)
             s = schedule_baseline(g, alloc, cfg, timing)
-            m = analyze(s, g, lib, None, cfg)
+            m = analyze(s, g, None, cfg)
             expected = 0.0
             for e in s.sorted_entries():
                 base_energy = lib.class_for(g.operation(e.op_id).opcode).base_energy
@@ -283,8 +283,8 @@ def test_model2_economics():
         )
         cfg = SchedulerConfig(10)
         s = schedule_baseline(g, Allocation({"mul": 1}), cfg,
-                              compute_timing(g, mul_lib, 10))
-        m = analyze(s, g, mul_lib, None, cfg)
+                              compute_timing(g, 10))
+        m = analyze(s, g, None, cfg)
         assert m.model2_count == 1
         assert m.datapath_energy == 8.0 + 6.0 + 8.0  # m1 shares "a", 25% off
 
@@ -293,9 +293,9 @@ def test_model2_economics():
             g = fixtures.load_dfg(kernel, lib)
             mapping = fixtures.load_mapping(kernel)
             T = generous_deadline(g, mapping)
-            alloc = compute_min_allocation(g, lib, T)
+            alloc = compute_min_allocation(g, T)
             for use_mapping in (False, True):
-                timing = compute_timing(g, lib, T)
+                timing = compute_timing(g, T)
                 if use_mapping:
                     on = schedule_memory_aware(
                         g, alloc, mapping,
@@ -324,13 +324,13 @@ def test_energy_reduction_sweep_exact():
         for kernel in fixtures.KERNELS:
             g = fixtures.load_dfg(kernel, lib)
             T = generous_deadline(g)
-            timing = compute_timing(g, lib, T)
-            alloc = compute_min_allocation(g, lib, T)
+            timing = compute_timing(g, T)
+            alloc = compute_min_allocation(g, T)
             cfg_low = SchedulerConfig(T, model2_reduction=0.25)
             s = schedule_baseline(g, alloc, cfg_low, timing)
             cfg_high = dataclasses.replace(cfg_low, model2_reduction=0.50)
-            m_low = analyze(s, g, lib, None, cfg_low)
-            m_high = analyze(s, g, lib, None, cfg_high)
+            m_low = analyze(s, g, None, cfg_low)
+            m_high = analyze(s, g, None, cfg_high)
             model2_base = sum(
                 lib.class_for(g.operation(e.op_id).opcode).base_energy
                 for e in s.sorted_entries()

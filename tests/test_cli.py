@@ -332,7 +332,7 @@ def test_compare_computes_timing_once_plus_allocation_guard(inputs, monkeypatch)
 
     def counting(original):
         def wrapper(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[1])
             return original(*args, **kwargs)
         return wrapper
 
@@ -384,7 +384,7 @@ def test_each_call_derives_timing_and_models_once(inputs, monkeypatch, case):
 
     def counting(original):
         def wrapper(*args, **kwargs):
-            timings.append(args[2])
+            timings.append(args[1])
             return original(*args, **kwargs)
         return wrapper
 

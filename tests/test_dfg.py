@@ -298,7 +298,7 @@ def diamond(latency=1):
 
 def test_timing_tight_chain():
     g = chain(UNIT, 3)
-    t = compute_timing(g, UNIT, 3)
+    t = compute_timing(g, 3)
     assert [t.asap[f"n{i}"] for i in range(3)] == [0, 1, 2]
     assert [t.alap[f"n{i}"] for i in range(3)] == [0, 1, 2]
     assert all(m == 0 for m in t.mobility.values())
@@ -307,7 +307,7 @@ def test_timing_tight_chain():
 
 def test_timing_relaxed_chain_matches_path_enumeration():
     g = chain(UNIT, 3)
-    t = compute_timing(g, UNIT, 5)
+    t = compute_timing(g, 5)
     latency = {op.id: 1 for op in g.operations}
     preds = {op.id: set(g.predecessors(op.id)) for op in g.operations}
     asap, alap, critical = enumerate_timing(latency, preds, 5)
@@ -323,12 +323,12 @@ def test_timing_diamond_matches_path_enumeration():
     latency = {op.id: 1 for op in g.operations}
     preds = {op.id: set(g.predecessors(op.id)) for op in g.operations}
 
-    t3 = compute_timing(g, lib, 3)
+    t3 = compute_timing(g, 3)
     asap, alap, _ = enumerate_timing(latency, preds, 3)
     assert dict(t3.asap) == asap and dict(t3.alap) == alap
     assert all(t3.mobility[o] == 0 for o in ("a", "b", "c", "d"))
 
-    t4 = compute_timing(g, lib, 4)
+    t4 = compute_timing(g, 4)
     asap, alap, _ = enumerate_timing(latency, preds, 4)
     assert dict(t4.asap) == asap and dict(t4.alap) == alap
     assert all(t4.mobility[o] == 1 for o in ("a", "b", "c", "d"))
@@ -337,7 +337,7 @@ def test_timing_diamond_matches_path_enumeration():
 def test_timing_infeasible_constraint_reports_both_numbers():
     g = chain(UNIT, 3)
     with pytest.raises(InfeasibleConstraint) as err:
-        compute_timing(g, UNIT, 2)
+        compute_timing(g, 2)
     assert err.value.critical_path_cycles == 3
     assert err.value.time_constraint_cycles == 2
 
@@ -349,15 +349,15 @@ def test_timing_extra_deps_carry_latency():
         Operation("b", "f", (scalar("i"),), scalar("rb"), extra_deps=frozenset({"a"})),
     ]
     g = Dfg.build(ops, lib)
-    t = compute_timing(g, lib, 6)
+    t = compute_timing(g, 6)
     assert t.asap["b"] == 3
 
 
 @given(st.integers(min_value=0, max_value=9))
 def test_timing_deadline_shift_moves_alap_only(k):
     g = chain(UNIT, 4)
-    base = compute_timing(g, UNIT, 4)
-    shifted = compute_timing(g, UNIT, 4 + k)
+    base = compute_timing(g, 4)
+    shifted = compute_timing(g, 4 + k)
     assert dict(shifted.asap) == dict(base.asap)
     assert {o: shifted.alap[o] - base.alap[o] for o in base.alap} == {
         o: k for o in base.alap
@@ -369,7 +369,7 @@ def test_timing_deadline_shift_moves_alap_only(k):
 
 def test_timing_mobility_nonnegative_and_zero_on_critical_path():
     g, lib = diamond(latency=2)
-    t = compute_timing(g, lib, t_min := compute_timing(g, lib, 100).critical_path_cycles)
+    t = compute_timing(g, t_min := compute_timing(g, 100).critical_path_cycles)
     assert all(m >= 0 for m in t.mobility.values())
     assert min(t.mobility.values()) == 0
     assert min(t.asap.values()) == 0
@@ -385,6 +385,6 @@ def test_timing_asap_iterates_in_topological_order():
         Operation("a", "f", (scalar("i"),), scalar("ra")),
     ]
     g = Dfg.build(ops, UNIT)
-    assert list(compute_timing(g, UNIT, 4).asap) == topological_order(g) == [
+    assert list(compute_timing(g, 4).asap) == topological_order(g) == [
         "a", "b", "c", "d", "z"
     ]

@@ -103,13 +103,13 @@ def random_digests() -> dict[str, str]:
         g = random_dfg(rng, rng.randint(5, 50), lib)
         mapping = random_mapping(rng, g, rng.randint(0, 3))
         T = generous_deadline(g, mapping)
-        alloc = compute_min_allocation(g, lib, T)
-        timing = compute_timing(g, lib, T)
+        alloc = compute_min_allocation(g, T)
+        timing = compute_timing(g, T)
         base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
         aware = schedule_memory_aware(
             g, alloc, mapping, SchedulerConfig(T), timing
         )
-        metrics = metrics_to_json(analyze(aware, g, lib, aware.model))
+        metrics = metrics_to_json(analyze(aware, g, aware.model))
         out[f"random/{i:03d}"] = _digest(
             "\0".join((base.to_json(), aware.to_json(), metrics))
         )
@@ -122,7 +122,7 @@ def oracle_digests() -> dict[str, str]:
     out: dict[str, str] = {}
     for name, g, alloc, mapping, _ in _sandwich_family():
         T = generous_deadline(g, mapping)
-        timing = compute_timing(g, g.library, T)
+        timing = compute_timing(g, T)
         if mapping is None:
             sched = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
         else:

@@ -55,11 +55,11 @@ def failure_digests() -> tuple[dict[str, str], Counter]:
         lib = make_library(rng, rng.randint(1, 2))
         g = random_dfg(rng, rng.randint(6, 20), lib)
         mapping = random_mapping(rng, g, 1)
-        T = compute_timing(g, lib, generous_deadline(g, mapping)).critical_path_cycles
-        alloc = compute_min_allocation(g, lib, T)
+        T = compute_timing(g, generous_deadline(g, mapping)).critical_path_cycles
+        alloc = compute_min_allocation(g, T)
         if rng.random() < 0.5:
             alloc = Allocation(dict.fromkeys(alloc.counts, 1))
-        timing = compute_timing(g, lib, T)
+        timing = compute_timing(g, T)
         outcomes = []
         for policy in Policy:
             for dynamic, positional, affinity in FLAGS:

@@ -47,7 +47,7 @@ def _run(g, alloc, mapping, policy, flags, T):
         T, dynamic_mobility=dynamic,
         positional_affinity=positional, use_affinity=affinity,
     )
-    timing = compute_timing(g, g.library, T)
+    timing = compute_timing(g, T)
     if policy is Policy.BASELINE:
         return schedule_baseline(g, alloc, cfg, timing)
     return schedule_memory_aware(g, alloc, mapping, cfg, timing)
@@ -61,7 +61,7 @@ def flag_digests() -> dict[str, str]:
         g = random_dfg(rng, rng.randint(6, 24), lib)
         mapping = random_mapping(rng, g, rng.randint(1, 2))
         T = generous_deadline(g, mapping)
-        alloc = compute_min_allocation(g, lib, T)
+        alloc = compute_min_allocation(g, T)
         if rng.random() < 0.5:
             alloc = Allocation({name: n + 1 for name, n in alloc.counts.items()})
         parts = []

@@ -55,7 +55,7 @@ def two_adds(place):
 
 def run_aware(g, mapping, counts, T, **cfg_kwargs):
     cfg = SchedulerConfig(T, **cfg_kwargs)
-    timing = compute_timing(g, g.library, T)
+    timing = compute_timing(g, T)
     return schedule_memory_aware(g, Allocation(counts), mapping, cfg, timing)
 
 
@@ -96,8 +96,8 @@ def test_all_registers_degenerates_to_baseline():
     for kernel in ("fir4", "fft8_stage", "iir_biquad"):
         g = fixtures.load_dfg(kernel, lib)
         T = generous_deadline(g)
-        timing = compute_timing(g, lib, T)
-        alloc = compute_min_allocation(g, lib, T)
+        timing = compute_timing(g, T)
+        alloc = compute_min_allocation(g, T)
         base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
         aware = schedule_memory_aware(
             g, alloc, all_registers(), SchedulerConfig(T), timing
@@ -248,8 +248,8 @@ def test_policy_monotone_and_safe_on_random_instances():
         g = random_dfg(rng, rng.randint(5, 18), lib)
         mapping = random_mapping(rng, g, rng.randint(0, 3))
         T = generous_deadline(g, mapping)
-        alloc = compute_min_allocation(g, lib, T)
-        timing = compute_timing(g, lib, T)
+        alloc = compute_min_allocation(g, T)
+        timing = compute_timing(g, T)
         base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
         aware = schedule_memory_aware(
             g, alloc, mapping, SchedulerConfig(T), timing

@@ -16,7 +16,7 @@ from memsched import (
     Operation,
     OperatorClass,
     OperatorLibrary,
-    Policy,
+    PortBooking,
     Schedule,
     ScheduleEntry,
     SchedulerConfig,
@@ -31,6 +31,7 @@ from memsched import (
     schedule_baseline,
     schedule_memory_aware,
 )
+from memsched import fixtures
 from memsched.metrics import _READ_COLOR, _WRITE_COLOR
 
 UNIT = OperatorLibrary([OperatorClass("u", frozenset({"f"}), 1, 1.0)])
@@ -46,7 +47,7 @@ def flat_graph(n, library=UNIT, opcode="f"):
     return Dfg.build(ops, library)
 
 
-def manual_schedule(g, model2_ids, policy=Policy.BASELINE, T=32):
+def manual_schedule(g, model2_ids, T=32):
     cfg = SchedulerConfig(T)
     entries = {}
     for i, op in enumerate(g.operations):
@@ -56,17 +57,15 @@ def manual_schedule(g, model2_ids, policy=Policy.BASELINE, T=32):
             end_cycle=i + 1,
             class_name=g.class_of(op).name,
             instance_index=0,
-            is_model2=op.id in model2_ids,
             shared_inputs=1 if op.id in model2_ids else 0,
         )
-    makespan = max(e.end_cycle for e in entries.values())
-    return Schedule(entries, makespan, policy, cfg, Allocation({"u": 1}))
+    return Schedule(entries, cfg)
 
 
 def test_energy_formula_ten_ops_four_model2():
     g = flat_graph(10)
     s = manual_schedule(g, {"op00", "op01", "op02", "op03"})
-    m = analyze(s, g, UNIT)
+    m = analyze(s, g)
     # 6 * 1.0 + 4 * 0.75, reduction pinned at the conservative end
     assert m.datapath_energy == 9.0
     assert m.model2_count == 4
@@ -76,8 +75,8 @@ def test_energy_formula_ten_ops_four_model2():
 def test_reduction_sweep_changes_energy_by_quarter_of_model2_base():
     g = flat_graph(8)
     s = manual_schedule(g, {"op01", "op04", "op06"})
-    low = analyze(s, g, UNIT, cfg=dataclasses.replace(s.config, model2_reduction=0.25))
-    high = analyze(s, g, UNIT, cfg=dataclasses.replace(s.config, model2_reduction=0.50))
+    low = analyze(s, g, cfg=dataclasses.replace(s.config, model2_reduction=0.25))
+    high = analyze(s, g, cfg=dataclasses.replace(s.config, model2_reduction=0.50))
     model2_base = 3 * 1.0
     assert low.datapath_energy - high.datapath_energy == 0.25 * model2_base
 
@@ -88,10 +87,10 @@ def test_per_shared_input_scaling_flag():
         Operation("a1", "add", (scalar("x"), scalar("z")), scalar("d1")),
     ]
     g = Dfg.build(ops, LIB)
-    timing = compute_timing(g, LIB, 8)
+    timing = compute_timing(g, 8)
     cfg = SchedulerConfig(8, per_shared_input_energy=True)
     s = schedule_baseline(g, Allocation({"alu": 1}), cfg, timing)
-    m = analyze(s, g, LIB, cfg=cfg)
+    m = analyze(s, g, cfg=cfg)
     # a1 shares 1 of 2 inputs: discount scales to 0.25 * 1/2
     assert m.datapath_energy == 2.0 + 2.0 * (1 - 0.125)
 
@@ -110,11 +109,11 @@ def two_adds_one_bank():
 
 def test_memory_aware_schedule_has_zero_conflicts():
     g, mapping = two_adds_one_bank()
-    timing = compute_timing(g, LIB, 4)
+    timing = compute_timing(g, 4)
     s = schedule_memory_aware(
         g, Allocation({"alu": 2}), mapping, SchedulerConfig(4), timing
     )
-    m = analyze(s, g, LIB, s.model)
+    m = analyze(s, g, s.model)
     assert m.total_conflicts == 0
     assert m.per_bank["M0"].accesses == 2
     assert m.per_bank["M0"].peak_simultaneous_requests == 1
@@ -122,12 +121,12 @@ def test_memory_aware_schedule_has_zero_conflicts():
 
 def test_baseline_replay_counts_conflicts():
     g, mapping = two_adds_one_bank()
-    timing = compute_timing(g, LIB, 4)
+    timing = compute_timing(g, 4)
     s = schedule_baseline(
         g, Allocation({"alu": 2}), SchedulerConfig(4), timing
     )
     assert {e.start_cycle for e in s.entries.values()} == {0}
-    m = analyze(s, g, LIB, AccessModel(g, mapping))
+    m = analyze(s, g, AccessModel(g, mapping))
     # both fetches land on the cycle before start: 2 requests on one port
     assert m.per_bank["M0"].peak_simultaneous_requests == 2
     assert m.per_bank["M0"].port_conflict_cycles == 1
@@ -150,8 +149,8 @@ def test_replay_counts_full_multi_cycle_fetch_windows():
         oid: ScheduleEntry(oid, start, start + 1, "alu", i)
         for i, (oid, start) in enumerate((("r1", 2), ("r2", 3)))
     }
-    s = Schedule(entries, 4, Policy.BASELINE, SchedulerConfig(8), Allocation({"alu": 2}))
-    m = analyze(s, g, LIB, AccessModel(g, mapping))
+    s = Schedule(entries, SchedulerConfig(8))
+    m = analyze(s, g, AccessModel(g, mapping))
     assert m.per_bank["M0"].peak_simultaneous_requests == 2
     assert m.per_bank["M0"].port_conflict_cycles == 1
     assert m.total_conflicts == 1
@@ -174,10 +173,10 @@ def test_replay_conflicts_match_per_cycle_recount():
         g = random_dfg(rng, rng.randint(5, 15), lib)
         mapping = random_mapping(rng, g, rng.randint(1, 3))
         T = generous_deadline(g, mapping)
-        timing = compute_timing(g, lib, T)
-        alloc = compute_min_allocation(g, lib, T)
+        timing = compute_timing(g, T)
+        alloc = compute_min_allocation(g, T)
         s = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
-        m = analyze(s, g, lib, AccessModel(g, mapping))
+        m = analyze(s, g, AccessModel(g, mapping))
 
         demand: dict[str, Counter] = {}
         for op in g.operations:
@@ -207,12 +206,12 @@ def test_analyze_rejects_inconsistent_schedules():
     s = manual_schedule(g, set())
     del s.entries["op02"]
     with pytest.raises(InconsistentSchedule):
-        analyze(s, g, UNIT)
+        analyze(s, g)
 
 
 def test_compare_deltas_and_mismatch():
     g = flat_graph(5)
-    m1 = analyze(manual_schedule(g, set()), g, UNIT)
+    m1 = analyze(manual_schedule(g, set()), g)
     assert dataclasses.replace(compare(m1, m1)).makespan_delta == 0
     assert compare(m1, m1).energy_delta == 0.0
     assert compare(m1, m1).conflict_delta == 0
@@ -222,12 +221,12 @@ def test_compare_deltas_and_mismatch():
         oid: dataclasses.replace(e, start_cycle=e.start_cycle + 2, end_cycle=e.end_cycle + 2)
         for oid, e in s2.entries.items()
     }
-    s2 = Schedule(bumped, s2.makespan_cycles + 2, s2.policy, s2.config, s2.allocation)
-    m2 = analyze(s2, g, UNIT)
+    s2 = Schedule(bumped, s2.config)
+    m2 = analyze(s2, g)
     assert compare(m1, m2).makespan_delta == 2
 
     g6 = flat_graph(6)
-    m6 = analyze(manual_schedule(g6, set()), g6, UNIT)
+    m6 = analyze(manual_schedule(g6, set()), g6)
     with pytest.raises(MismatchedInputs):
         compare(m1, m6)
 
@@ -236,7 +235,7 @@ def test_compare_deltas_and_mismatch():
 
 def empty_schedule():
     g = flat_graph(0)
-    return g, Schedule({}, 0, Policy.BASELINE, SchedulerConfig(4), Allocation({"u": 1}))
+    return g, Schedule({}, SchedulerConfig(4))
 
 
 def test_gantt_empty_schedule_has_axes_only():
@@ -257,7 +256,7 @@ def test_gantt_single_op_box():
 
 def test_gantt_port_rows_show_serialized_fetches():
     g, mapping = two_adds_one_bank()
-    timing = compute_timing(g, LIB, 4)
+    timing = compute_timing(g, 4)
     s = schedule_memory_aware(
         g, Allocation({"alu": 2}), mapping, SchedulerConfig(4), timing
     )
@@ -272,8 +271,7 @@ def test_gantt_port_rows_show_serialized_fetches():
 def test_gantt_axis_has_at_most_41_ticks(horizon):
     # one op as long as the horizon; every tick is one grid line and one label
     entry = ScheduleEntry("op00", 0, horizon, "u", 0)
-    s = Schedule({"op00": entry}, horizon, Policy.BASELINE, SchedulerConfig(horizon),
-                 Allocation({"u": 1}))
+    s = Schedule({"op00": entry}, SchedulerConfig(horizon))
     svg = export_gantt(s, None)
     labels = re.findall(r'text-anchor="middle" fill="#333333">(\d+)<', svg)
     step = int(labels[1])
@@ -305,7 +303,7 @@ def test_csv_ties_break_by_op_id():
         oid: dataclasses.replace(e, start_cycle=0, end_cycle=1)
         for oid, e in s.entries.items()
     }
-    s = Schedule(same_start, 1, s.policy, s.config, s.allocation)
+    s = Schedule(same_start, s.config)
     rows = parse_schedule_csv(export_csv(s))
     assert [r["op"] for r in rows] == ["op00", "op01", "op02"]
 
@@ -315,3 +313,60 @@ def test_csv_roundtrip_fixed_point():
     s = manual_schedule(g, {"op02"})
     text = export_csv(s)
     assert format_schedule_csv(parse_schedule_csv(text)) == text
+
+
+# -- derived facts ----------------------------------------------------------------
+
+def test_makespan_is_the_latest_store_end():
+    # r1 executes over [1, 2) and stores u over [2, 5); r2 ends later, at 4,
+    # with its result in a register
+    ops = [
+        Operation("r1", "add", (scalar("a"),), scalar("u")),
+        Operation("r2", "add", (scalar("b"),), scalar("v")),
+    ]
+    g = Dfg.build(ops, LIB)
+    mapping = MemoryMapping(
+        [MemoryBank("M0", 1, 1, 3, 0)], {"a": "M0", "u": "M0"}, default_register=True
+    )
+    entries = {
+        "r1": ScheduleEntry("r1", 1, 2, "alu", 0,
+                            read_bookings=(PortBooking("M0", 0, 0, 1),),
+                            write_booking=PortBooking("M0", 0, 2, 5)),
+        "r2": ScheduleEntry("r2", 3, 4, "alu", 0),
+    }
+    s = Schedule(entries, SchedulerConfig(8), AccessModel(g, mapping))
+    assert s.makespan_cycles == 5
+    assert analyze(s, g, s.model).makespan_cycles == 5
+    assert '"makespan": 5' in s.to_json()
+    assert Schedule({}, SchedulerConfig(8)).makespan_cycles == 0
+
+
+def test_every_counted_model2_entry_is_discounted_per_shared_input():
+    g = fixtures.load_dfg("fft8_stage")
+    cfg = SchedulerConfig(32, per_shared_input_energy=True)
+    s = schedule_baseline(g, Allocation({"alu": 1, "mul": 1}), cfg, compute_timing(g, 32))
+    m = analyze(s, g)
+    counted = [oid for oid, e in s.entries.items() if e.is_model2]
+    assert m.model2_count == len(counted) > 0
+    for oid in counted:
+        # the same schedule without this entry's sharing costs more energy
+        plain = dict(s.entries, **{oid: dataclasses.replace(s.entries[oid], shared_inputs=0)})
+        m_plain = analyze(Schedule(plain, cfg), g)
+        assert m_plain.model2_count == m.model2_count - 1
+        assert m_plain.datapath_energy > m.datapath_energy
+
+
+@pytest.mark.parametrize("line, message", [
+    ("op00,0,1,u,0,yes", "line 2: model2 must be true or false, got 'yes'"),
+    ("op00,0,1,u,0,TRUE", "line 2: model2 must be true or false, got 'TRUE'"),
+    ("op00,0,1,u,0", "line 2: expected 6 cells, got 5"),
+    ("op00,0,1,u,0,true,x", "line 2: expected 6 cells, got 7"),
+])
+def test_csv_parse_rejects_malformed_rows(line, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_schedule_csv(f"op,start,end,class,instance,model2\n{line}\n")
+
+
+def test_csv_parse_rejects_empty_text():
+    with pytest.raises(ValueError, match=re.escape("unexpected CSV header: ()")):
+        parse_schedule_csv("")

@@ -100,8 +100,8 @@ def test_oracle_never_beaten_by_list_scheduler():
         g = random_dfg(rng, rng.randint(3, 7), lib)
         mapping = random_mapping(rng, g, rng.randint(0, 2))
         T = generous_deadline(g, mapping)
-        alloc = compute_min_allocation(g, lib, T)
-        timing = compute_timing(g, lib, T)
+        alloc = compute_min_allocation(g, T)
+        timing = compute_timing(g, T)
         aware = schedule_memory_aware(
             g, alloc, mapping, SchedulerConfig(T), timing
         )
@@ -128,7 +128,7 @@ def test_oracle_work_does_not_grow_with_the_horizon(monkeypatch):
     lib = fixtures.load_library()
     g = fixtures.load_dfg("fir4", lib)
     mapping = fixtures.load_mapping("fir4")
-    alloc = compute_min_allocation(g, lib, 12)
+    alloc = compute_min_allocation(g, 12)
     results, counts = [], []
     for T_max in (12, 12000):
         calls.clear()

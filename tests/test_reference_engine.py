@@ -30,11 +30,11 @@ def _instances(seed: int, n: int):
         lib = make_library(rng, rng.randint(1, 2))
         g = random_dfg(rng, rng.randint(3, 9), lib)
         mapping = random_mapping(rng, g, rng.randint(1, 2))
-        critical = compute_timing(g, lib, 10**6).critical_path_cycles
+        critical = compute_timing(g, 10**6).critical_path_cycles
         T = rng.choice((critical, (critical + generous_deadline(g, mapping)) // 2,
                         generous_deadline(g, mapping)))
         extra = rng.randint(0, 2)
-        counts = {k: v + extra for k, v in compute_min_allocation(g, lib, T).counts.items()}
+        counts = {k: v + extra for k, v in compute_min_allocation(g, T).counts.items()}
         yield g, mapping, counts, T
 
 
@@ -42,7 +42,7 @@ def _engine(g, mapping, counts, T, policy, flags):
     dynamic, positional, affinity = flags
     cfg = SchedulerConfig(T, dynamic_mobility=dynamic,
                           positional_affinity=positional, use_affinity=affinity)
-    timing = compute_timing(g, g.library, T)
+    timing = compute_timing(g, T)
     try:
         if policy is Policy.BASELINE:
             s = schedule_baseline(g, Allocation(counts), cfg, timing)

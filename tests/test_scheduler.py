@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memsched import (
+    AccessModel,
     Allocation,
     Dfg,
     InfeasibleConstraint,
@@ -14,6 +15,8 @@ from memsched import (
     OperatorClass,
     OperatorLibrary,
     Policy,
+    Schedule,
+    ScheduleEntry,
     SchedulerConfig,
     SchedulingError,
     TimeConstraintViolated,
@@ -45,23 +48,23 @@ def muls(n, shared=None):
 
 def run_baseline(g, counts, T, **cfg_kwargs):
     cfg = SchedulerConfig(T, **cfg_kwargs)
-    timing = compute_timing(g, g.library, T)
+    timing = compute_timing(g, T)
     return schedule_baseline(g, Allocation(counts), cfg, timing)
 
 
 # -- allocation -----------------------------------------------------------------
 
 def test_min_allocation_examples():
-    assert compute_min_allocation(muls(4), LIB, 4).counts == {"mul": 2}
+    assert compute_min_allocation(muls(4), 4).counts == {"mul": 2}
 
     g1 = Dfg.build([Operation("a0", "add", (scalar("u"),), scalar("r0"))], LIB)
-    assert compute_min_allocation(g1, LIB, 100).counts == {"alu": 1}
+    assert compute_min_allocation(g1, 100).counts == {"alu": 1}
 
     adds = Dfg.build(
         [Operation(f"a{i}", "add", (scalar(f"u{i}"),), scalar(f"r{i}")) for i in range(5)],
         LIB,
     )
-    assert compute_min_allocation(adds, LIB, 2).counts == {"alu": 3}
+    assert compute_min_allocation(adds, 2).counts == {"alu": 3}
 
 
 def test_min_allocation_infeasible_deadline():
@@ -69,15 +72,15 @@ def test_min_allocation_infeasible_deadline():
     # divides the work by the deadline
     g = muls(1)
     with pytest.raises(InfeasibleConstraint):
-        compute_timing(g, LIB, 1)
-    assert compute_min_allocation(g, LIB, 1).counts == {"mul": 2}
+        compute_timing(g, 1)
+    assert compute_min_allocation(g, 1).counts == {"mul": 2}
 
 
 @pytest.mark.parametrize("deadline", [0, -1])
 def test_min_allocation_rejects_a_deadline_below_one(deadline):
     # never a division by zero, never a silent allocation
     with pytest.raises((SchedulingError, ValueError)):
-        compute_min_allocation(muls(2), LIB, deadline)
+        compute_min_allocation(muls(2), deadline)
 
 
 # -- core behaviour ----------------------------------------------------------------
@@ -171,7 +174,7 @@ def test_binding_work_is_bounded_by_placements(monkeypatch, policy):
     lib = fixtures.load_library()
     g = fixtures.load_dfg("fir16", lib)
     cfg = SchedulerConfig(200)
-    timing = compute_timing(g, lib, 200)
+    timing = compute_timing(g, 200)
     alloc = Allocation({"mul": 1, "alu": 1})
     if policy is Policy.BASELINE:
         s = schedule_baseline(g, alloc, cfg, timing)
@@ -183,7 +186,7 @@ def test_binding_work_is_bounded_by_placements(monkeypatch, policy):
 
 def test_time_constraint_violated_reports_doubling_suggestion():
     g = muls(4)
-    timing = compute_timing(g, LIB, 4)
+    timing = compute_timing(g, 4)
     cfg = SchedulerConfig(4)
     with pytest.raises(TimeConstraintViolated) as err:
         schedule_baseline(g, Allocation({"mul": 1}), cfg, timing)
@@ -224,8 +227,8 @@ def test_idle_cycles_cost_no_work(monkeypatch):
     # fir4 at its minimum allocation: two muls at a time, 200000 cycles each
     g = fixtures.load_dfg("fir4", slow)
     T = 400100
-    timing = compute_timing(g, slow, T)
-    alloc = compute_min_allocation(g, slow, T)
+    timing = compute_timing(g, T)
+    alloc = compute_min_allocation(g, T)
     base = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
     aware = schedule_memory_aware(
         g, alloc, fixtures.load_mapping("fir4"), SchedulerConfig(T), timing
@@ -248,7 +251,7 @@ def test_idle_cycles_cost_no_work(monkeypatch):
 
 def test_infeasible_constraint_before_scheduling():
     g = muls(1)
-    timing = compute_timing(g, LIB, 4)
+    timing = compute_timing(g, 4)
     cfg = SchedulerConfig(1)
     with pytest.raises(InfeasibleConstraint):
         schedule_baseline(g, Allocation({"mul": 1}), cfg, timing)
@@ -261,8 +264,8 @@ def test_one_config_drives_both_policies(mapping):
     g = fixtures.load_dfg("fir16", lib)
     m = fixtures.load_mapping("fir16") if mapping == "fixture" else all_registers()
     cfg = SchedulerConfig(24)
-    timing = compute_timing(g, lib, 24)
-    alloc = compute_min_allocation(g, lib, 24)
+    timing = compute_timing(g, 24)
+    alloc = compute_min_allocation(g, 24)
     base = schedule_baseline(g, alloc, cfg, timing)
     aware = schedule_memory_aware(g, alloc, m, cfg, timing)
     assert (base.policy, aware.policy) == (Policy.BASELINE, Policy.MEMORY_AWARE)
@@ -307,8 +310,8 @@ def test_asap_degeneracy_on_fixtures():
     lib = fixtures.load_library()
     for kernel in ("fir4", "fft8_stage", "iir_biquad"):
         g = fixtures.load_dfg(kernel, lib)
-        T = compute_timing(g, lib, 500).critical_path_cycles
-        timing = compute_timing(g, lib, T)
+        T = compute_timing(g, 500).critical_path_cycles
+        timing = compute_timing(g, T)
         s = schedule_baseline(g, ample_allocation(g), SchedulerConfig(T), timing)
         for op in g.operations:
             assert s.entries[op.id].start_cycle == timing.asap[op.id], op.id
@@ -331,7 +334,7 @@ def test_random_baseline_schedules_are_safe():
         lib = make_library(rng, rng.randint(1, 3))
         g = random_dfg(rng, rng.randint(5, 20), lib)
         T = generous_deadline(g)
-        alloc = compute_min_allocation(g, lib, T)
+        alloc = compute_min_allocation(g, T)
         s = run_baseline(g, dict(alloc.counts), T)
         assert check_schedule_safety(g, s, None, alloc) == []
 
@@ -341,6 +344,31 @@ def test_dynamic_mobility_still_safe():
     lib = make_library(rng, 2)
     g = random_dfg(rng, 12, lib)
     T = generous_deadline(g)
-    alloc = compute_min_allocation(g, lib, T)
+    alloc = compute_min_allocation(g, T)
     s = run_baseline(g, dict(alloc.counts), T, dynamic_mobility=True)
     assert check_schedule_safety(g, s, None, alloc) == []
+
+
+# -- derived facts ----------------------------------------------------------------
+
+@pytest.mark.parametrize("model, policy", [
+    (None, Policy.BASELINE),
+    ("no mapping", Policy.BASELINE),
+    ("fixture", Policy.MEMORY_AWARE),
+    ("registers", Policy.MEMORY_AWARE),
+])
+def test_policy_is_read_off_the_model(model, policy):
+    g = fixtures.load_dfg("fir4")
+    models = {
+        None: None,
+        "no mapping": AccessModel(g),
+        "fixture": AccessModel(g, fixtures.load_mapping("fir4")),
+        "registers": AccessModel(g, all_registers()),
+    }
+    assert Schedule({}, SchedulerConfig(8), models[model]).policy is policy
+
+
+@pytest.mark.parametrize("shared", [0, 1, 2, 3])
+def test_is_model2_means_an_input_is_shared(shared):
+    entry = ScheduleEntry("m0", 0, 2, "mul", 0, shared_inputs=shared)
+    assert entry.is_model2 == (shared >= 1)
