@@ -252,6 +252,9 @@ class AccessModel:
     It may start once every fetch window begins at cycle 0 or later and no
     earlier than the completion of the producer of the fetched value, and
     once the producers of its register operands and its ``deps`` completed.
+
+    Building it under a mapping resolves every item an operation touches and
+    raises UnmappedData at the first one without a place.
     """
 
     def __init__(self, g: Dfg, mapping: MemoryMapping | None = None):
@@ -303,7 +306,9 @@ class AccessModel:
         return max([a.floor] + [finish[p] + lag for p, lag in a.waits])
 
 
-def validate_mapping(mapping: MemoryMapping, g: Dfg) -> list[Diagnostic]:
+def validate_mapping(
+    mapping: MemoryMapping, g: Dfg, model: AccessModel | None = None
+) -> list[Diagnostic]:
     """Check a mapping against a graph.
 
     Empty iff every item the graph touches resolves to a bank or register and
@@ -311,31 +316,38 @@ def validate_mapping(mapping: MemoryMapping, g: Dfg) -> list[Diagnostic]:
     has ports. Reads and the result store never contend with each other:
     fetches finish at operation start while the store begins at operation
     end, so only the simultaneous-fetch count is structural.
+
+    A caller that holds ``model``, the graph's access model under
+    ``mapping``, passes it: building it resolved every item (it raises
+    UnmappedData otherwise), so only the port check is left, and it reads
+    the model's fetch counts instead of walking the operands again.
     """
     diags: list[Diagnostic] = []
     unmapped_seen: set[str] = set()
     for op in g.operations:
-        refs = list(dict.fromkeys(op.operands)) + [op.result]
-        ok = True
-        for ref in refs:
-            try:
-                mapping.location_of(ref)
-            except UnmappedData:
-                ok = False
-                if ref.name not in unmapped_seen:
-                    unmapped_seen.add(ref.name)
-                    diags.append(Diagnostic("UnmappedData", ref.name, {"op": op.id}))
-        if not ok:
-            continue
-        for bank_id, refs_here in sorted(memory_read_refs(op, mapping).items()):
-            ports = mapping.bank_by_id[bank_id].ports
-            need = len(refs_here)
-            if need > ports:
+        if model is not None:
+            fetches = model._ops[op.id].fetches
+        else:
+            ok = True
+            for ref in list(dict.fromkeys(op.operands)) + [op.result]:
+                try:
+                    mapping.location_of(ref)
+                except UnmappedData:
+                    ok = False
+                    if ref.name not in unmapped_seen:
+                        unmapped_seen.add(ref.name)
+                        diags.append(Diagnostic("UnmappedData", ref.name, {"op": op.id}))
+            if not ok:
+                continue
+            fetches = [(mapping.bank_by_id[bank_id], len(refs))
+                       for bank_id, refs in sorted(memory_read_refs(op, mapping).items())]
+        for bank, need in fetches:
+            if need > bank.ports:
                 diags.append(
                     Diagnostic(
                         "PortOverSubscribed",
-                        f"{op.id} needs {need} ports on {bank_id}, has {ports}",
-                        {"op": op.id, "bank": bank_id, "need": need, "have": ports},
+                        f"{op.id} needs {need} ports on {bank.id}, has {bank.ports}",
+                        {"op": op.id, "bank": bank.id, "need": need, "have": bank.ports},
                     )
                 )
     return diags

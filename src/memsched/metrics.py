@@ -348,8 +348,9 @@ def format_schedule_csv(rows) -> str:
 
 def parse_schedule_csv(text: str) -> list[dict]:
     """Inverse of :func:`export_csv` for the exported fields. A row without
-    exactly one cell per header column, or a ``model2`` cell other than
-    ``true``/``false``, raises ValueError naming its line."""
+    exactly one cell per header column, a ``model2`` cell other than
+    ``true``/``false``, or a ``start``, ``end`` or ``instance`` cell that is
+    not an integer raises ValueError naming its line and column."""
     reader = csv.reader(io.StringIO(text))
     header = tuple(next(reader, ()))
     if header != _CSV_HEADER:
@@ -367,16 +368,16 @@ def parse_schedule_csv(text: str) -> list[dict]:
             raise ValueError(
                 f"line {reader.line_num}: model2 must be true or false, got {model2!r}"
             )
-        rows.append(
-            {
-                "op": op,
-                "start": int(start),
-                "end": int(end),
-                "class": cls,
-                "instance": int(instance),
-                "model2": model2 == "true",
-            }
-        )
+        row = {"op": op, "start": start, "end": end, "class": cls,
+               "instance": instance, "model2": model2 == "true"}
+        for column in ("start", "end", "instance"):
+            try:
+                row[column] = int(row[column])
+            except ValueError:
+                raise ValueError(
+                    f"line {reader.line_num}: {column} must be an integer, got {row[column]!r}"
+                ) from None
+        rows.append(row)
     return rows
 
 

@@ -8,10 +8,10 @@ affinity, then id). MEMORY_AWARE (a mapping) adds one bookable access token
 per bank port: an operation may only start at cycle t if it is legal under
 the mapping's access model (``memmap.AccessModel``) and a port is free for
 each of its fetch and store windows. An operation joins the ready list at its
-earliest legal start; each cycle the engine queues the ready operations
-whose class has a free instance, pops the best, binds it to its best free
-instance and places it if its ports are free, otherwise the operation waits
-for the next cycle.
+earliest legal start; each cycle the engine queues the best ready operation
+of each group (below) whose class has a free instance, pops the best, binds
+it to its best free instance and places it if its ports are free, otherwise
+the operation waits for the next cycle.
 
 The engine is incremental; these facts keep it equal to re-sorting every
 candidate after every placement:
@@ -22,9 +22,9 @@ candidate after every placement:
   earliest start is computed once and it waits on a heap for that cycle.
   Every latency is >= 1, so an operation placed at t readies nothing at t.
 - Each operation's key is static, computed once per run. Dynamic mobility
-  ranks by ALAP start minus the current cycle, but the queue is rebuilt every
-  cycle and that shifts every key in it equally, so the ALAP start alone
-  gives the same order.
+  ranks by ALAP start minus the current cycle, but the queue is built anew
+  every cycle and that shifts every key in it equally, so the ALAP start
+  alone gives the same order.
 - The optimistic key (slack, -operand count, id) is a lower bound on the
   true priority (slack, -shared inputs, id): an operation cannot share more
   inputs than it has operands. Within a cycle instances only fill up, and
@@ -34,10 +34,26 @@ candidate after every placement:
   key is smaller: right after binding, or when it pops again bound to an
   instance that is still free. Without affinity the key (slack, 0, id) is
   exact from the start.
-- A port-blocked operation stays blocked for the rest of the cycle: ports
-  only fill up within a cycle. Binding has no side effects, so a popped
-  operation is gated first and dropped unbound when a port is busy, as it
-  is when its class has no free instance left.
+- Operations of one class with the same completion offset and the same
+  access windows relative to their start form a group, interned to an int
+  once per run. At one cycle every member of a group meets or misses the
+  deadline, finds a free instance or none, and finds its ports free or
+  busy, together. Ready operations wait in one heap per group under their
+  static key, and a group's head stands for the group: each cycle the queue
+  gets the head of every non-empty group whose class has a free instance
+  and whose completion offset meets the deadline, and no other operation.
+- Instances and ports only fill up within a cycle, so a popped operation
+  whose class is full or whose port is busy stays blocked for the rest of
+  the cycle, and so does its group. Binding has no side effects, so a
+  popped operation is gated first and, when blocked, deferred without
+  binding. A blocked head stays in its heap and its group gets no further
+  pull this cycle; a bound operation blocked later in the cycle goes back
+  into its group's heap when the cycle ends.
+- A head that passes the gate is taken off its heap and the group's next
+  head joins the queue before the head binds, so the queue's minimum is
+  always the minimum over every candidate: the heap holds no key below its
+  head's. Only an unbound queue entry is a head, so each group has at most
+  one head queued.
 - A cycle whose queue is empty is idle until the next arrival or the next
   instance release, so the engine jumps there (to T when neither comes):
   ports matter only to a queued operation, and an operation whose
@@ -74,7 +90,6 @@ from .errors import (
     MappingInfeasible,
     TimeConstraintViolated,
     TooLarge,
-    UnmappedData,
 )
 from .memmap import AccessModel, MemoryBank, MemoryMapping, validate_mapping
 
@@ -350,27 +365,41 @@ class _Engine:
         finish: dict[str, int] = {}
         succs = g.successors()
         # unplaced predecessors per op; at 0 its earliest start is fixed and
-        # it waits in `arrivals` until that cycle, then joins `ready`
+        # it waits in `arrivals` until that cycle, then joins its group's heap
         waiting = {op.id: len(g.predecessors(op.id)) for op in g.operations}
         arrivals = [(model.earliest_start(oid, finish), oid)
                     for oid, n in waiting.items() if n == 0]
         heapq.heapify(arrivals)
-        ready: set[str] = set()
+        # ready ops wait in one heap per group (module docs), interned from
+        # the class, the completion offset and the windows at start 0
+        shapes: dict[tuple, int] = {}
+        group: dict[str, int] = {}
+        for oid, c in cls.items():
+            shape = (c.name, model.completion(oid, 0),
+                     *((w.bank.id, w.count, w.start, w.end) for w in model.windows(oid, 0)))
+            group[oid] = shapes.setdefault(shape, len(shapes))
+        heaps: list[list[tuple]] = [[] for _ in shapes]
+        # (group, completion offset) per class
+        groups_of_class: dict[str, list[tuple[int, int]]] = {n: [] for n in self.instances}
+        for (name, done, *_), gid in shapes.items():
+            groups_of_class[name].append((gid, done))
 
         t = 0
         while t < T and len(entries) < len(waiting):
             while arrivals and arrivals[0][0] <= t:
-                ready.add(heapq.heappop(arrivals)[1])
+                oid = heapq.heappop(arrivals)[1]
+                heapq.heappush(heaps[group[oid]], prio[oid])
             free = {
                 name: [inst for inst in insts if inst.busy_until_cycle <= t]
                 for name, insts in self.instances.items()
             }
-            # entries (key, shared, instance); unbound ones carry the
-            # optimistic key and no instance
+            # entries (key, shared, instance); a group's head stays in its
+            # heap and enters unbound, with its optimistic key
             queue = [
-                (prio[oid], 0, None)
-                for oid in ready
-                if free[cls[oid].name] and model.completion(oid, t) <= T
+                (heaps[gid][0], 0, None)
+                for name, pool in free.items() if pool
+                for gid, done in groups_of_class[name]
+                if heaps[gid] and t + done <= T
             ]
             if not queue:
                 # idle until an op arrives or an instance frees (module docs)
@@ -381,15 +410,25 @@ class _Engine:
                 t = min(wake, default=T)
                 continue
             heapq.heapify(queue)
+            deferred: list[str] = []  # bound ops blocked later in the cycle
             while queue:
                 key, shared, inst = heapq.heappop(queue)
                 oid = key[-1]
                 pool = free[cls[oid].name]
-                if not pool:
-                    continue
-                plan = self._gate(oid, t, ledger)
+                plan = self._gate(oid, t, ledger) if pool else None
                 if plan is None:
+                    # the group is blocked for the rest of the cycle: an
+                    # unbound head stays in its heap and pulls no successor
+                    if inst is not None:
+                        deferred.append(oid)
                     continue
+                if inst is None:
+                    # pull the group's next head before binding, so the
+                    # queue's minimum stays the global one
+                    heap = heaps[group[oid]]
+                    heapq.heappop(heap)
+                    if heap:
+                        heapq.heappush(queue, (heap[0], 0, None))
                 if inst is None or inst.busy_until_cycle > t:
                     # unbound, or its instance was taken this cycle: bind,
                     # and requeue unless the exact key is still the best
@@ -400,11 +439,12 @@ class _Engine:
                         continue
                 self._place(oid, t, shared, inst, plan, ledger, entries, finish)
                 pool.remove(inst)
-                ready.discard(oid)
                 for s in succs[oid]:
                     waiting[s] -= 1
                     if not waiting[s]:
                         heapq.heappush(arrivals, (model.earliest_start(s, finish), s))
+            for oid in deferred:
+                heapq.heappush(heaps[group[oid]], prio[oid])
             t += 1
         return entries, {oid for oid in waiting if oid not in entries}
 
@@ -464,11 +504,10 @@ def _run_or_raise(
     alloc: Allocation,
     cfg: SchedulerConfig,
     timing: TimingAnalysis,
-    mapping: MemoryMapping | None,
+    model: AccessModel,
 ) -> Schedule:
     if timing.critical_path_cycles > cfg.time_constraint_cycles:
         raise InfeasibleConstraint(timing.critical_path_cycles, cfg.time_constraint_cycles)
-    model = AccessModel(g, mapping)
     entries, unscheduled = _Engine(g, alloc, cfg, timing, model).run()
     if unscheduled:
         # One run at 8T answers for 2T and 4T too (see module docs).
@@ -488,7 +527,7 @@ def schedule_baseline(
     g: Dfg, alloc: Allocation, cfg: SchedulerConfig, timing: TimingAnalysis
 ) -> Schedule:
     """Priority-list scheduling that ignores memory placement entirely."""
-    return _run_or_raise(g, alloc, cfg, timing, None)
+    return _run_or_raise(g, alloc, cfg, timing, AccessModel(g))
 
 
 def schedule_memory_aware(
@@ -504,15 +543,15 @@ def schedule_memory_aware(
     UnmappedData, single operations demanding more ports than a bank owns
     raise MappingInfeasible.
     """
-    problems = validate_mapping(mapping, g)
-    for diag in problems:
-        if diag.code == "UnmappedData":
-            raise UnmappedData(diag.payload)
+    # building the model raises UnmappedData at the first unmapped item, in
+    # the order validate_mapping reports them, and walks the operands once
+    model = AccessModel(g, mapping)
+    problems = validate_mapping(mapping, g, model)
     if problems:
         raise MappingInfeasible(
             "; ".join(str(d) for d in problems), diagnostics=problems
         )
-    return _run_or_raise(g, alloc, cfg, timing, mapping)
+    return _run_or_raise(g, alloc, cfg, timing, model)
 
 
 # ---------------------------------------------------------------------------

@@ -353,23 +353,26 @@ def test_compare_computes_timing_once_plus_allocation_guard(inputs, monkeypatch)
     assert calls == [24]
 
 
-# case -> (argv, timing passes, access models built in order)
+# case -> (argv, timing passes, access models built in order, walks of an
+# op's memory operands): one walk per op and mapping model, so the mapping
+# check of the mem-aware path reads the model's fetch counts (fir16 has 31
+# ops, two_adds_one_bank 2)
 DERIVATIONS = {
     "compare": (
         ["compare", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"]),
+        1, ["registers", "mapping"], 31),
     "schedule mem-aware": (
         ["schedule", "--policy", "mem-aware", "--dfg", "fir16.dfg.json",
          "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["mapping"]),
+        1, ["mapping"], 31),
     "schedule baseline with a mapping": (
         ["schedule", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"]),
+        1, ["registers", "mapping"], 31),
     # the oracle derives its own bound and model at its T_max
     "compare with the oracle": (
         ["compare", "--dfg", "two_adds_one_bank.dfg.json",
          "--mapping", "two_adds_one_bank.map.json", "--T", "4", "--alloc", "alu=2", "--oracle"],
-        2, ["registers", "mapping", "mapping"]),
+        2, ["registers", "mapping", "mapping"], 4),
 }
 
 
@@ -379,8 +382,8 @@ def test_each_call_derives_timing_and_models_once(inputs, monkeypatch, case):
     import memsched.memmap as memmap
     import memsched.scheduler as scheduler
 
-    argv, timing_passes, models = DERIVATIONS[case]
-    timings, built = [], []
+    argv, timing_passes, models, walks = DERIVATIONS[case]
+    timings, built, walked = [], [], []
 
     def counting(original):
         def wrapper(*args, **kwargs):
@@ -396,11 +399,19 @@ def test_each_call_derives_timing_and_models_once(inputs, monkeypatch, case):
 
     monkeypatch.setattr(cli, "compute_timing", counting(cli.compute_timing))
     monkeypatch.setattr(scheduler, "compute_timing", counting(scheduler.compute_timing))
+    walk = memmap.memory_read_refs
+
+    def counting_walk(op, mapping):
+        walked.append(op.id)
+        return walk(op, mapping)
+
     monkeypatch.setattr(memmap.AccessModel, "__init__", counting_build)
+    monkeypatch.setattr(memmap, "memory_read_refs", counting_walk)
     files = [inputs.get(arg, arg) for arg in argv]
     assert main(files + ["--library", inputs["dsp.lib.json"], "--out", inputs["out"]]) == 0
     assert len(timings) == timing_passes
     assert ["registers" if m is None else "mapping" for m in built] == models
+    assert len(walked) == walks
 
 
 # -- the input contract: one document per rule --------------------------------

@@ -170,6 +170,20 @@ def test_blocked_op_yields_to_later_ready_op():
     assert s.entries["q1"].start_cycle == 2
 
 
+def test_a_busy_store_port_blocks_only_ops_storing_there():
+    # s0..s2 read registers only and are ready at 0 with equal slack; s0
+    # and s1 store to the 1-port bank W0, s2 to W1. Without affinity each
+    # op is placed as soon as it binds, so s0 takes W0 over [1, 2) before
+    # s1 pops. s1 waits a cycle, but s2 still starts at 0: ops that
+    # differ only in their store bank are gated apart
+    ops = [Operation(f"s{i}", "add", (scalar(f"x{i}"),), scalar(f"u{i}")) for i in range(3)]
+    g = Dfg.build(ops, LIB)
+    mapping = MemoryMapping([bank("W0"), bank("W1")], {"u0": "W0", "u1": "W0", "u2": "W1"},
+                            default_register=True)
+    s = run_aware(g, mapping, {"alu": 3}, 8, use_affinity=False)
+    assert [s.entries[f"s{i}"].start_cycle for i in range(3)] == [0, 1, 0]
+
+
 def test_port_blocked_ops_are_not_bound(monkeypatch):
     # r0..r3 each fetch their own input from the 1-port bank M0, so one of
     # them gets the port per cycle; chains of 3..0 muls give them distinct

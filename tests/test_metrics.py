@@ -361,6 +361,9 @@ def test_every_counted_model2_entry_is_discounted_per_shared_input():
     ("op00,0,1,u,0,TRUE", "line 2: model2 must be true or false, got 'TRUE'"),
     ("op00,0,1,u,0", "line 2: expected 6 cells, got 5"),
     ("op00,0,1,u,0,true,x", "line 2: expected 6 cells, got 7"),
+    ("op00,x,1,u,0,true", "line 2: start must be an integer, got 'x'"),
+    ("op00,0,1.5,u,0,true", "line 2: end must be an integer, got '1.5'"),
+    ("op00,0,1,u,,true", "line 2: instance must be an integer, got ''"),
 ])
 def test_csv_parse_rejects_malformed_rows(line, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -85,3 +85,38 @@ def test_engine_matches_naive_reference(policy):
                 outcomes["missed"] += 1
     # both outcomes occur, so neither path is compared vacuously
     assert outcomes["placed"] and outcomes["missed"], outcomes
+
+
+def _crowded_instances(seed: int, n: int):
+    """40-80-op instances at their minimum allocation, so that many ready ops
+    wait at once, often several with one class and one window shape; the
+    deadline cycles through the critical path, a midpoint and a generous
+    one."""
+    rng = random.Random(seed)
+    for i in range(n):
+        lib = make_library(rng, rng.randint(1, 2))
+        g = random_dfg(rng, rng.randint(40, 80), lib)
+        mapping = random_mapping(rng, g, rng.randint(1, 2))
+        critical = compute_timing(g, 10**6).critical_path_cycles
+        generous = generous_deadline(g, mapping)
+        T = (critical, (critical + generous) // 2, generous)[i % 3]
+        yield g, mapping, dict(compute_min_allocation(g, T).counts), T
+
+
+@pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+def test_engine_matches_naive_reference_on_crowded_instances(policy):
+    outcomes = {"placed": 0, "missed": 0}
+    for g, mapping, counts, T in _crowded_instances(4, 10):
+        for flags in FLAGS:
+            dynamic, positional, affinity = flags
+            want, want_left = reference_schedule(
+                g, counts, mapping if policy is Policy.MEMORY_AWARE else None, T,
+                dynamic_mobility=dynamic, positional_affinity=positional,
+                use_affinity=affinity,
+            )
+            got, got_left = _engine(g, mapping, counts, T, policy, flags)
+            assert got_left == want_left, (len(g.operations), T, flags)
+            if got is not None:
+                assert got == want, (len(g.operations), T, flags)
+            outcomes["placed" if got is not None else "missed"] += 1
+    assert outcomes["placed"] and outcomes["missed"], outcomes

@@ -1,7 +1,9 @@
 """Baseline list scheduling: allocation, priorities, binding, determinism."""
 
+import heapq
 import json
 import random
+import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,8 @@ from memsched import (
     Allocation,
     Dfg,
     InfeasibleConstraint,
+    MemoryBank,
+    MemoryMapping,
     Operation,
     OperatorClass,
     OperatorLibrary,
@@ -25,6 +29,7 @@ from memsched import (
     bruteforce_optimal_makespan,
     compute_min_allocation,
     compute_timing,
+    elem,
     scalar,
     schedule_baseline,
     schedule_memory_aware,
@@ -182,6 +187,70 @@ def test_binding_work_is_bounded_by_placements(monkeypatch, policy):
         s = schedule_memory_aware(g, alloc, fixtures.load_mapping("fir16"), cfg, timing)
     assert len(s.entries) == len(g.operations) == 31
     assert len(calls) <= 2 * 31
+
+
+def fir_chain(taps):
+    """A direct-form FIR: ``taps`` products of x[i] and h[i], read from two
+    different 1-port banks, summed by a serial adder chain."""
+    ops = [Operation(f"m{i}", "mul", (elem("x", i), elem("h", i)), scalar(f"p{i}"))
+           for i in range(taps)]
+    acc = scalar("p0")
+    for i in range(1, taps):
+        ops.append(Operation(f"a{i}", "add", (acc, scalar(f"p{i}")), scalar(f"s{i}")))
+        acc = scalar(f"s{i}")
+    banks = [MemoryBank(f"M{b}", 1, 1, 1) for b in range(3)]
+    place = {}
+    for i in range(taps):
+        place[f"x[{i}]"], place[f"h[{i}]"] = f"M{i % 3}", f"M{(i + 1) % 3}"
+    return Dfg.build(ops, LIB), MemoryMapping(banks, place, default_register=True)
+
+
+class CountingHeapq:
+    """Stands in for the scheduler's ``heapq`` and counts its pops."""
+
+    def __init__(self):
+        self.pops = 0
+
+    def __getattr__(self, name):
+        return getattr(heapq, name)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+@pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+def test_queue_work_grows_linearly_with_the_chain(monkeypatch, policy):
+    # one mul and one alu under a deadline that runs every op and fetch
+    # one after another: the ready set stays large for the whole run, so
+    # re-queuing every ready op each cycle would cost ops squared
+    import memsched.scheduler as scheduler
+
+    pops = {}
+    for taps in (96, 192):
+        g, mapping = fir_chain(taps)
+        T = 4 + 4 * taps + (taps - 1)  # each mul with its two fetches, each add
+        alloc = compute_min_allocation(g, T)
+        assert alloc.counts == {"alu": 1, "mul": 1}
+        counter = CountingHeapq()
+        monkeypatch.setattr(scheduler, "heapq", counter)
+        cfg, timing = SchedulerConfig(T), compute_timing(g, T)
+        if policy is Policy.BASELINE:
+            s = schedule_baseline(g, alloc, cfg, timing)
+        else:
+            s = schedule_memory_aware(g, alloc, mapping, cfg, timing)
+        assert len(s.entries) == len(g.operations)
+        pops[taps] = counter.pops
+        assert counter.pops <= 8 * len(g.operations), (taps, counter.pops)
+    assert pops[192] <= 2.2 * pops[96], pops
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM on this platform")
+def test_each_test_runs_under_a_time_limit():
+    # conftest.py arms an alarm per test, so an engine loop that never
+    # ends fails its test instead of stalling the suite
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= 60
 
 
 def test_time_constraint_violated_reports_doubling_suggestion():
