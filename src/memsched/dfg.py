@@ -3,8 +3,9 @@ topological ordering and ASAP/ALAP/mobility timing analysis.
 
 A graph is a DAG of single-assignment operations over named scalar data
 items; array accesses are flattened to per-element items at parse time
-(``x[3]`` is one item). All values here are immutable and safe to share
-between threads.
+(``x[3]`` is one item). A data item is a named tuple, equal and hashed by
+value, so the dicts and sets keyed on items hash and compare them in C.
+All values here are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     CycleDetected,
@@ -35,26 +36,35 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ELEMENT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(0|[1-9][0-9]*)\]$")
 
 
-@dataclass(frozen=True)
-class DataRef:
-    """A single schedulable data item: a scalar or one array element.
-
-    Array elements are distinct items; their canonical ``name`` is
-    ``array[index]`` with a flat, non-negative index.
-    """
-
+# typing.NamedTuple forbids overriding __new__, so DataRef's checks live in
+# a subclass of its fields
+class _DataRefFields(NamedTuple):
     name: str
     array: str | None = None
     index: int | None = None
     width_bits: int = DEFAULT_WIDTH_BITS
 
-    def __post_init__(self):
-        if not self.name:
+
+class DataRef(_DataRefFields):
+    """A single schedulable data item: a scalar or one array element.
+
+    Array elements are distinct items; their canonical ``name`` is
+    ``array[index]`` with a flat, non-negative index. A named tuple, so it
+    is equal and hashed by value, (name, array, index, width_bits), and
+    equals a plain 4-tuple of the same fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, array: str | None = None, index: int | None = None,
+                width_bits: int = DEFAULT_WIDTH_BITS):
+        if not name:
             raise ValueError("data item name must be non-empty")
-        if self.array is not None and (self.index is None or self.index < 0):
-            raise ValueError(f"array element {self.name!r} needs a non-negative index")
-        if self.width_bits < 1:
-            raise ValueError(f"width_bits must be positive, got {self.width_bits}")
+        if array is not None and (index is None or index < 0):
+            raise ValueError(f"array element {name!r} needs a non-negative index")
+        if width_bits < 1:
+            raise ValueError(f"width_bits must be positive, got {width_bits}")
+        return tuple.__new__(cls, (name, array, index, width_bits))
 
     @property
     def is_array_element(self) -> bool:
@@ -63,12 +73,12 @@ class DataRef:
 
 def scalar(name: str, width_bits: int = DEFAULT_WIDTH_BITS) -> DataRef:
     """Build a scalar data item reference."""
-    return DataRef(name=name, width_bits=width_bits)
+    return DataRef(name, None, None, width_bits)
 
 
 def elem(array: str, index: int, width_bits: int = DEFAULT_WIDTH_BITS) -> DataRef:
     """Build an array-element data item reference (flat index)."""
-    return DataRef(name=f"{array}[{index}]", array=array, index=index, width_bits=width_bits)
+    return DataRef(f"{array}[{index}]", array, index, width_bits)
 
 
 @dataclass(frozen=True)
@@ -337,6 +347,15 @@ def parse_dfg(text: str, library: OperatorLibrary) -> Dfg:
 
     decls = _parse_input_decls(_expect(doc, "inputs", list, "dfg document"))
     widths = {d.name: d.width_bits for d in decls}
+    inputs = [ref for decl in decls for ref in decl.refs()]
+    # each distinct token becomes one item, shared by every op that names it
+    refs = {ref.name: ref for ref in inputs}
+
+    def ref_of(token: str) -> DataRef:
+        ref = refs.get(token)
+        if ref is None:
+            ref = refs[token] = _data_ref(token, widths)
+        return ref
 
     operations = []
     for i, entry in enumerate(_expect(doc, "ops", list, "dfg document")):
@@ -349,19 +368,18 @@ def parse_dfg(text: str, library: OperatorLibrary) -> Dfg:
         args = _expect(entry, "args", list, where)
         if not args or not all(isinstance(a, str) for a in args):
             raise FormatError(f"{where}.args must be a non-empty list of names")
-        result = _data_ref(_expect(entry, "result", str, where), widths)
+        result = ref_of(_expect(entry, "result", str, where))
         deps = entry.get("deps", [])
         if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
             raise FormatError(f"{where}.deps must be a list of op ids")
-        operands = tuple(_data_ref(a, widths) for a in args)
+        operands = tuple(map(ref_of, args))
         operations.append(Operation(op_id, opcode, operands, result, frozenset(deps)))
 
     outputs = _expect(doc, "outputs", list, "dfg document")
     if not all(isinstance(token, str) for token in outputs):
         raise FormatError("outputs must be a list of names")
 
-    inputs = [ref for decl in decls for ref in decl.refs()]
-    g = Dfg(operations, library, inputs, [_data_ref(t, widths) for t in outputs], decls)
+    g = Dfg(operations, library, inputs, list(map(ref_of, outputs)), decls)
     findings = validate_dfg(g)
     if findings:
         raise _finding_error(findings[0])

@@ -19,7 +19,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
-from xml.sax.saxutils import escape
 
 from .dfg import Dfg
 from .errors import InconsistentSchedule, MismatchedInputs
@@ -206,6 +205,13 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # exports
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped, the
+    set ``xml.sax.saxutils.escape`` escapes by default, whose import alone
+    would pull in ``urllib.request`` and ``http.client``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 _CLASS_COLORS = ("#7ea7d8", "#a1d372", "#eb8445", "#7bcdc8", "#c49bd4", "#fff79a")
 _READ_COLOR = "#d8e8c0"
 _WRITE_COLOR = "#f2c9a8"
@@ -263,7 +269,7 @@ def export_gantt(s: Schedule, mapping: MemoryMapping | None = None) -> str:
         label = f"{a}[{b}]" if kind == "op" else f"{a}.p{b}"
         out.append(
             f'<text x="{_MARGIN_LEFT - 8}" y="{y_top + _ROW_H - 9}" '
-            f'text-anchor="end" fill="#333333">{escape(label)}</text>'
+            f'text-anchor="end" fill="#333333">{_escape(label)}</text>'
         )
         out.append(
             f'<line x1="{_MARGIN_LEFT}" y1="{y_top}" x2="{x(horizon)}" y2="{y_top}" '
@@ -278,7 +284,7 @@ def export_gantt(s: Schedule, mapping: MemoryMapping | None = None) -> str:
         )
         out.append(
             f'<text x="{(x(start) + x(end)) // 2}" y="{y_top + _ROW_H - 12}" '
-            f'text-anchor="middle" fill="#222222">{escape(label)}</text>'
+            f'text-anchor="middle" fill="#222222">{_escape(label)}</text>'
         )
 
     for e in entries:

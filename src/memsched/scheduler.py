@@ -336,6 +336,8 @@ class _Engine:
         self.timing = timing
         self.model = model
         self.cls = {op.id: g.class_of(op) for op in g.operations}
+        # each op's access windows at start 0: offsets from its start
+        self.windows = {oid: model.windows(oid, 0) for oid in self.cls}
         used = sorted({c.name for c in self.cls.values()})
         for name in used:
             if alloc.count(name) < 1:
@@ -376,7 +378,7 @@ class _Engine:
         group: dict[str, int] = {}
         for oid, c in cls.items():
             shape = (c.name, model.completion(oid, 0),
-                     *((w.bank.id, w.count, w.start, w.end) for w in model.windows(oid, 0)))
+                     *((w.bank.id, w.count, w.start, w.end) for w in self.windows[oid]))
             group[oid] = shapes.setdefault(shape, len(shapes))
         heaps: list[list[tuple]] = [[] for _ in shapes]
         # (group, completion offset) per class
@@ -415,8 +417,8 @@ class _Engine:
                 key, shared, inst = heapq.heappop(queue)
                 oid = key[-1]
                 pool = free[cls[oid].name]
-                plan = self._gate(oid, t, ledger) if pool else None
-                if plan is None:
+                ports = self._gate(oid, t, ledger) if pool else None
+                if ports is None:
                     # the group is blocked for the rest of the cycle: an
                     # unbound head stays in its heap and pulls no successor
                     if inst is not None:
@@ -437,7 +439,7 @@ class _Engine:
                     if queue and queue[0][0] < key:
                         heapq.heappush(queue, (key, shared, inst))
                         continue
-                self._place(oid, t, shared, inst, plan, ledger, entries, finish)
+                self._place(oid, t, shared, inst, ports, ledger, entries, finish)
                 pool.remove(inst)
                 for s in succs[oid]:
                     waiting[s] -= 1
@@ -463,34 +465,39 @@ class _Engine:
         return shared, inst
 
     def _gate(self, oid: str, t: int, ledger: PortLedger):
-        """Port plan for starting ``oid`` at t, or None when a port is busy."""
-        reads: list[PortBooking] = []
-        write = None
-        for w in self.model.windows(oid, t):
-            free = ledger.free_ports(w.bank, w.start, w.end)
+        """The lowest free ports of each access window of ``oid`` started
+        at t, or None when a bank has too few free."""
+        ports = []
+        for w in self.windows[oid]:
+            free = ledger.free_ports(w.bank, t + w.start, t + w.end)
             if len(free) < w.count:
                 return None
-            bookings = [PortBooking(w.bank.id, p, w.start, w.end) for p in free[: w.count]]
-            if w.is_store:
-                write = bookings[0]
-            else:
-                reads.extend(bookings)
-        return tuple(reads), write
+            ports.append(free[: w.count])
+        return ports
 
-    def _place(self, oid, t, shared, inst, plan, ledger, entries, finish) -> None:
-        reads, write = plan
+    def _place(self, oid, t, shared, inst, ports, ledger, entries, finish) -> None:
+        """Start ``oid`` at t on ``inst``, booking ``ports[k]`` for its k-th
+        access window. Windows come by bank id and their ports ascending, so
+        the read bookings come out in (bank, port) order."""
+        reads: list[PortBooking] = []
+        write = None
+        for w, chosen in zip(self.windows[oid], ports):
+            first, last = t + w.start, t + w.end
+            for p in chosen:
+                ledger.book(w.bank.id, p, first, last)
+                booking = PortBooking(w.bank.id, p, first, last)
+                if w.is_store:
+                    write = booking
+                else:
+                    reads.append(booking)
         end = t + self.cls[oid].latency_cycles
-        for b in reads:
-            ledger.book(b.bank_id, b.port_index, b.start, b.end)
-        if write is not None:
-            ledger.book(write.bank_id, write.port_index, write.start, write.end)
         entries[oid] = ScheduleEntry(
             op_id=oid,
             start_cycle=t,
             end_cycle=end,
             class_name=inst.class_name,
             instance_index=inst.instance_index,
-            read_bookings=tuple(sorted(reads, key=lambda b: (b.bank_id, b.port_index))),
+            read_bookings=tuple(reads),
             write_booking=write,
             shared_inputs=shared,
         )
@@ -596,7 +603,7 @@ def bruteforce_optimal_makespan(
         capacity.append(bank.ports)
     holds = {
         oid: [(rid["class", cls[oid].name], 0, cls[oid].latency_cycles, 1)]
-        + [(rid["bank", w.bank.id], w.start, w.end, w.count) for w in model.windows(oid, 0)]
+        + [(rid["bank", w.bank.id], w.start, w.end, w.count) for w in engine.windows[oid]]
         for oid in order
     }
 
@@ -667,25 +674,19 @@ def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
     access's start. Both are exact interval partitions when the per-cycle
     occupancy fits, which the search guaranteed, and the ledger re-checks
     every booking."""
-    g, model = engine.g, engine.model
-    reads: dict[str, list[PortBooking]] = {oid: [] for oid in starts}
-    writes: dict[str, PortBooking] = {}
     accesses = sorted(
-        (w.start, w.end, oid, w.is_store, w.bank.id, w.bank.ports)
+        (s + w.start, s + w.end, oid, k, w.bank.id, w.bank.ports)
         for oid, s in starts.items()
-        for w in model.windows(oid, s)
+        for k, w in enumerate(engine.windows[oid])
         for _ in range(w.count)
     )
+    ports = {oid: [[] for _ in engine.windows[oid]] for oid in starts}
     port_ends: dict[str, list[int]] = {}  # end of each port's last window
-    for start, end, oid, is_store, bank_id, ports in accesses:
-        ends = port_ends.setdefault(bank_id, [0] * ports)
+    for start, end, oid, k, bank_id, n_ports in accesses:
+        ends = port_ends.setdefault(bank_id, [0] * n_ports)
         port = next(p for p, e in enumerate(ends) if e <= start)
         ends[port] = end
-        booking = PortBooking(bank_id, port, start, end)
-        if is_store:
-            writes[oid] = booking
-        else:
-            reads[oid].append(booking)
+        ports[oid][k].append(port)
 
     ledger = PortLedger()
     entries: dict[str, ScheduleEntry] = {}
@@ -694,7 +695,6 @@ def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
         start = starts[oid]
         inst = next(i for i in engine.instances[engine.cls[oid].name]
                     if i.busy_until_cycle <= start)
-        shared = _affinity(g.operation(oid).operands, inst.last_operand_sources, False)
-        plan = (reads[oid], writes.get(oid))
-        engine._place(oid, start, shared, inst, plan, ledger, entries, finish)
-    return Schedule(entries, engine.cfg, model)
+        shared = _affinity(engine.g.operation(oid).operands, inst.last_operand_sources, False)
+        engine._place(oid, start, shared, inst, ports[oid], ledger, entries, finish)
+    return Schedule(entries, engine.cfg, engine.model)

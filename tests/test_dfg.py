@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from memsched import (
     CycleDetected,
+    DataRef,
     Dfg,
     DuplicateOpcode,
     DuplicateWriter,
@@ -27,7 +28,7 @@ from memsched import (
     topological_order,
     validate_dfg,
 )
-from memsched.fixtures import KERNELS, fixture_text
+from memsched.fixtures import KERNELS, fixture_text, load_dfg
 from oracles import enumerate_timing
 
 LIB = OperatorLibrary(
@@ -49,6 +50,29 @@ def chain(library, n, opcode="f"):
     for i in range(1, n):
         ops.append(Operation(f"n{i}", opcode, (scalar(f"d{i-1}"),), scalar(f"d{i}")))
     return Dfg.build(ops, library)
+
+
+# -- data items -------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"name": ""}, "data item name must be non-empty"),
+    ({"name": "x[3]", "array": "x"}, "array element 'x[3]' needs a non-negative index"),
+    ({"name": "x[-1]", "array": "x", "index": -1},
+     "array element 'x[-1]' needs a non-negative index"),
+    ({"name": "x", "width_bits": 0}, "width_bits must be positive, got 0"),
+])
+def test_data_ref_rejects_malformed_items(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        DataRef(**kwargs)
+    assert str(err.value) == message
+
+
+def test_data_refs_are_values():
+    a, b = elem("x", 3), elem("x", 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert scalar("x", 8) != scalar("x")
+    assert a == ("x[3]", "x", 3, 16)  # a named tuple of its four fields
+    assert repr(elem("x", 3)) == "DataRef(name='x[3]', array='x', index=3, width_bits=16)"
 
 
 # -- parsing ----------------------------------------------------------------
@@ -210,6 +234,18 @@ def test_roundtrip_parse_serialize_parse():
         assert g1.primary_inputs == g2.primary_inputs
         assert g1.primary_outputs == g2.primary_outputs
         assert serialize_dfg(g1) == serialize_dfg(g2)
+
+
+def test_parse_builds_each_item_once():
+    g = load_dfg("fir16")
+    inputs = {ref: ref for ref in g.primary_inputs}
+    for op in g.operations:
+        for ref in op.operands:
+            producer = g.producer_of(ref)
+            source = g.operation(producer).result if producer else inputs[ref]
+            assert ref is source
+    for ref in g.primary_outputs:
+        assert ref is g.operation(g.producer_of(ref)).result
 
 
 # -- validate_dfg on programmatic graphs -------------------------------------

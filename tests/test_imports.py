@@ -3,10 +3,17 @@
 The package's ``__init__`` re-exports are exempt, and so are the names the
 benchmark's tracer wraps by (module, attribute): a module imports those so
 that the tracer finds them in its namespace.
+
+Importing the CLI pulls in no heavy standard-library module that it does not
+need: each command runs in a process of its own, so every import is paid on
+every call.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +52,12 @@ def test_every_import_is_used(path, monkeypatch):
         if name not in used_names(tree) and (module, name) not in wrapped
     ]
     assert not unused, f"memsched.{module} imports names it never uses: {', '.join(unused)}"
+
+
+def test_cli_import_stays_light():
+    heavy = ("xml.sax", "urllib.request", "http.client")
+    probe = f"import sys, memsched.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -94,6 +94,18 @@ def test_mapping_roundtrip():
     assert m2.default_register
 
 
+def test_zero_energy_per_access_is_accepted():
+    assert MemoryBank("M0", 1, 1, 1, 0, None, 0.0).energy_per_access == 0.0
+    banks = [{"id": "M0", "ports": 1, "read_latency": 1, "write_latency": 1, "level": 0,
+              "energy_per_access": 0}]
+    assert parse_mapping(mapping_doc(banks=banks)).banks[0].energy_per_access == 0.0
+
+
+def test_mapping_roundtrip_keeps_energy_per_access():
+    m = MemoryMapping([MemoryBank("M0", 1, 1, 1, 0, None, 0.5)], {"x": "M0"})
+    assert parse_mapping(serialize_mapping(m)).banks[0].energy_per_access == 0.5
+
+
 def test_array_placement_covers_elements_with_overrides():
     m = MemoryMapping([bank("M0"), bank("M1")], {"x": "M0", "x[2]": "M1"})
     assert m.location_of(elem("x", 0)) == "M0"
@@ -269,6 +281,16 @@ def test_round_robin_skips_full_banks_and_is_deterministic():
     m1 = round_robin_mapping(g, banks)
     m2 = round_robin_mapping(g, banks)
     assert m1.placement == m2.placement == {"a1x": "B0", "a2x": "B1", "a3x": "B1"}
+
+
+def test_round_robin_deals_past_a_full_middle_bank():
+    # items v0 v1 v2 w0 w1 w2; B1 holds one word, so w1 skips it to B2 and
+    # the deal resumes after B2: w2 goes to B0
+    g = Dfg.build([Operation(f"o{i}", "add", (scalar(f"v{i}"),), scalar(f"w{i}"))
+                   for i in range(3)], LIB)
+    m = round_robin_mapping(g, [bank("B0"), bank("B1", capacity=1), bank("B2")])
+    assert m.placement == {"v0": "B0", "v1": "B1", "v2": "B2",
+                           "w0": "B0", "w1": "B2", "w2": "B0"}
 
 
 def test_requirement_totals_match_distinct_memory_operands():

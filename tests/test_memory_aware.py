@@ -213,6 +213,55 @@ def test_port_blocked_ops_are_not_bound(monkeypatch):
     assert [calls[(scalar(f"x{i}"),)] for i in range(4)] == [4, 4, 4, 4]
 
 
+def store_contended():
+    """a0..a3 fetch from banks of their own but store into one 1-port bank
+    W: at each cycle every waiting op finds its fetch port free and only
+    the first finds W free too. Returns the graph and a mem-aware run."""
+    ops = [Operation(f"a{i}", "add", (scalar(f"x{i}"),), scalar(f"u{i}")) for i in range(4)]
+    g = Dfg.build(ops, LIB)
+    place = {f"x{i}": f"M{i}" for i in range(4)}
+    place.update({f"u{i}": "W" for i in range(4)})
+    mapping = MemoryMapping([bank(f"M{i}") for i in range(4)] + [bank("W")], place)
+    return g, lambda: run_aware(g, mapping, {"alu": 4}, 20)
+
+
+def test_gating_builds_no_booking_it_does_not_keep(monkeypatch):
+    # a gate only picks port indices; the bookings are built when the op
+    # is placed, so every one built ends up in the schedule
+    import memsched.scheduler as scheduler
+
+    built = []
+    original = scheduler.PortBooking
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scheduler, "PortBooking", counting)
+    _, run = store_contended()
+    s = run()
+    kept = [b for e in s.entries.values() for b in e.read_bookings + (e.write_booking,)]
+    assert [s.entries[f"a{i}"].start_cycle for i in range(4)] == [1, 2, 3, 4]
+    assert len(built) == len(kept) == 8
+
+
+def test_engine_derives_each_ops_windows_once(monkeypatch):
+    import memsched.memmap as memmap
+
+    calls = Counter()
+    original = memmap.AccessModel.windows
+
+    def counting(self, op_id, start):
+        calls[op_id] += 1
+        return original(self, op_id, start)
+
+    monkeypatch.setattr(memmap.AccessModel, "windows", counting)
+    g, run = store_contended()
+    run()
+    assert set(calls) == {op.id for op in g.operations}
+    assert max(calls.values()) == 1
+
+
 def test_port_ledger_half_open_intervals():
     ledger = PortLedger()
     ledger.book("M0", 0, 2, 4)

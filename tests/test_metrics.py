@@ -32,7 +32,7 @@ from memsched import (
     schedule_memory_aware,
 )
 from memsched import fixtures
-from memsched.metrics import _READ_COLOR, _WRITE_COLOR
+from memsched.metrics import _READ_COLOR, _WRITE_COLOR, _escape
 
 UNIT = OperatorLibrary([OperatorClass("u", frozenset({"f"}), 1, 1.0)])
 ALU = OperatorClass("alu", frozenset({"add", "sub"}), 1, 2.0)
@@ -280,6 +280,13 @@ def test_gantt_axis_has_at_most_41_ticks(horizon):
     assert len(labels) <= 41
     assert svg.count('stroke="#dddddd"') == len(labels)
     assert len(svg) < 10_000
+
+
+def test_gantt_escape_matches_saxutils():
+    from xml.sax.saxutils import escape
+
+    text = "a & b < c > d \" e ' f &amp;"
+    assert _escape(text) == escape(text)
 
 
 def test_csv_empty_and_sorted():
