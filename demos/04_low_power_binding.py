@@ -7,8 +7,6 @@ previous operation are preferred, and the chosen operation is bound to the
 instance it shares the most inputs with.
 """
 
-import dataclasses
-
 from memsched import (
     Allocation,
     Dfg,
@@ -35,13 +33,13 @@ g = Dfg.build(
     ],
     mul_lib,
 )
-cfg = SchedulerConfig(10)
 timing = compute_timing(g, 10)
 
 for use_affinity, label in ((True, "input-sharing priority"), (False, "id order")):
-    run_cfg = dataclasses.replace(cfg, use_affinity=use_affinity)
-    s = schedule_baseline(g, Allocation({"mul": 1}), run_cfg, timing)
-    m = analyze(s, g, None, run_cfg)
+    s = schedule_baseline(
+        g, Allocation({"mul": 1}), SchedulerConfig(10, use_affinity=use_affinity), timing
+    )
+    m = analyze(s, g)
     seq = " -> ".join(f"{x.op_id}{'*' if x.is_model2 else ''}"
                       for x in s.sorted_entries())
     print(f"  {label:<24} {seq:<22} sharing ops: {m.model2_count}, "
@@ -49,11 +47,9 @@ for use_affinity, label in ((True, "input-sharing priority"), (False, "id order"
 print("  (*) operation reuses an input of its predecessor on that instance;"
       " m2 follows m0 only when sharing is rewarded")
 
-s_shared = schedule_baseline(g, Allocation({"mul": 1}), cfg, timing)
-m_flat = analyze(s_shared, g, None, cfg)
-m_frac = analyze(
-    s_shared, g, None, dataclasses.replace(cfg, per_shared_input_energy=True)
-)
+s_shared = schedule_baseline(g, Allocation({"mul": 1}), SchedulerConfig(10), timing)
+m_flat = analyze(s_shared, g)
+m_frac = analyze(s_shared, g, per_shared_input=True)
 print(f"  m2 shares 1 of its 2 inputs: flat discount gives {m_flat.datapath_energy}, "
       f"per-shared-input scaling (experimental) gives {m_frac.datapath_energy}")
 
@@ -63,9 +59,8 @@ g = load_dfg("fft8_stage", lib)
 T = 12
 alloc = compute_min_allocation(g, T)
 timing = compute_timing(g, T)
-cfg = SchedulerConfig(T)
-s = schedule_baseline(g, alloc, cfg, timing)
-m = analyze(s, g, None, cfg)
+s = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
+m = analyze(s, g)
 print(f"allocation {dict(alloc.counts)}, makespan {s.makespan_cycles}")
 print(f"sharing operations: {m.model2_count}/{m.op_count} "
       f"(ratio {m.model2_ratio:.2f})")
@@ -76,7 +71,7 @@ for x in s.sorted_entries():
 
 print("\n== the discount parameter is a reporting knob, not a schedule knob ==")
 for reduction in (0.25, 0.375, 0.50):
-    m_r = analyze(s, g, None, dataclasses.replace(cfg, model2_reduction=reduction))
+    m_r = analyze(s, g, reduction=reduction)
     print(f"  reduction {reduction:<5} -> datapath energy {m_r.datapath_energy}")
 shared_base = sum(
     lib.class_for(g.operation(x.op_id).opcode).base_energy

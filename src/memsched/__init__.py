@@ -11,7 +11,6 @@ ratio, energy estimates and port conflicts.
 from .dfg import (
     DataRef,
     Dfg,
-    InputDecl,
     Operation,
     OperatorClass,
     OperatorLibrary,
@@ -21,7 +20,6 @@ from .dfg import (
     parse_dfg,
     parse_library,
     scalar,
-    serialize_dfg,
     topological_order,
     validate_dfg,
 )
@@ -52,10 +50,8 @@ from .memmap import (
     MemoryBank,
     MemoryMapping,
     all_registers,
-    memory_read_refs,
     parse_mapping,
     round_robin_mapping,
-    serialize_mapping,
     validate_mapping,
 )
 from .metrics import (

@@ -25,6 +25,7 @@ from .memmap import (
 )
 from .metrics import (
     analyze,
+    check_reduction,
     compare,
     comparison_to_json,
     export_csv,
@@ -83,18 +84,19 @@ def _allocation(args, g: Dfg) -> Allocation:
 
 def _prepare(args, g: Dfg) -> tuple[TimingAnalysis, Allocation, SchedulerConfig]:
     """Timing, allocation and scheduler settings, each derived once per
-    call and in this order, so the deadline check reports first."""
+    call and in this order, so the deadline check reports first. The energy
+    discount only prices the finished schedules, but it is checked here,
+    before any scheduling."""
     timing = compute_timing(g, args.time_constraint)
     alloc = _allocation(args, g)
     try:
         cfg = SchedulerConfig(
             time_constraint_cycles=args.time_constraint,
-            model2_reduction=args.reduction,
             dynamic_mobility=args.dynamic_mobility,
             positional_affinity=args.positional_affinity,
             use_affinity=not args.no_affinity,
-            per_shared_input_energy=args.per_shared_input_energy,
         )
+        check_reduction(args.reduction)
     except ValueError as e:
         raise FormatError(str(e)) from None
     return timing, alloc, cfg
@@ -146,7 +148,8 @@ def _schedule(args) -> int:
         schedule = schedule_baseline(g, alloc, sched_cfg, timing)
         # replay the memory-blind schedule on the mapping's banks
         model = AccessModel(g, mapping) if mapping is not None else None
-    m = analyze(schedule, g, model, schedule.config)
+    m = analyze(schedule, g, model, reduction=args.reduction,
+                per_shared_input=args.per_shared_input_energy)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "schedule.json").write_text(schedule.to_json(), encoding="utf-8")
@@ -175,8 +178,9 @@ def _compare(args) -> int:
     timing, alloc, sched_cfg = _prepare(args, g)
     s_base = schedule_baseline(g, alloc, sched_cfg, timing)
     s_aware = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
-    m_base = analyze(s_base, g, s_aware.model, s_base.config)
-    m_aware = analyze(s_aware, g, s_aware.model, s_aware.config)
+    price = {"reduction": args.reduction, "per_shared_input": args.per_shared_input_energy}
+    m_base = analyze(s_base, g, s_aware.model, **price)
+    m_aware = analyze(s_aware, g, s_aware.model, **price)
     report = compare(m_base, m_aware)
 
     extra = {}
@@ -222,7 +226,8 @@ def _compare(args) -> int:
 
 def _parse_alloc(value: str) -> tuple[str, int]:
     name, sep, count = value.partition("=")
-    if not sep or not name or not count.isdigit() or int(count) < 1:
+    # str.isdigit also admits non-ASCII digits, which int() reads or rejects
+    if not sep or not name or not (count.isascii() and count.isdigit()) or int(count) < 1:
         raise argparse.ArgumentTypeError(
             f"--alloc expects class=count with count >= 1, got {value!r}"
         )

@@ -66,10 +66,6 @@ class DataRef(_DataRefFields):
             raise ValueError(f"width_bits must be positive, got {width_bits}")
         return tuple.__new__(cls, (name, array, index, width_bits))
 
-    @property
-    def is_array_element(self) -> bool:
-        return self.array is not None
-
 
 def scalar(name: str, width_bits: int = DEFAULT_WIDTH_BITS) -> DataRef:
     """Build a scalar data item reference."""
@@ -158,26 +154,6 @@ class Operation:
             raise ValueError(f"operation {self.id!r} needs at least one operand")
 
 
-@dataclass(frozen=True)
-class InputDecl:
-    """A declared primary input: a scalar or an array with a flat size."""
-
-    name: str
-    shape: tuple[int, ...] | None = None
-    width_bits: int = DEFAULT_WIDTH_BITS
-
-    def flat_size(self) -> int:
-        size = 1
-        for dim in self.shape or ():
-            size *= dim
-        return size
-
-    def refs(self) -> tuple[DataRef, ...]:
-        if self.shape is None:
-            return (scalar(self.name, self.width_bits),)
-        return tuple(elem(self.name, i, self.width_bits) for i in range(self.flat_size()))
-
-
 class Dfg:
     """An immutable data-flow graph bound to an operator library.
 
@@ -192,15 +168,11 @@ class Dfg:
         library: OperatorLibrary,
         primary_inputs: Iterable[DataRef],
         primary_outputs: Iterable[DataRef] = (),
-        input_decls: Iterable[InputDecl] | None = None,
     ):
         self.operations: tuple[Operation, ...] = tuple(operations)
         self.library = library
         self.primary_inputs: frozenset[DataRef] = frozenset(primary_inputs)
         self.primary_outputs: frozenset[DataRef] = frozenset(primary_outputs)
-        if input_decls is None:
-            input_decls = _synthesize_decls(self.primary_inputs)
-        self.input_decls: tuple[InputDecl, ...] = tuple(input_decls)
 
         self._by_id: dict[str, Operation] = {}
         for op in self.operations:
@@ -273,25 +245,6 @@ class Dfg:
         return self.library.class_for(op.opcode)
 
 
-def _synthesize_decls(inputs: frozenset[DataRef]) -> tuple[InputDecl, ...]:
-    # Programmatic graphs carry no declarations: fold element refs back into
-    # array declarations sized by the largest index seen.
-    arrays: dict[str, int] = {}
-    widths: dict[str, int] = {}
-    decls: list[InputDecl] = []
-    for ref in sorted(inputs, key=lambda r: r.name):
-        if ref.is_array_element:
-            assert ref.array is not None and ref.index is not None
-            arrays[ref.array] = max(arrays.get(ref.array, 0), ref.index + 1)
-            widths[ref.array] = ref.width_bits
-        else:
-            decls.append(InputDecl(ref.name, None, ref.width_bits))
-    for name in sorted(arrays):
-        decls.append(InputDecl(name, (arrays[name],), widths[name]))
-    decls.sort(key=lambda d: d.name)
-    return tuple(decls)
-
-
 # ---------------------------------------------------------------------------
 # document parsing
 
@@ -345,9 +298,7 @@ def parse_dfg(text: str, library: OperatorLibrary) -> Dfg:
     doc = _load_json(text, "dfg")
     _check_keys(doc, {"inputs", "outputs", "ops"}, set(), "dfg document")
 
-    decls = _parse_input_decls(_expect(doc, "inputs", list, "dfg document"))
-    widths = {d.name: d.width_bits for d in decls}
-    inputs = [ref for decl in decls for ref in decl.refs()]
+    widths, inputs = _parse_inputs(_expect(doc, "inputs", list, "dfg document"))
     # each distinct token becomes one item, shared by every op that names it
     refs = {ref.name: ref for ref in inputs}
 
@@ -379,55 +330,25 @@ def parse_dfg(text: str, library: OperatorLibrary) -> Dfg:
     if not all(isinstance(token, str) for token in outputs):
         raise FormatError("outputs must be a list of names")
 
-    g = Dfg(operations, library, inputs, list(map(ref_of, outputs)), decls)
+    g = Dfg(operations, library, inputs, list(map(ref_of, outputs)))
     findings = validate_dfg(g)
     if findings:
         raise _finding_error(findings[0])
     return g
 
 
-def serialize_dfg(g: Dfg) -> str:
-    """Render a graph back to its document form (deterministic byte stream).
-
-    Graphs built programmatically get synthesized array declarations sized by
-    the largest element index in use.
-    """
-    inputs = []
-    for decl in g.input_decls:
-        entry: dict = {"name": decl.name}
-        if decl.shape is not None:
-            entry["shape"] = list(decl.shape)
-        if decl.width_bits != DEFAULT_WIDTH_BITS:
-            entry["width_bits"] = decl.width_bits
-        inputs.append(entry)
-    ops = []
-    for op in g.operations:
-        entry = {
-            "id": op.id,
-            "opcode": op.opcode,
-            "args": [ref.name for ref in op.operands],
-            "result": op.result.name,
-        }
-        if op.extra_deps:
-            entry["deps"] = sorted(op.extra_deps)
-        ops.append(entry)
-    doc = {
-        "inputs": inputs,
-        "outputs": sorted(ref.name for ref in g.primary_outputs),
-        "ops": ops,
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _parse_input_decls(raw: list) -> tuple[InputDecl, ...]:
-    decls: dict[str, InputDecl] = {}
+def _parse_inputs(raw: list) -> tuple[dict[str, int], list[DataRef]]:
+    """The width of each declared name, and the items the declarations
+    define: a scalar, or every element of a flattened array."""
+    widths: dict[str, int] = {}
+    inputs: list[DataRef] = []
     for i, entry in enumerate(raw):
         where = f"inputs[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where} must be an object")
         _check_keys(entry, {"name"}, {"shape", "width_bits"}, where)
         name = _identifier(_expect(entry, "name", str, where), where)
-        if name in decls:
+        if name in widths:
             raise FormatError(f"input {name!r} declared twice")
         shape = entry.get("shape")
         if "shape" in entry and not (
@@ -437,8 +358,12 @@ def _parse_input_decls(raw: list) -> tuple[InputDecl, ...]:
         width = entry.get("width_bits", DEFAULT_WIDTH_BITS)
         if not _is_int(width) or width < 1:
             raise FormatError(f"{where}.width_bits must be a positive integer")
-        decls[name] = InputDecl(name, tuple(shape) if shape else None, width)
-    return tuple(decls.values())
+        widths[name] = width
+        if shape is None:
+            inputs.append(scalar(name, width))
+        else:
+            inputs.extend(elem(name, k, width) for k in range(math.prod(shape)))
+    return widths, inputs
 
 
 def _data_ref(token: str, widths: Mapping[str, int]) -> DataRef:
@@ -529,7 +454,8 @@ def validate_dfg(g: Dfg) -> list[Diagnostic]:
                 Diagnostic("UnknownOpcode", op.opcode, {"op": op.id})
             )
 
-    declared = {decl.name for decl in g.input_decls}
+    # the declared names: each input scalar's, and each input array's
+    declared = {ref.array or ref.name for ref in g.primary_inputs}
     for ref, writers in sorted(g._writers.items(), key=lambda kv: kv[0].name):
         if len(writers) > 1:
             diags.append(

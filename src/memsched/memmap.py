@@ -10,7 +10,6 @@ default, otherwise they are unmapped.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -352,24 +351,3 @@ def validate_mapping(
                 )
     return diags
 
-
-def serialize_mapping(mapping: MemoryMapping) -> str:
-    """Render a mapping back to its document form."""
-    banks = []
-    for bank in mapping.banks:
-        entry: dict = {
-            "id": bank.id,
-            "ports": bank.ports,
-            "read_latency": bank.read_latency_cycles,
-            "write_latency": bank.write_latency_cycles,
-            "level": bank.level,
-        }
-        if bank.capacity_words is not None:
-            entry["capacity_words"] = bank.capacity_words
-        if bank.energy_per_access != 1.0:
-            entry["energy_per_access"] = bank.energy_per_access
-        banks.append(entry)
-    doc: dict = {"banks": banks, "place": dict(sorted(mapping.placement.items()))}
-    if mapping.default_register:
-        doc["default"] = REGISTER
-    return json.dumps(doc, indent=2) + "\n"

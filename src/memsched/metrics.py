@@ -1,9 +1,10 @@
 """Schedule analysis and reporting.
 
 Energy model: every executed operation costs its class base energy; an
-operation flagged as input-sharing (model 2) is discounted by the configured
-reduction factor. Memory energy is linear in bank accesses. Bank traffic
-of either policy is counted over the windows of the mapping's access model:
+operation flagged as input-sharing (model 2) is discounted by the reduction
+factor that :func:`analyze` takes and :func:`check_reduction` bounds.
+Memory energy is linear in bank accesses. Bank traffic of either policy is
+counted over the windows of the mapping's access model:
 each fetch holds a port over [start - read_latency, start) and each store
 over [end, end + write_latency), for every cycle of the window. A cycle in
 which a bank receives more requests than it has ports is a conflict cycle;
@@ -23,7 +24,7 @@ from typing import Mapping
 from .dfg import Dfg
 from .errors import InconsistentSchedule, MismatchedInputs
 from .memmap import AccessModel, MemoryMapping
-from .scheduler import Schedule, SchedulerConfig
+from .scheduler import Schedule
 
 
 @dataclass(frozen=True)
@@ -84,24 +85,38 @@ class ComparisonReport:
         }
 
 
+def check_reduction(reduction: float) -> None:
+    """Raise ValueError unless ``reduction`` is an energy discount the
+    model accepts."""
+    if not 0.25 <= reduction <= 0.50:
+        raise ValueError("model2_reduction must lie in [0.25, 0.50]")
+
+
 def analyze(
     s: Schedule,
     g: Dfg,
     model: AccessModel | None = None,
-    cfg: SchedulerConfig | None = None,
+    *,
+    reduction: float = 0.25,
+    per_shared_input: bool = False,
 ) -> ScheduleMetrics:
     """Measure a schedule: sharing ratio, energy estimate, bank traffic.
 
-    Latencies and base energies come from ``g.library``, the energy settings
-    from ``cfg`` (default: the schedule's config). Bank traffic replays every
-    entry's start against ``model``, the access model of the mapping to count
-    on (a memory-aware schedule's own ``Schedule.model``): each access counts
-    as one request in every cycle of its full multi-cycle window (see the
-    module docs), so a memory-blind schedule shows the port conflicts it
-    would cause and a memory-aware one shows the traffic it booked. None, or
-    a model without a mapping, counts no bank traffic.
+    Latencies and base energies come from ``g.library``. Each input-sharing
+    operation is discounted by ``reduction`` of its base energy, a fraction
+    :func:`check_reduction` accepts (ValueError otherwise); with
+    ``per_shared_input`` the discount is scaled by the share of its operands
+    it reuses. These settings only price a finished schedule.
+
+    Bank traffic replays every entry's start against ``model``, the access
+    model of the mapping to count on (a memory-aware schedule's own
+    ``Schedule.model``): each access counts as one request in every cycle of
+    its full multi-cycle window (see the module docs), so a memory-blind
+    schedule shows the port conflicts it would cause and a memory-aware one
+    shows the traffic it booked. None, or a model without a mapping, counts
+    no bank traffic.
     """
-    cfg = cfg or s.config
+    check_reduction(reduction)
     ids = {op.id for op in g.operations}
     if set(s.entries) != ids:
         raise InconsistentSchedule(
@@ -121,11 +136,11 @@ def analyze(
     datapath = 0.0
     for e in s.sorted_entries():
         op = g.operation(e.op_id)
-        if cfg.per_shared_input_energy:
+        if per_shared_input:
             share = e.shared_inputs / len(op.operands)
         else:
             share = float(e.is_model2)
-        datapath += g.class_of(op).base_energy * (1.0 - cfg.model2_reduction * share)
+        datapath += g.class_of(op).base_energy * (1.0 - reduction * share)
 
     per_bank: dict[str, BankStats] = {}
     memory_energy = 0.0

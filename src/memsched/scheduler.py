@@ -116,25 +116,16 @@ class Allocation:
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Scheduling knobs.
-
-    ``model2_reduction`` is the per-operation energy discount applied to
-    operations that reuse an input of their instance's previous operation;
-    it only affects reporting, never placement.
-    """
+    """Scheduling knobs: the deadline and how operations are ranked and bound."""
 
     time_constraint_cycles: int
-    model2_reduction: float = 0.25
     dynamic_mobility: bool = False
     positional_affinity: bool = False
     use_affinity: bool = True
-    per_shared_input_energy: bool = False
 
     def __post_init__(self):
         if self.time_constraint_cycles < 1:
             raise ValueError("time constraint must be >= 1 cycle")
-        if not 0.25 <= self.model2_reduction <= 0.50:
-            raise ValueError("model2_reduction must lie in [0.25, 0.50]")
 
 
 @dataclass

@@ -5,7 +5,6 @@ All tolerances are exact: integer equalities and exact float arithmetic on
 binary-representable energy values.
 """
 
-import dataclasses
 import random
 import time
 from contextlib import contextmanager
@@ -263,7 +262,7 @@ def test_model2_economics():
             alloc = compute_min_allocation(g, T)
             cfg = SchedulerConfig(T)
             s = schedule_baseline(g, alloc, cfg, timing)
-            m = analyze(s, g, None, cfg)
+            m = analyze(s, g)
             expected = 0.0
             for e in s.sorted_entries():
                 base_energy = lib.class_for(g.operation(e.op_id).opcode).base_energy
@@ -284,7 +283,7 @@ def test_model2_economics():
         cfg = SchedulerConfig(10)
         s = schedule_baseline(g, Allocation({"mul": 1}), cfg,
                               compute_timing(g, 10))
-        m = analyze(s, g, None, cfg)
+        m = analyze(s, g)
         assert m.model2_count == 1
         assert m.datapath_energy == 8.0 + 6.0 + 8.0  # m1 shares "a", 25% off
 
@@ -326,11 +325,9 @@ def test_energy_reduction_sweep_exact():
             T = generous_deadline(g)
             timing = compute_timing(g, T)
             alloc = compute_min_allocation(g, T)
-            cfg_low = SchedulerConfig(T, model2_reduction=0.25)
-            s = schedule_baseline(g, alloc, cfg_low, timing)
-            cfg_high = dataclasses.replace(cfg_low, model2_reduction=0.50)
-            m_low = analyze(s, g, None, cfg_low)
-            m_high = analyze(s, g, None, cfg_high)
+            s = schedule_baseline(g, alloc, SchedulerConfig(T), timing)
+            m_low = analyze(s, g, reduction=0.25)
+            m_high = analyze(s, g, reduction=0.50)
             model2_base = sum(
                 lib.class_for(g.operation(e.op_id).opcode).base_energy
                 for e in s.sorted_entries()

@@ -120,6 +120,20 @@ def test_schedule_fir4_at_critical_path_with_ample_allocation(inputs, capsys):
         assert (inputs["tmp"] / "out" / name).exists()
 
 
+# str.isdigit holds for "²" (which int() rejects) and for Arabic-Indic digits
+# (which int() reads as 3 and 12): a count is ASCII digits only
+@pytest.mark.parametrize("value", ["alu", "=2", "alu=", "alu=0", "alu=-1", "alu=x", "alu=²",
+                                   "alu=٣", "mul=١٢"])
+def test_malformed_alloc_is_exit_2(inputs, capsys, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["schedule", "--dfg", inputs["fir4.dfg.json"], "--library", inputs["dsp.lib.json"],
+              "--T", "12", "--alloc", value, "--out", inputs["out"]])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert f"--alloc expects class=count with count >= 1, got {value!r}" in err, err
+    assert not (inputs["tmp"] / "out").exists()
+
+
 def test_schedule_memory_aware_two_adds(inputs):
     rc = main(
         [
@@ -322,6 +336,20 @@ def test_reduction_out_of_range_is_exit_2(inputs, capsys, command):
     assert captured.err.startswith("error: ")
     assert "[0.25, 0.50]" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["schedule", "compare"])
+def test_reduction_range_reports_before_scheduling(inputs, capsys, command):
+    # the discount only prices finished schedules, yet a bad one is reported
+    # before a run whose mapping leaves h[0] unplaced fails to schedule
+    mapping = inputs["tmp"] / "x_only.map.json"
+    mapping.write_text(X_ONLY_MAPPING, encoding="utf-8")
+    rc = main([command, "--dfg", inputs["fir4.dfg.json"], "--library", inputs["dsp.lib.json"],
+               "--mapping", str(mapping), "--T", "12", "--reduction", "0.6",
+               "--out", inputs["out"]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "[0.25, 0.50]" in err, err
 
 
 def test_compare_computes_timing_once_plus_allocation_guard(inputs, monkeypatch):

@@ -22,7 +22,6 @@ from memsched import (
     parse_mapping,
     round_robin_mapping,
     scalar,
-    serialize_mapping,
     validate_mapping,
 )
 
@@ -86,12 +85,16 @@ def test_parse_mapping_default_only_register():
         parse_mapping(mapping_doc(default="M0"))
 
 
-def test_mapping_roundtrip():
-    m1 = parse_mapping(mapping_doc(default="REGISTER"))
-    m2 = parse_mapping(serialize_mapping(m1))
-    assert m2.placement == m1.placement
-    assert m2.banks == m1.banks
-    assert m2.default_register
+def test_parse_mapping_reads_every_bank_field():
+    banks = [{"id": "M0", "ports": 2, "read_latency": 3, "write_latency": 4, "level": 1,
+              "capacity_words": 8, "energy_per_access": 0.5},
+             {"id": "M1", "ports": 1, "read_latency": 1, "write_latency": 1, "level": 0}]
+    m = parse_mapping(mapping_doc(banks=banks, default="REGISTER"))
+    assert m.banks == (
+        MemoryBank("M0", 2, 3, 4, 1, 8, 0.5), MemoryBank("M1", 1, 1, 1, 0, None, 1.0)
+    )
+    assert m.placement == {"x": "M0", "h": "M0", "y": "REGISTER"}
+    assert m.default_register
 
 
 def test_zero_energy_per_access_is_accepted():
@@ -99,11 +102,6 @@ def test_zero_energy_per_access_is_accepted():
     banks = [{"id": "M0", "ports": 1, "read_latency": 1, "write_latency": 1, "level": 0,
               "energy_per_access": 0}]
     assert parse_mapping(mapping_doc(banks=banks)).banks[0].energy_per_access == 0.0
-
-
-def test_mapping_roundtrip_keeps_energy_per_access():
-    m = MemoryMapping([MemoryBank("M0", 1, 1, 1, 0, None, 0.5)], {"x": "M0"})
-    assert parse_mapping(serialize_mapping(m)).banks[0].energy_per_access == 0.5
 
 
 def test_array_placement_covers_elements_with_overrides():

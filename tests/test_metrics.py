@@ -75,10 +75,17 @@ def test_energy_formula_ten_ops_four_model2():
 def test_reduction_sweep_changes_energy_by_quarter_of_model2_base():
     g = flat_graph(8)
     s = manual_schedule(g, {"op01", "op04", "op06"})
-    low = analyze(s, g, cfg=dataclasses.replace(s.config, model2_reduction=0.25))
-    high = analyze(s, g, cfg=dataclasses.replace(s.config, model2_reduction=0.50))
+    low = analyze(s, g, reduction=0.25)
+    high = analyze(s, g, reduction=0.50)
     model2_base = 3 * 1.0
     assert low.datapath_energy - high.datapath_energy == 0.25 * model2_base
+
+
+@pytest.mark.parametrize("reduction", [0.2, 0.6])
+def test_analyze_rejects_a_reduction_outside_a_quarter_to_a_half(reduction):
+    g = flat_graph(2)
+    with pytest.raises(ValueError, match=re.escape("must lie in [0.25, 0.50]")):
+        analyze(manual_schedule(g, {"op01"}), g, reduction=reduction)
 
 
 def test_per_shared_input_scaling_flag():
@@ -88,9 +95,8 @@ def test_per_shared_input_scaling_flag():
     ]
     g = Dfg.build(ops, LIB)
     timing = compute_timing(g, 8)
-    cfg = SchedulerConfig(8, per_shared_input_energy=True)
-    s = schedule_baseline(g, Allocation({"alu": 1}), cfg, timing)
-    m = analyze(s, g, cfg=cfg)
+    s = schedule_baseline(g, Allocation({"alu": 1}), SchedulerConfig(8), timing)
+    m = analyze(s, g, per_shared_input=True)
     # a1 shares 1 of 2 inputs: discount scales to 0.25 * 1/2
     assert m.datapath_energy == 2.0 + 2.0 * (1 - 0.125)
 
@@ -350,15 +356,15 @@ def test_makespan_is_the_latest_store_end():
 
 def test_every_counted_model2_entry_is_discounted_per_shared_input():
     g = fixtures.load_dfg("fft8_stage")
-    cfg = SchedulerConfig(32, per_shared_input_energy=True)
+    cfg = SchedulerConfig(32)
     s = schedule_baseline(g, Allocation({"alu": 1, "mul": 1}), cfg, compute_timing(g, 32))
-    m = analyze(s, g)
+    m = analyze(s, g, per_shared_input=True)
     counted = [oid for oid, e in s.entries.items() if e.is_model2]
     assert m.model2_count == len(counted) > 0
     for oid in counted:
         # the same schedule without this entry's sharing costs more energy
         plain = dict(s.entries, **{oid: dataclasses.replace(s.entries[oid], shared_inputs=0)})
-        m_plain = analyze(Schedule(plain, cfg), g)
+        m_plain = analyze(Schedule(plain, cfg), g, per_shared_input=True)
         assert m_plain.model2_count == m.model2_count - 1
         assert m_plain.datapath_energy > m.datapath_energy
 

@@ -1,9 +1,13 @@
-"""The README's Library API example runs against the package as it is."""
+"""The README is the package's API: its Library API example runs against the
+package as it is, it names every export, and its type table names only
+exports."""
 
 import io
 import re
+import types
 from pathlib import Path
 
+import memsched
 from memsched import Policy
 from memsched.fixtures import fixture_text
 
@@ -16,10 +20,34 @@ FILES = {
     "kernel.map.json": "fir16.map.json",
 }
 
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 
 def library_api_example() -> str:
     section = README.read_text(encoding="utf-8").split("## Library API", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def exported_names() -> set[str]:
+    """The package's public names: no dunders, no submodules."""
+    return {
+        name for name, value in vars(memsched).items()
+        if not name.startswith("__") and not isinstance(value, types.ModuleType)
+    }
+
+
+def readme_code_names() -> set[str]:
+    """Every identifier the README writes as code: in a code block or in an
+    inline code span."""
+    code = re.findall(r"```.*?```|`[^`\n]+`", README.read_text(encoding="utf-8"), re.DOTALL)
+    return set(IDENTIFIER.findall("\n".join(code)))
+
+
+def type_table_names() -> list[str]:
+    """The first cell of every row of the README's type table."""
+    section = README.read_text(encoding="utf-8").split("\n### Types\n", 1)[1]
+    section = section.split("\n#", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
 
 
 def test_library_api_example_runs():
@@ -27,3 +55,21 @@ def test_library_api_example_runs():
     exec(compile(library_api_example(), "README.md", "exec"), namespace)
     assert namespace["schedule"].policy is Policy.MEMORY_AWARE
     assert namespace["metrics"].total_conflicts == 0
+
+
+def test_readme_names_every_export():
+    missing = sorted(exported_names() - readme_code_names())
+    assert not missing, f"exported but not in README: {', '.join(missing)}"
+
+
+def test_type_table_lists_every_error_and_only_exports():
+    names = type_table_names()
+    assert len(names) == len(set(names)) > 0
+    unknown = sorted(set(names) - exported_names())
+    assert not unknown, f"README type table names non-exports: {', '.join(unknown)}"
+    errors = {
+        name for name in exported_names()
+        if isinstance(getattr(memsched, name), type)
+        and issubclass(getattr(memsched, name), memsched.SchedulingError)
+    }
+    assert errors - set(names) == set()

@@ -344,10 +344,11 @@ def test_one_config_drives_both_policies(mapping):
 
 
 def test_scheduler_config_bounds():
-    with pytest.raises(ValueError):
-        SchedulerConfig(4, model2_reduction=0.2)
-    with pytest.raises(ValueError):
-        SchedulerConfig(4, model2_reduction=0.6)
+    # the deadline is the config's only bounded field
+    assert SchedulerConfig(1).time_constraint_cycles == 1
+    for T in (0, -1):
+        with pytest.raises(ValueError, match="time constraint must be >= 1 cycle"):
+            SchedulerConfig(T)
 
 
 # -- model2 affinity ------------------------------------------------------------
