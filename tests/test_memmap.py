@@ -85,16 +85,32 @@ def test_parse_mapping_default_only_register():
         parse_mapping(mapping_doc(default="M0"))
 
 
-def test_parse_mapping_reads_every_bank_field():
+def mapping_as_doc(m):
+    """Write ``m`` in the mapping-document format, with every bank field."""
+    banks = [{"id": b.id, "ports": b.ports, "read_latency": b.read_latency_cycles,
+              "write_latency": b.write_latency_cycles, "level": b.level,
+              "capacity_words": b.capacity_words, "energy_per_access": b.energy_per_access}
+             for b in m.banks]
+    doc = {"banks": banks, "place": m.placement}
+    if m.default_register:
+        doc["default"] = REGISTER
+    return json.dumps(doc)
+
+
+def test_mapping_roundtrip():
     banks = [{"id": "M0", "ports": 2, "read_latency": 3, "write_latency": 4, "level": 1,
               "capacity_words": 8, "energy_per_access": 0.5},
              {"id": "M1", "ports": 1, "read_latency": 1, "write_latency": 1, "level": 0}]
-    m = parse_mapping(mapping_doc(banks=banks, default="REGISTER"))
-    assert m.banks == (
+    m1 = parse_mapping(mapping_doc(banks=banks, default="REGISTER"))
+    assert m1.banks == (
         MemoryBank("M0", 2, 3, 4, 1, 8, 0.5), MemoryBank("M1", 1, 1, 1, 0, None, 1.0)
     )
-    assert m.placement == {"x": "M0", "h": "M0", "y": "REGISTER"}
-    assert m.default_register
+    assert m1.placement == {"x": "M0", "h": "M0", "y": "REGISTER"}
+    assert m1.default_register
+    m2 = parse_mapping(mapping_as_doc(m1))
+    assert m2.banks == m1.banks
+    assert m2.placement == m1.placement
+    assert m2.default_register
 
 
 def test_zero_energy_per_access_is_accepted():
@@ -102,6 +118,11 @@ def test_zero_energy_per_access_is_accepted():
     banks = [{"id": "M0", "ports": 1, "read_latency": 1, "write_latency": 1, "level": 0,
               "energy_per_access": 0}]
     assert parse_mapping(mapping_doc(banks=banks)).banks[0].energy_per_access == 0.0
+
+
+def test_mapping_roundtrip_keeps_energy_per_access():
+    m = MemoryMapping([MemoryBank("M0", 1, 1, 1, 0, None, 0.5)], {"x": "M0"})
+    assert parse_mapping(mapping_as_doc(m)).banks[0].energy_per_access == 0.5
 
 
 def test_array_placement_covers_elements_with_overrides():
