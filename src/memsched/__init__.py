@@ -60,6 +60,7 @@ from .metrics import (
     ScheduleMetrics,
     analyze,
     compare,
+    comparison_to_json,
     export_csv,
     export_gantt,
     format_schedule_csv,

@@ -24,6 +24,7 @@ from .memmap import (
     validate_mapping,
 )
 from .metrics import (
+    REDUCTION_RANGE,
     analyze,
     check_reduction,
     compare,
@@ -254,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--T", type=int, required=True, dest="time_constraint",
                            help="real-time constraint in cycles")
             p.add_argument("--reduction", type=float, default=0.25,
-                           help="energy discount for input-sharing ops (0.25..0.50)")
+                           help="energy discount for input-sharing ops "
+                                "({:.2f}..{:.2f})".format(*REDUCTION_RANGE))
             p.add_argument("--alloc", type=_parse_alloc, action="append", default=[],
                            metavar="CLASS=COUNT",
                            help="override the instance count of one class (repeatable)")

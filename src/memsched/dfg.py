@@ -3,9 +3,10 @@ topological ordering and ASAP/ALAP/mobility timing analysis.
 
 A graph is a DAG of single-assignment operations over named scalar data
 items; array accesses are flattened to per-element items at parse time
-(``x[3]`` is one item). A data item is a named tuple, equal and hashed by
-value, so the dicts and sets keyed on items hash and compare them in C.
-All values here are immutable and safe to share between threads.
+(``x[3]`` is one item). Every record here is a named tuple, equal by
+value; a data item also hashes by value, so the dicts and sets keyed on
+items hash and compare them in C. All values here are immutable and safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import heapq
 import json
 import math
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -36,8 +36,25 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ELEMENT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(0|[1-9][0-9]*)\]$")
 
 
-# typing.NamedTuple forbids overriding __new__, so DataRef's checks live in
-# a subclass of its fields
+class _Checked:
+    """Base of a named tuple whose ``__new__`` checks its fields.
+
+    ``typing.NamedTuple`` forbids overriding ``__new__``, so such a record
+    declares its fields in a ``NamedTuple`` and checks them in a subclass of
+    it and of this class. ``_make``, which ``_replace`` calls, then builds
+    through ``__new__`` too instead of around it.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        fields = tuple(iterable)
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(fields)}")
+        return cls(*fields)
+
+
 class _DataRefFields(NamedTuple):
     name: str
     array: str | None = None
@@ -45,7 +62,7 @@ class _DataRefFields(NamedTuple):
     width_bits: int = DEFAULT_WIDTH_BITS
 
 
-class DataRef(_DataRefFields):
+class DataRef(_Checked, _DataRefFields):
     """A single schedulable data item: a scalar or one array element.
 
     Array elements are distinct items; their canonical ``name`` is
@@ -77,23 +94,28 @@ def elem(array: str, index: int, width_bits: int = DEFAULT_WIDTH_BITS) -> DataRe
     return DataRef(f"{array}[{index}]", array, index, width_bits)
 
 
-@dataclass(frozen=True)
-class OperatorClass:
-    """A hardware operator kind: which opcodes it executes, its latency in
-    cycles and its per-execution base energy (arbitrary units)."""
-
+class _OperatorClassFields(NamedTuple):
     name: str
     opcodes: frozenset[str]
     latency_cycles: int
     base_energy: float = 1.0
 
-    def __post_init__(self):
-        if not self.opcodes:
-            raise ValueError(f"operator class {self.name!r} has no opcodes")
-        if self.latency_cycles < 1:
-            raise ValueError(f"operator class {self.name!r} latency must be >= 1")
-        if not (math.isfinite(self.base_energy) and self.base_energy >= 0):
-            raise ValueError(f"operator class {self.name!r} base energy must be finite and >= 0")
+
+class OperatorClass(_Checked, _OperatorClassFields):
+    """A hardware operator kind: which opcodes it executes, its latency in
+    cycles and its per-execution base energy (arbitrary units)."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, opcodes: frozenset[str], latency_cycles: int,
+                base_energy: float = 1.0):
+        if not opcodes:
+            raise ValueError(f"operator class {name!r} has no opcodes")
+        if latency_cycles < 1:
+            raise ValueError(f"operator class {name!r} latency must be >= 1")
+        if not (math.isfinite(base_energy) and base_energy >= 0):
+            raise ValueError(f"operator class {name!r} base energy must be finite and >= 0")
+        return tuple.__new__(cls, (name, opcodes, latency_cycles, base_energy))
 
 
 class OperatorLibrary:
@@ -135,23 +157,28 @@ class OperatorLibrary:
         return iter(self.classes)
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One graph node: reads ``operands`` (ordered), writes ``result`` once.
-
-    ``extra_deps`` are explicit ordering edges to operation ids that must
-    finish first, in addition to the producer edges implied by operands.
-    """
-
+class _OperationFields(NamedTuple):
     id: str
     opcode: str
     operands: tuple[DataRef, ...]
     result: DataRef
     extra_deps: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        if not self.operands:
-            raise ValueError(f"operation {self.id!r} needs at least one operand")
+
+class Operation(_Checked, _OperationFields):
+    """One graph node: reads ``operands`` (ordered), writes ``result`` once.
+
+    ``extra_deps`` are explicit ordering edges to operation ids that must
+    finish first, in addition to the producer edges implied by operands.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, opcode: str, operands: tuple[DataRef, ...], result: DataRef,
+                extra_deps: frozenset[str] = frozenset()):
+        if not operands:
+            raise ValueError(f"operation {id!r} needs at least one operand")
+        return tuple.__new__(cls, (id, opcode, operands, result, extra_deps))
 
 
 class Dfg:
@@ -159,7 +186,9 @@ class Dfg:
 
     The constructor accepts any structurally well-formed graph; use
     :func:`validate_dfg` for the full invariant check and :func:`parse_dfg`
-    for documents (which raises on the first violation).
+    for documents (which raises on the first violation). It sorts the graph
+    once, so :func:`topological_order` costs a copy, and a cyclic graph
+    keeps the cycle it reports.
     """
 
     def __init__(
@@ -185,16 +214,20 @@ class Dfg:
         for op in self.operations:
             self._writers.setdefault(op.result, []).append(op.id)
         # adjacency, built once: operand producers and known extra deps
+        producer = {ref: writers[0] for ref, writers in self._writers.items()}
         self._preds: dict[str, frozenset[str]] = {}
         succs: dict[str, set[str]] = {op.id: set() for op in self.operations}
         for op in self.operations:
-            preds = {p for p in map(self.producer_of, op.operands) if p is not None}
-            preds.update(dep for dep in op.extra_deps if dep in self._by_id)
+            preds = set(map(producer.get, op.operands))
+            preds.discard(None)  # an operand nobody produces
+            if op.extra_deps:
+                preds.update(dep for dep in op.extra_deps if dep in self._by_id)
             preds.discard(op.id)
             self._preds[op.id] = frozenset(preds)
             for pred in preds:
                 succs[pred].add(op.id)
         self._succs = {k: frozenset(v) for k, v in succs.items()}
+        self._order, self._cycle = _topological_sort(self)
 
     @classmethod
     def build(
@@ -299,42 +332,69 @@ def parse_dfg(text: str, library: OperatorLibrary) -> Dfg:
     _check_keys(doc, {"inputs", "outputs", "ops"}, set(), "dfg document")
 
     widths, inputs = _parse_inputs(_expect(doc, "inputs", list, "dfg document"))
-    # each distinct token becomes one item, shared by every op that names it
-    refs = {ref.name: ref for ref in inputs}
-
-    def ref_of(token: str) -> DataRef:
-        ref = refs.get(token)
-        if ref is None:
-            ref = refs[token] = _data_ref(token, widths)
-        return ref
-
-    operations = []
-    for i, entry in enumerate(_expect(doc, "ops", list, "dfg document")):
-        where = f"ops[{i}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where} must be an object")
-        _check_keys(entry, {"id", "opcode", "args", "result"}, {"deps"}, where)
-        op_id = _identifier(_expect(entry, "id", str, where), where)
-        opcode = _expect(entry, "opcode", str, where)
-        args = _expect(entry, "args", list, where)
-        if not args or not all(isinstance(a, str) for a in args):
-            raise FormatError(f"{where}.args must be a non-empty list of names")
-        result = ref_of(_expect(entry, "result", str, where))
-        deps = entry.get("deps", [])
-        if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
-            raise FormatError(f"{where}.deps must be a list of op ids")
-        operands = tuple(map(ref_of, args))
-        operations.append(Operation(op_id, opcode, operands, result, frozenset(deps)))
+    refs = _Refs(widths, inputs)
+    operations = [
+        _operation(i, entry, refs)
+        for i, entry in enumerate(_expect(doc, "ops", list, "dfg document"))
+    ]
 
     outputs = _expect(doc, "outputs", list, "dfg document")
     if not all(isinstance(token, str) for token in outputs):
         raise FormatError("outputs must be a list of names")
 
-    g = Dfg(operations, library, inputs, list(map(ref_of, outputs)))
+    g = Dfg(operations, library, inputs, [refs[token] for token in outputs])
     findings = validate_dfg(g)
     if findings:
         raise _finding_error(findings[0])
     return g
+
+
+class _Refs(dict):
+    """Token -> data item, each distinct token built once on first use and
+    shared by every op that names it; the declared inputs are there from
+    the start."""
+
+    def __init__(self, widths: Mapping[str, int], inputs: Iterable[DataRef]):
+        super().__init__((ref.name, ref) for ref in inputs)
+        self.widths = widths
+
+    def __missing__(self, token: str) -> DataRef:
+        ref = self[token] = _data_ref(token, self.widths)
+        return ref
+
+
+_OP_KEYS = frozenset({"id", "opcode", "args", "result"})
+_OP_KEYS_WITH_DEPS = _OP_KEYS | {"deps"}
+
+
+def _operation(i: int, entry, refs: _Refs) -> Operation:
+    """The operation ``ops[i]`` describes, in one step. Its syntax is
+    checked in the order that decides which error an entry with several
+    faults gets, and the entry's location is formatted only for an error."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"ops[{i}] must be an object")
+    if entry.keys() != _OP_KEYS and entry.keys() != _OP_KEYS_WITH_DEPS:
+        # a key is missing or unknown: _check_keys names which
+        _check_keys(entry, _OP_KEYS, {"deps"}, f"ops[{i}]")
+    op_id, opcode, args, result = entry["id"], entry["opcode"], entry["args"], entry["result"]
+    if not isinstance(op_id, str):
+        raise FormatError(f"ops[{i}].id must be of type str")
+    if not _NAME_RE.match(op_id):
+        raise FormatError(f"ops[{i}]: {op_id!r} is not a valid identifier")
+    if not isinstance(opcode, str):
+        raise FormatError(f"ops[{i}].opcode must be of type str")
+    if not isinstance(args, list):
+        raise FormatError(f"ops[{i}].args must be of type list")
+    if not args or not all(isinstance(a, str) for a in args):
+        raise FormatError(f"ops[{i}].args must be a non-empty list of names")
+    if not isinstance(result, str):
+        raise FormatError(f"ops[{i}].result must be of type str")
+    result = refs[result]
+    deps = entry.get("deps", [])
+    if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
+        raise FormatError(f"ops[{i}].deps must be a list of op ids")
+    return Operation(op_id, opcode, tuple(map(refs.__getitem__, args)), result,
+                     frozenset(deps))
 
 
 def _parse_inputs(raw: list) -> tuple[dict[str, int], list[DataRef]]:
@@ -486,17 +546,26 @@ def validate_dfg(g: Dfg) -> list[Diagnostic]:
         if ref not in produced:
             diags.append(Diagnostic("UndefinedData", ref.name, {"output": True}))
 
-    try:
-        topological_order(g)
-    except CycleDetected as e:
-        diags.append(Diagnostic("CycleDetected", " -> ".join(e.cycle), {"cycle": e.cycle}))
+    if g._cycle is not None:
+        diags.append(
+            Diagnostic("CycleDetected", " -> ".join(g._cycle), {"cycle": list(g._cycle)})
+        )
     return diags
 
 
 def topological_order(g: Dfg) -> list[str]:
-    """Deterministic topological order: producers first, ties by ascending id."""
-    indegree = {op.id: len(g.predecessors(op.id)) for op in g.operations}
-    succs = g.successors()
+    """Deterministic topological order: producers first, ties by ascending
+    id. Raises CycleDetected on a cyclic graph."""
+    if g._cycle is not None:
+        raise CycleDetected(g._cycle)
+    return list(g._order)
+
+
+def _topological_sort(g: Dfg) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
+    """The order :func:`topological_order` returns and None, or, for a
+    cyclic graph, no order and the cycle it reports."""
+    indegree = {op_id: len(preds) for op_id, preds in g._preds.items()}
+    succs = g._succs
     ready = [op_id for op_id, deg in indegree.items() if deg == 0]
     heapq.heapify(ready)
     order: list[str] = []
@@ -508,8 +577,8 @@ def topological_order(g: Dfg) -> list[str]:
             if indegree[succ] == 0:
                 heapq.heappush(ready, succ)
     if len(order) < len(g.operations):
-        raise CycleDetected(_find_cycle(g, {o for o in indegree if indegree[o] > 0}))
-    return order
+        return (), tuple(_find_cycle(g, {o for o in indegree if indegree[o] > 0}))
+    return tuple(order), None
 
 
 def _find_cycle(g: Dfg, remaining: set[str]) -> list[str]:
@@ -527,8 +596,7 @@ def _find_cycle(g: Dfg, remaining: set[str]) -> list[str]:
     return cycle[pivot:] + cycle[:pivot]
 
 
-@dataclass(frozen=True)
-class TimingAnalysis:
+class TimingAnalysis(NamedTuple):
     """ASAP/ALAP start cycles, per-operation mobility and the critical path
     length under a given deadline. ``asap`` iterates in
     :func:`topological_order`."""

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class SchedulingError(Exception):
@@ -137,19 +136,38 @@ class TooLarge(SchedulingError):
     code = "TooLarge"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class _DiagnosticFields(NamedTuple):
+    code: str
+    payload: str
+    details: dict
+
+
+class Diagnostic(_DiagnosticFields):
     """One validation finding.
 
     ``payload`` is the identifier part of the rendered message, e.g. the data
     name for an ``UnmappedData`` finding. ``details`` holds structured fields
     (op id, bank id, counts) for programmatic consumers and is excluded from
-    equality.
+    equality and hashing: a finding equals any 3-tuple with its code and
+    payload.
     """
 
-    code: str
-    payload: str
-    details: dict = field(default_factory=dict, compare=False)
+    __slots__ = ()
+
+    def __new__(cls, code: str, payload: str, details: dict | None = None):
+        return tuple.__new__(cls, (code, payload, {} if details is None else details))
+
+    def __eq__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return len(other) == 3 and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     def __str__(self) -> str:
         return f"ERROR {self.code}: {self.payload}"

@@ -11,10 +11,19 @@ default, otherwise they are unmapped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .dfg import DataRef, Dfg, _ELEMENT_RE, _NAME_RE, _check_keys, _is_int, _load_json
+from .dfg import (
+    DataRef,
+    Dfg,
+    OperatorClass,
+    _ELEMENT_RE,
+    _NAME_RE,
+    _Checked,
+    _check_keys,
+    _is_int,
+    _load_json,
+)
 from .errors import (
     CapacityExceeded,
     Diagnostic,
@@ -26,12 +35,7 @@ from .errors import (
 REGISTER = "REGISTER"
 
 
-@dataclass(frozen=True)
-class MemoryBank:
-    """One memory bank: simultaneous accesses are limited by ``ports``,
-    read/write latencies are whole cycles, ``capacity_words`` of None means
-    unbounded."""
-
+class _MemoryBankFields(NamedTuple):
     id: str
     ports: int
     read_latency_cycles: int
@@ -40,17 +44,29 @@ class MemoryBank:
     capacity_words: int | None = None
     energy_per_access: float = 1.0
 
-    def __post_init__(self):
-        if self.ports < 1:
-            raise ValueError(f"bank {self.id!r} needs at least one port")
-        if self.read_latency_cycles < 1 or self.write_latency_cycles < 1:
-            raise ValueError(f"bank {self.id!r} latencies must be >= 1")
-        if self.level < 0:
-            raise ValueError(f"bank {self.id!r} level must be >= 0")
-        if self.capacity_words is not None and self.capacity_words < 1:
-            raise ValueError(f"bank {self.id!r} capacity must be >= 1 or unbounded")
-        if not (math.isfinite(self.energy_per_access) and self.energy_per_access >= 0):
-            raise ValueError(f"bank {self.id!r} energy per access must be finite and >= 0")
+
+class MemoryBank(_Checked, _MemoryBankFields):
+    """One memory bank: simultaneous accesses are limited by ``ports``,
+    read/write latencies are whole cycles, ``capacity_words`` of None means
+    unbounded."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, ports: int, read_latency_cycles: int, write_latency_cycles: int,
+                level: int = 0, capacity_words: int | None = None,
+                energy_per_access: float = 1.0):
+        if ports < 1:
+            raise ValueError(f"bank {id!r} needs at least one port")
+        if read_latency_cycles < 1 or write_latency_cycles < 1:
+            raise ValueError(f"bank {id!r} latencies must be >= 1")
+        if level < 0:
+            raise ValueError(f"bank {id!r} level must be >= 0")
+        if capacity_words is not None and capacity_words < 1:
+            raise ValueError(f"bank {id!r} capacity must be >= 1 or unbounded")
+        if not (math.isfinite(energy_per_access) and energy_per_access >= 0):
+            raise ValueError(f"bank {id!r} energy per access must be finite and >= 0")
+        return tuple.__new__(cls, (id, ports, read_latency_cycles, write_latency_cycles,
+                                   level, capacity_words, energy_per_access))
 
 
 class MemoryMapping:
@@ -229,10 +245,15 @@ class AccessWindow(NamedTuple):
     is_store: bool
 
 
-class _OpAccess(NamedTuple):
+class OpPlan(NamedTuple):
+    """What one operation does relative to its start, derived once per
+    access model: every layer that places or replays the operation reads
+    it."""
+
+    operator_class: OperatorClass
     latency: int
-    fetches: tuple[tuple[MemoryBank, int], ...]  # (bank, distinct operands), by bank id
-    store: MemoryBank | None
+    done: int  # cycles from its start until its result is usable downstream
+    windows: tuple[AccessWindow, ...]  # fetches by bank id, then the store, at start 0
     floor: int  # largest read latency: no fetch window starts before cycle 0
     waits: tuple[tuple[str, int], ...]  # (predecessor, cycles between its finish and start)
 
@@ -252,57 +273,51 @@ class AccessModel:
     earlier than the completion of the producer of the fetched value, and
     once the producers of its register operands and its ``deps`` completed.
 
-    Building it under a mapping resolves every item an operation touches and
-    raises UnmappedData at the first one without a place.
+    ``plans`` holds each operation's :class:`OpPlan`, its windows at start
+    0. Building it under a mapping resolves every item an operation touches
+    and raises UnmappedData at the first one without a place.
     """
 
     def __init__(self, g: Dfg, mapping: MemoryMapping | None = None):
         self.mapping = mapping
-        self._ops: dict[str, _OpAccess] = {}
+        self.plans: dict[str, OpPlan] = {}
         for op in g.operations:
+            cls = g.class_of(op)
+            latency = done = cls.latency_cycles
             waits = dict.fromkeys(g.predecessors(op.id), 0)
-            fetches: list[tuple[MemoryBank, int]] = []
-            store = None
+            windows: list[AccessWindow] = []
+            floor = 0
             if mapping is not None:
                 for bank_id, refs in sorted(memory_read_refs(op, mapping).items()):
                     bank = mapping.bank_by_id[bank_id]
-                    fetches.append((bank, len(refs)))
+                    lag = bank.read_latency_cycles
+                    floor = max(floor, lag)
+                    windows.append(AccessWindow(bank, len(refs), -lag, 0, False))
                     for ref in refs:
                         producer = g.producer_of(ref)
                         if producer in waits:
-                            waits[producer] = max(waits[producer], bank.read_latency_cycles)
+                            waits[producer] = max(waits[producer], lag)
                 store = mapping.bank_of(op.result)
-            self._ops[op.id] = _OpAccess(
-                latency=g.class_of(op).latency_cycles,
-                fetches=tuple(fetches),
-                store=store,
-                floor=max((bank.read_latency_cycles for bank, _ in fetches), default=0),
-                waits=tuple(waits.items()),
-            )
+                if store is not None:
+                    done += store.write_latency_cycles
+                    windows.append(AccessWindow(store, 1, latency, done, True))
+            self.plans[op.id] = OpPlan(cls, latency, done, tuple(windows), floor,
+                                       tuple(waits.items()))
 
     def windows(self, op_id: str, start: int) -> list[AccessWindow]:
         """Fetch windows by bank id, then the store window, for a start."""
-        a = self._ops[op_id]
-        out = [
-            AccessWindow(bank, n, start - bank.read_latency_cycles, start, False)
-            for bank, n in a.fetches
-        ]
-        if a.store is not None:
-            end = start + a.latency
-            out.append(AccessWindow(a.store, 1, end, end + a.store.write_latency_cycles, True))
-        return out
+        return [AccessWindow(bank, n, first + start, end + start, is_store)
+                for bank, n, first, end, is_store in self.plans[op_id].windows]
 
     def completion(self, op_id: str, start: int) -> int:
         """Cycle at which the result is usable downstream."""
-        a = self._ops[op_id]
-        end = start + a.latency
-        return end + a.store.write_latency_cycles if a.store is not None else end
+        return start + self.plans[op_id].done
 
     def earliest_start(self, op_id: str, finish: Mapping[str, int]) -> int:
         """Earliest legal start given the completion cycles of every
         predecessor in ``finish``."""
-        a = self._ops[op_id]
-        return max([a.floor] + [finish[p] + lag for p, lag in a.waits])
+        p = self.plans[op_id]
+        return max([p.floor] + [finish[pred] + lag for pred, lag in p.waits])
 
 
 def validate_mapping(
@@ -325,7 +340,7 @@ def validate_mapping(
     unmapped_seen: set[str] = set()
     for op in g.operations:
         if model is not None:
-            fetches = model._ops[op.id].fetches
+            fetches = [(w.bank, w.count) for w in model.plans[op.id].windows if not w.is_store]
         else:
             ok = True
             for ref in list(dict.fromkeys(op.operands)) + [op.result]:

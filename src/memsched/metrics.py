@@ -18,8 +18,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .dfg import Dfg
 from .errors import InconsistentSchedule, MismatchedInputs
@@ -27,15 +26,13 @@ from .memmap import AccessModel, MemoryMapping
 from .scheduler import Schedule
 
 
-@dataclass(frozen=True)
-class BankStats:
+class BankStats(NamedTuple):
     accesses: int
     peak_simultaneous_requests: int
     port_conflict_cycles: int
 
 
-@dataclass(frozen=True)
-class ScheduleMetrics:
+class ScheduleMetrics(NamedTuple):
     makespan_cycles: int
     op_count: int
     model2_count: int
@@ -65,8 +62,7 @@ class ScheduleMetrics:
         }
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     left: ScheduleMetrics
     right: ScheduleMetrics
     makespan_delta: int
@@ -85,11 +81,15 @@ class ComparisonReport:
         }
 
 
+REDUCTION_RANGE = (0.25, 0.50)
+
+
 def check_reduction(reduction: float) -> None:
     """Raise ValueError unless ``reduction`` is an energy discount the
-    model accepts."""
-    if not 0.25 <= reduction <= 0.50:
-        raise ValueError("model2_reduction must lie in [0.25, 0.50]")
+    model accepts: a fraction in ``REDUCTION_RANGE``, bounds included."""
+    low, high = REDUCTION_RANGE
+    if not low <= reduction <= high:
+        raise ValueError(f"model2_reduction must lie in [{low:.2f}, {high:.2f}]")
 
 
 def analyze(
@@ -117,17 +117,18 @@ def analyze(
     no bank traffic.
     """
     check_reduction(reduction)
-    ids = {op.id for op in g.operations}
-    if set(s.entries) != ids:
+    ops = {op.id: op for op in g.operations}
+    if s.entries.keys() != ops.keys():
         raise InconsistentSchedule(
-            f"schedule covers {len(s.entries)} of {len(ids)} operations"
+            f"schedule covers {len(s.entries)} of {len(ops)} operations"
         )
-    for op in g.operations:
-        entry = s.entries[op.id]
-        latency = g.class_of(op).latency_cycles
+    classes = {oid: g.class_of(op) for oid, op in ops.items()}
+    for oid in ops:
+        entry = s.entries[oid]
+        latency = classes[oid].latency_cycles
         if entry.end_cycle - entry.start_cycle != latency:
             raise InconsistentSchedule(
-                f"entry {op.id!r} spans {entry.end_cycle - entry.start_cycle} cycles, "
+                f"entry {oid!r} spans {entry.end_cycle - entry.start_cycle} cycles, "
                 f"class latency is {latency}"
             )
 
@@ -135,12 +136,11 @@ def analyze(
     model2_count = sum(1 for e in s.entries.values() if e.is_model2)
     datapath = 0.0
     for e in s.sorted_entries():
-        op = g.operation(e.op_id)
         if per_shared_input:
-            share = e.shared_inputs / len(op.operands)
+            share = e.shared_inputs / len(ops[e.op_id].operands)
         else:
             share = float(e.is_model2)
-        datapath += g.class_of(op).base_energy * (1.0 - reduction * share)
+        datapath += classes[e.op_id].base_energy * (1.0 - reduction * share)
 
     per_bank: dict[str, BankStats] = {}
     memory_energy = 0.0
@@ -174,11 +174,12 @@ def _traffic(s: Schedule, model: AccessModel):
     accesses: Counter[str] = Counter()
     requests: dict[str, Counter[int]] = {}
     for e in s.entries.values():
-        for w in model.windows(e.op_id, e.start_cycle):
-            accesses[w.bank.id] += w.count
-            cycles = requests.setdefault(w.bank.id, Counter())
-            for c in range(w.start, w.end):
-                cycles[c] += w.count
+        t = e.start_cycle
+        for bank, count, first, end, _ in model.plans[e.op_id].windows:
+            accesses[bank.id] += count
+            cycles = requests.setdefault(bank.id, Counter())
+            for c in range(t + first, t + end):
+                cycles[c] += count
     return accesses, requests
 
 

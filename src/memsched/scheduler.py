@@ -80,10 +80,9 @@ import enum
 import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .dfg import DataRef, Dfg, OperatorClass, TimingAnalysis, compute_timing
+from .dfg import DataRef, Dfg, OperatorClass, TimingAnalysis, _Checked, compute_timing
 from .errors import (
     Infeasible,
     InfeasibleConstraint,
@@ -99,51 +98,73 @@ class Policy(enum.Enum):
     MEMORY_AWARE = "memory_aware"
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """How many operator instances exist per class."""
-
+class _AllocationFields(NamedTuple):
     counts: Mapping[str, int]
 
-    def __post_init__(self):
-        for name, count in self.counts.items():
+
+class Allocation(_Checked, _AllocationFields):
+    """How many operator instances exist per class."""
+
+    __slots__ = ()
+
+    def __new__(cls, counts: Mapping[str, int]):
+        for name, count in counts.items():
             if count < 1:
                 raise ValueError(f"allocation for class {name!r} must be >= 1")
+        return tuple.__new__(cls, (counts,))
 
     def count(self, class_name: str) -> int:
         return self.counts.get(class_name, 0)
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Scheduling knobs: the deadline and how operations are ranked and bound."""
-
+class _SchedulerConfigFields(NamedTuple):
     time_constraint_cycles: int
     dynamic_mobility: bool = False
     positional_affinity: bool = False
     use_affinity: bool = True
 
-    def __post_init__(self):
-        if self.time_constraint_cycles < 1:
+
+class SchedulerConfig(_Checked, _SchedulerConfigFields):
+    """Scheduling knobs: the deadline and how operations are ranked and bound."""
+
+    __slots__ = ()
+
+    def __new__(cls, time_constraint_cycles: int, dynamic_mobility: bool = False,
+                positional_affinity: bool = False, use_affinity: bool = True):
+        if time_constraint_cycles < 1:
             raise ValueError("time constraint must be >= 1 cycle")
+        return tuple.__new__(cls, (time_constraint_cycles, dynamic_mobility,
+                                   positional_affinity, use_affinity))
 
 
-@dataclass
 class OperatorInstanceState:
-    """Mutable bookkeeping for one operator instance during a run."""
+    """Mutable bookkeeping for one operator instance during a run; equal
+    by value, so unhashable."""
 
-    operator_class: OperatorClass
-    instance_index: int
-    busy_until_cycle: int = 0
-    last_operand_sources: tuple[DataRef, ...] | None = None
+    __slots__ = ("operator_class", "instance_index", "busy_until_cycle",
+                 "last_operand_sources")
+
+    def __init__(self, operator_class: OperatorClass, instance_index: int,
+                 busy_until_cycle: int = 0,
+                 last_operand_sources: tuple[DataRef, ...] | None = None):
+        self.operator_class = operator_class
+        self.instance_index = instance_index
+        self.busy_until_cycle = busy_until_cycle
+        self.last_operand_sources = last_operand_sources
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    __hash__ = None
 
     @property
     def class_name(self) -> str:
         return self.operator_class.name
 
 
-@dataclass(frozen=True)
-class PortBooking:
+class PortBooking(NamedTuple):
     """A half-open cycle interval reserved on one bank port."""
 
     bank_id: str
@@ -176,8 +197,7 @@ class PortLedger:
         self._busy.setdefault((bank_id, port_index), set()).update(range(start, end))
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(NamedTuple):
     """Placement of one operation: when it runs, on which instance, and the
     port intervals reserved for its fetches and its store."""
 
@@ -201,21 +221,34 @@ class ScheduleEntry:
         return self.write_booking.end if self.write_booking else self.end_cycle
 
 
-@dataclass
 class Schedule:
     """Complete schedule for one graph under one configuration.
 
     ``model`` is the access model the entries obey: the mapping's for a
     memory-aware schedule, the register-only one for a memory-blind one, and
     None for a schedule built by hand. It is the model ``metrics.analyze``
-    replays a schedule against, and it never goes into ``schedule.json``.
-    The makespan and the policy are read off the entries and the model, so
-    they always describe what the schedule holds.
+    replays a schedule against, and it never goes into ``schedule.json``;
+    equality ignores it. The makespan and the policy are read off the
+    entries and the model, so they always describe what the schedule holds.
     """
 
-    entries: dict[str, ScheduleEntry]
-    config: SchedulerConfig
-    model: AccessModel | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("entries", "config", "model")
+
+    def __init__(self, entries: dict[str, ScheduleEntry], config: SchedulerConfig,
+                 model: AccessModel | None = None):
+        self.entries = entries
+        self.config = config
+        self.model = model
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.config) == (other.entries, other.config)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Schedule(entries={self.entries!r}, config={self.config!r})"
 
     @property
     def makespan_cycles(self) -> int:
@@ -326,10 +359,10 @@ class _Engine:
         self.cfg = cfg
         self.timing = timing
         self.model = model
-        self.cls = {op.id: g.class_of(op) for op in g.operations}
-        # each op's access windows at start 0: offsets from its start
-        self.windows = {oid: model.windows(oid, 0) for oid in self.cls}
-        used = sorted({c.name for c in self.cls.values()})
+        # each op's class, latency, completion offset and windows at start 0
+        self.plans = model.plans
+        self.operands = {op.id: op.operands for op in g.operations}
+        used = sorted({p.operator_class.name for p in self.plans.values()})
         for name in used:
             if alloc.count(name) < 1:
                 raise ValueError(f"allocation covers no instances of class {name!r}")
@@ -352,7 +385,7 @@ class _Engine:
             op.id: (slack[op.id], -len(op.operands) if affinity else 0, op.id)
             for op in g.operations
         }
-        cls = self.cls
+        plans = self.plans
         ledger = PortLedger()
         entries: dict[str, ScheduleEntry] = {}
         finish: dict[str, int] = {}
@@ -367,14 +400,13 @@ class _Engine:
         # the class, the completion offset and the windows at start 0
         shapes: dict[tuple, int] = {}
         group: dict[str, int] = {}
-        for oid, c in cls.items():
-            shape = (c.name, model.completion(oid, 0),
-                     *((w.bank.id, w.count, w.start, w.end) for w in self.windows[oid]))
+        for oid, p in plans.items():
+            shape = (p.operator_class.name, p.done, p.windows)
             group[oid] = shapes.setdefault(shape, len(shapes))
         heaps: list[list[tuple]] = [[] for _ in shapes]
         # (group, completion offset) per class
         groups_of_class: dict[str, list[tuple[int, int]]] = {n: [] for n in self.instances}
-        for (name, done, *_), gid in shapes.items():
+        for (name, done, _), gid in shapes.items():
             groups_of_class[name].append((gid, done))
 
         t = 0
@@ -407,7 +439,7 @@ class _Engine:
             while queue:
                 key, shared, inst = heapq.heappop(queue)
                 oid = key[-1]
-                pool = free[cls[oid].name]
+                pool = free[plans[oid].operator_class.name]
                 ports = self._gate(oid, t, ledger) if pool else None
                 if ports is None:
                     # the group is blocked for the rest of the cycle: an
@@ -445,7 +477,7 @@ class _Engine:
         """(shared inputs, instance) for ``oid`` among the free instances
         ``pool`` (ascending index): the one sharing the most inputs, lowest
         index on ties; the lowest index when affinity is off."""
-        operands = self.g.operation(oid).operands
+        operands = self.operands[oid]
         positional = self.cfg.positional_affinity
         if not self.cfg.use_affinity:
             pool = pool[:1]
@@ -459,29 +491,31 @@ class _Engine:
         """The lowest free ports of each access window of ``oid`` started
         at t, or None when a bank has too few free."""
         ports = []
-        for w in self.windows[oid]:
-            free = ledger.free_ports(w.bank, t + w.start, t + w.end)
-            if len(free) < w.count:
+        for bank, count, first, end, _ in self.plans[oid].windows:
+            free = ledger.free_ports(bank, t + first, t + end)
+            if len(free) < count:
                 return None
-            ports.append(free[: w.count])
+            ports.append(free[:count])
         return ports
 
     def _place(self, oid, t, shared, inst, ports, ledger, entries, finish) -> None:
         """Start ``oid`` at t on ``inst``, booking ``ports[k]`` for its k-th
         access window. Windows come by bank id and their ports ascending, so
         the read bookings come out in (bank, port) order."""
+        plan = self.plans[oid]
         reads: list[PortBooking] = []
         write = None
-        for w, chosen in zip(self.windows[oid], ports):
-            first, last = t + w.start, t + w.end
+        for (bank, _, first, last, is_store), chosen in zip(plan.windows, ports):
+            first += t
+            last += t
             for p in chosen:
-                ledger.book(w.bank.id, p, first, last)
-                booking = PortBooking(w.bank.id, p, first, last)
-                if w.is_store:
+                ledger.book(bank.id, p, first, last)
+                booking = PortBooking(bank.id, p, first, last)
+                if is_store:
                     write = booking
                 else:
                     reads.append(booking)
-        end = t + self.cls[oid].latency_cycles
+        end = t + plan.latency
         entries[oid] = ScheduleEntry(
             op_id=oid,
             start_cycle=t,
@@ -492,9 +526,9 @@ class _Engine:
             write_booking=write,
             shared_inputs=shared,
         )
-        finish[oid] = self.model.completion(oid, t)
+        finish[oid] = t + plan.done
         inst.busy_until_cycle = end
-        inst.last_operand_sources = self.g.operation(oid).operands
+        inst.last_operand_sources = self.operands[oid]
 
 
 def _run_or_raise(
@@ -511,7 +545,7 @@ def _run_or_raise(
         # One run at 8T answers for 2T and 4T too (see module docs).
         T = cfg.time_constraint_cycles
         relaxed, left = _Engine(
-            g, alloc, replace(cfg, time_constraint_cycles=8 * T), timing, model
+            g, alloc, cfg._replace(time_constraint_cycles=8 * T), timing, model
         ).run()
         suggestion = None
         if not left:
@@ -578,7 +612,7 @@ def bruteforce_optimal_makespan(
     except InfeasibleConstraint:
         raise Infeasible(f"no schedule fits within {T_max} cycles") from None
     engine = _Engine(g, alloc, SchedulerConfig(T_max), timing, AccessModel(g, mapping))
-    cls, model = engine.cls, engine.model
+    plans, model = engine.plans, engine.model
     # longest path from an op's start to the end of the graph
     tail = {oid: T_max - alap for oid, alap in timing.alap.items()}
     order = list(timing.asap)  # topological
@@ -593,8 +627,8 @@ def bruteforce_optimal_makespan(
         rid["bank", bank.id] = len(capacity)
         capacity.append(bank.ports)
     holds = {
-        oid: [(rid["class", cls[oid].name], 0, cls[oid].latency_cycles, 1)]
-        + [(rid["bank", w.bank.id], w.start, w.end, w.count) for w in engine.windows[oid]]
+        oid: [(rid["class", plans[oid].operator_class.name], 0, plans[oid].latency, 1)]
+        + [(rid["bank", w.bank.id], w.start, w.end, w.count) for w in plans[oid].windows]
         for oid in order
     }
 
@@ -639,7 +673,7 @@ def bruteforce_optimal_makespan(
         oid = order[i]
         lo = model.earliest_start(oid, finish)
         # latest start that still completes by T_max
-        hi = T_max - model.completion(oid, 0)
+        hi = T_max - plans[oid].done
         for s in range(lo, hi + 1):
             if s + tail[oid] >= best:  # best may have dropped in a child
                 break
@@ -647,7 +681,7 @@ def bruteforce_optimal_makespan(
                 continue
             hold(oid, s, +1)
             starts[oid] = s
-            finish[oid] = model.completion(oid, s)
+            finish[oid] = s + plans[oid].done
             dfs(i + 1)
             del starts[oid], finish[oid]
             hold(oid, s, -1)
@@ -668,10 +702,10 @@ def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
     accesses = sorted(
         (s + w.start, s + w.end, oid, k, w.bank.id, w.bank.ports)
         for oid, s in starts.items()
-        for k, w in enumerate(engine.windows[oid])
+        for k, w in enumerate(engine.plans[oid].windows)
         for _ in range(w.count)
     )
-    ports = {oid: [[] for _ in engine.windows[oid]] for oid in starts}
+    ports = {oid: [[] for _ in engine.plans[oid].windows] for oid in starts}
     port_ends: dict[str, list[int]] = {}  # end of each port's last window
     for start, end, oid, k, bank_id, n_ports in accesses:
         ends = port_ends.setdefault(bank_id, [0] * n_ports)
@@ -684,8 +718,8 @@ def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
     finish: dict[str, int] = {}
     for oid in sorted(starts, key=lambda o: (starts[o], o)):
         start = starts[oid]
-        inst = next(i for i in engine.instances[engine.cls[oid].name]
+        inst = next(i for i in engine.instances[engine.plans[oid].operator_class.name]
                     if i.busy_until_cycle <= start)
-        shared = _affinity(engine.g.operation(oid).operands, inst.last_operand_sources, False)
+        shared = _affinity(engine.operands[oid], inst.last_operand_sources, False)
         engine._place(oid, start, shared, inst, ports[oid], ledger, entries, finish)
     return Schedule(entries, engine.cfg, engine.model)

@@ -382,36 +382,38 @@ def test_compare_computes_timing_once_plus_allocation_guard(inputs, monkeypatch)
 
 
 # case -> (argv, timing passes, access models built in order, walks of an
-# op's memory operands): one walk per op and mapping model, so the mapping
-# check of the mem-aware path reads the model's fetch counts (fir16 has 31
-# ops, two_adds_one_bank 2)
+# op's memory operands, topological sorts): one walk per op and mapping
+# model, so the mapping check of the mem-aware path reads the model's fetch
+# counts (fir16 has 31 ops, two_adds_one_bank 2), and one sort per graph,
+# which validation and every timing pass read
 DERIVATIONS = {
     "compare": (
         ["compare", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"], 31),
+        1, ["registers", "mapping"], 31, 1),
     "schedule mem-aware": (
         ["schedule", "--policy", "mem-aware", "--dfg", "fir16.dfg.json",
          "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["mapping"], 31),
+        1, ["mapping"], 31, 1),
     "schedule baseline with a mapping": (
         ["schedule", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"], 31),
+        1, ["registers", "mapping"], 31, 1),
     # the oracle derives its own bound and model at its T_max
     "compare with the oracle": (
         ["compare", "--dfg", "two_adds_one_bank.dfg.json",
          "--mapping", "two_adds_one_bank.map.json", "--T", "4", "--alloc", "alu=2", "--oracle"],
-        2, ["registers", "mapping", "mapping"], 4),
+        2, ["registers", "mapping", "mapping"], 4, 1),
 }
 
 
 @pytest.mark.parametrize("case", list(DERIVATIONS))
 def test_each_call_derives_timing_and_models_once(inputs, monkeypatch, case):
     import memsched.cli as cli
+    import memsched.dfg as dfg
     import memsched.memmap as memmap
     import memsched.scheduler as scheduler
 
-    argv, timing_passes, models, walks = DERIVATIONS[case]
-    timings, built, walked = [], [], []
+    argv, timing_passes, models, walks, sorts = DERIVATIONS[case]
+    timings, built, walked, sorted_ = [], [], [], []
 
     def counting(original):
         def wrapper(*args, **kwargs):
@@ -433,13 +435,21 @@ def test_each_call_derives_timing_and_models_once(inputs, monkeypatch, case):
         walked.append(op.id)
         return walk(op, mapping)
 
+    sort = dfg._topological_sort
+
+    def counting_sort(g):
+        sorted_.append(g)
+        return sort(g)
+
     monkeypatch.setattr(memmap.AccessModel, "__init__", counting_build)
     monkeypatch.setattr(memmap, "memory_read_refs", counting_walk)
+    monkeypatch.setattr(dfg, "_topological_sort", counting_sort)
     files = [inputs.get(arg, arg) for arg in argv]
     assert main(files + ["--library", inputs["dsp.lib.json"], "--out", inputs["out"]]) == 0
     assert len(timings) == timing_passes
     assert ["registers" if m is None else "mapping" for m in built] == models
     assert len(walked) == walks
+    assert len(sorted_) == sorts
 
 
 # -- the input contract: one document per rule --------------------------------

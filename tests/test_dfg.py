@@ -1,6 +1,7 @@
 """Graph IR: parsing, validation, ordering and timing analysis."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -247,6 +248,73 @@ def test_parse_builds_each_item_once():
             assert ref is source
     for ref in g.primary_outputs:
         assert ref is g.operation(g.producer_of(ref)).result
+
+
+# a faulty second op -> the error parse_dfg reports; where an entry has two
+# faults, the first one listed is reported
+OP_SYNTAX = {
+    "not an object": (["b", "add"], "ops[1] must be an object"),
+    "missing key": ({"id": "b", "opcode": "add", "args": ["u"]},
+                    "ops[1] is missing key(s): result"),
+    "unknown key": ({"id": "b", "opcode": "add", "args": ["u"], "result": "w", "x": 1},
+                    "ops[1] has unknown key(s): x"),
+    "missing and unknown": ({"id": "b", "args": ["u"], "result": "w", "x": 1},
+                            "ops[1] is missing key(s): opcode"),
+    "id not a string": ({"id": 3, "opcode": "add", "args": ["u"], "result": "w"},
+                        "ops[1].id must be of type str"),
+    "id not an identifier, opcode not a string": (
+        {"id": "3b", "opcode": None, "args": ["u"], "result": "w"},
+        "ops[1]: '3b' is not a valid identifier"),
+    "opcode not a string, no args": ({"id": "b", "opcode": None, "args": [], "result": "w"},
+                                     "ops[1].opcode must be of type str"),
+    "args not a list": ({"id": "b", "opcode": "add", "args": "u", "result": "w"},
+                        "ops[1].args must be of type list"),
+    "no args, result not a string": ({"id": "b", "opcode": "add", "args": [], "result": 1},
+                                     "ops[1].args must be a non-empty list of names"),
+    "arg not a string": ({"id": "b", "opcode": "add", "args": ["u", 1], "result": "w"},
+                         "ops[1].args must be a non-empty list of names"),
+    "result not a string, deps not a list": (
+        {"id": "b", "opcode": "add", "args": ["u"], "result": 1, "deps": "a"},
+        "ops[1].result must be of type str"),
+    "bad result token, deps not a list": (
+        {"id": "b", "opcode": "add", "args": ["u"], "result": "w[x]", "deps": "a"},
+        "bad data reference 'w[x]'"),
+    "deps not a list, bad arg token": (
+        {"id": "b", "opcode": "add", "args": ["u[01]"], "result": "w", "deps": "a"},
+        "ops[1].deps must be a list of op ids"),
+    "dep not a string": ({"id": "b", "opcode": "add", "args": ["u"], "result": "w", "deps": [1]},
+                         "ops[1].deps must be a list of op ids"),
+    "bad arg token": ({"id": "b", "opcode": "add", "args": ["u", "v[01]"], "result": "w"},
+                      "bad data reference 'v[01]'"),
+}
+
+
+@pytest.mark.parametrize("case", list(OP_SYNTAX))
+def test_op_syntax_errors_name_the_entry_and_the_first_fault(case):
+    entry, message = OP_SYNTAX[case]
+    first = {"id": "a", "opcode": "add", "args": ["u"], "result": "v"}
+    with pytest.raises(FormatError) as err:
+        parse_dfg(doc([{"name": "u"}], [], [first, entry]), LIB)
+    assert err.value.message == message
+
+
+def test_a_graph_keeps_its_order_and_cycle_through_pickle():
+    g = load_dfg("fir16")
+    again = pickle.loads(pickle.dumps(g))
+    assert topological_order(again) == topological_order(g)
+    assert again.operations == g.operations
+    cycle = Dfg.build(
+        [
+            Operation("b", "f", (scalar("u"),), scalar("w")),
+            Operation("a", "f", (scalar("w"),), scalar("u")),
+        ],
+        UNIT,
+    )
+    for graph in (cycle, pickle.loads(pickle.dumps(cycle))):
+        with pytest.raises(CycleDetected) as err:
+            topological_order(graph)
+        assert err.value.cycle == ["a", "b"]
+    assert validate_dfg(cycle)[-1].details["cycle"] == ["a", "b"]
 
 
 # -- validate_dfg on programmatic graphs -------------------------------------

@@ -55,7 +55,8 @@ def test_every_import_is_used(path, monkeypatch):
 
 
 def test_cli_import_stays_light():
-    heavy = ("xml.sax", "urllib.request", "http.client")
+    # dataclasses alone pulls in inspect, ast, dis and tokenize
+    heavy = ("xml.sax", "urllib.request", "http.client", "dataclasses", "inspect")
     probe = f"import sys, memsched.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,

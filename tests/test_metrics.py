@@ -1,6 +1,5 @@
 """Metrics, comparison and exports."""
 
-import dataclasses
 import re
 
 import pytest
@@ -218,13 +217,13 @@ def test_analyze_rejects_inconsistent_schedules():
 def test_compare_deltas_and_mismatch():
     g = flat_graph(5)
     m1 = analyze(manual_schedule(g, set()), g)
-    assert dataclasses.replace(compare(m1, m1)).makespan_delta == 0
+    assert compare(m1, m1)._replace().makespan_delta == 0
     assert compare(m1, m1).energy_delta == 0.0
     assert compare(m1, m1).conflict_delta == 0
 
     s2 = manual_schedule(g, set())
     bumped = {
-        oid: dataclasses.replace(e, start_cycle=e.start_cycle + 2, end_cycle=e.end_cycle + 2)
+        oid: e._replace(start_cycle=e.start_cycle + 2, end_cycle=e.end_cycle + 2)
         for oid, e in s2.entries.items()
     }
     s2 = Schedule(bumped, s2.config)
@@ -313,7 +312,7 @@ def test_csv_ties_break_by_op_id():
     g = flat_graph(3)
     s = manual_schedule(g, set())
     same_start = {
-        oid: dataclasses.replace(e, start_cycle=0, end_cycle=1)
+        oid: e._replace(start_cycle=0, end_cycle=1)
         for oid, e in s.entries.items()
     }
     s = Schedule(same_start, s.config)
@@ -363,7 +362,7 @@ def test_every_counted_model2_entry_is_discounted_per_shared_input():
     assert m.model2_count == len(counted) > 0
     for oid in counted:
         # the same schedule without this entry's sharing costs more energy
-        plain = dict(s.entries, **{oid: dataclasses.replace(s.entries[oid], shared_inputs=0)})
+        plain = dict(s.entries, **{oid: s.entries[oid]._replace(shared_inputs=0)})
         m_plain = analyze(Schedule(plain, cfg), g, per_shared_input=True)
         assert m_plain.model2_count == m.model2_count - 1
         assert m_plain.datapath_energy > m.datapath_energy
