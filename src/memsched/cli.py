@@ -225,13 +225,20 @@ def _compare(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _digits(text: str, error: str) -> int:
+    """``text`` as an integer when it is ASCII digits only, otherwise an
+    ArgumentTypeError with ``error``: int() alone also reads "1_0", " 7" and
+    other scripts' digits, and str.isdigit admits digits such as "²"."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(error)
+    return int(text)
+
+
 def _parse_alloc(value: str) -> tuple[str, int]:
     name, sep, count = value.partition("=")
-    # str.isdigit also admits non-ASCII digits, which int() reads or rejects
-    if not sep or not name or not (count.isascii() and count.isdigit()) or int(count) < 1:
-        raise argparse.ArgumentTypeError(
-            f"--alloc expects class=count with count >= 1, got {value!r}"
-        )
+    error = f"--alloc expects class=count with count >= 1, got {value!r}"
+    if not sep or not name or _digits(count, error) < 1:
+        raise argparse.ArgumentTypeError(error)
     return name, int(count)
 
 
@@ -252,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="generate the placement instead of taking it from --mapping",
         )
         if with_schedule_flags:
-            p.add_argument("--T", type=int, required=True, dest="time_constraint",
+            p.add_argument("--T", required=True, dest="time_constraint",
+                           type=lambda v: _digits(v, f"expected a cycle count, got {v!r}"),
                            help="real-time constraint in cycles")
             p.add_argument("--reduction", type=float, default=0.25,
                            help="energy discount for input-sharing ops "

@@ -36,33 +36,28 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ELEMENT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(0|[1-9][0-9]*)\]$")
 
 
-class _Checked:
-    """Base of a named tuple whose ``__new__`` checks its fields.
+def _checked(cls):
+    """Make the named tuple ``cls`` run its ``_check()`` however it is built.
 
-    ``typing.NamedTuple`` forbids overriding ``__new__``, so such a record
-    declares its fields in a ``NamedTuple`` and checks them in a subclass of
-    it and of this class. ``_make``, which ``_replace`` calls, then builds
-    through ``__new__`` too instead of around it.
+    ``typing.NamedTuple`` forbids defining ``__init__`` or ``_make`` in the
+    class body, so this sets them on the built class: the constructor's
+    ``__init__`` runs the check, and so does ``_make``, which ``_replace``
+    calls. The generated ``__new__`` and its signature stay as they are.
     """
+    make = cls._make.__func__
 
-    __slots__ = ()
-
-    @classmethod
     def _make(cls, iterable):
-        fields = tuple(iterable)
-        if len(fields) != len(cls._fields):
-            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(fields)}")
-        return cls(*fields)
+        record = make(cls, iterable)
+        record._check()
+        return record
+
+    cls.__init__ = lambda record, *args, **kwargs: record._check()
+    cls._make = classmethod(_make)
+    return cls
 
 
-class _DataRefFields(NamedTuple):
-    name: str
-    array: str | None = None
-    index: int | None = None
-    width_bits: int = DEFAULT_WIDTH_BITS
-
-
-class DataRef(_Checked, _DataRefFields):
+@_checked
+class DataRef(NamedTuple):
     """A single schedulable data item: a scalar or one array element.
 
     Array elements are distinct items; their canonical ``name`` is
@@ -71,17 +66,18 @@ class DataRef(_Checked, _DataRefFields):
     equals a plain 4-tuple of the same fields.
     """
 
-    __slots__ = ()
+    name: str
+    array: str | None = None
+    index: int | None = None
+    width_bits: int = DEFAULT_WIDTH_BITS
 
-    def __new__(cls, name: str, array: str | None = None, index: int | None = None,
-                width_bits: int = DEFAULT_WIDTH_BITS):
-        if not name:
+    def _check(self) -> None:
+        if not self.name:
             raise ValueError("data item name must be non-empty")
-        if array is not None and (index is None or index < 0):
-            raise ValueError(f"array element {name!r} needs a non-negative index")
-        if width_bits < 1:
-            raise ValueError(f"width_bits must be positive, got {width_bits}")
-        return tuple.__new__(cls, (name, array, index, width_bits))
+        if self.array is not None and (self.index is None or self.index < 0):
+            raise ValueError(f"array element {self.name!r} needs a non-negative index")
+        if self.width_bits < 1:
+            raise ValueError(f"width_bits must be positive, got {self.width_bits}")
 
 
 def scalar(name: str, width_bits: int = DEFAULT_WIDTH_BITS) -> DataRef:
@@ -94,28 +90,23 @@ def elem(array: str, index: int, width_bits: int = DEFAULT_WIDTH_BITS) -> DataRe
     return DataRef(f"{array}[{index}]", array, index, width_bits)
 
 
-class _OperatorClassFields(NamedTuple):
+@_checked
+class OperatorClass(NamedTuple):
+    """A hardware operator kind: which opcodes it executes, its latency in
+    cycles and its per-execution base energy (arbitrary units)."""
+
     name: str
     opcodes: frozenset[str]
     latency_cycles: int
     base_energy: float = 1.0
 
-
-class OperatorClass(_Checked, _OperatorClassFields):
-    """A hardware operator kind: which opcodes it executes, its latency in
-    cycles and its per-execution base energy (arbitrary units)."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, opcodes: frozenset[str], latency_cycles: int,
-                base_energy: float = 1.0):
-        if not opcodes:
-            raise ValueError(f"operator class {name!r} has no opcodes")
-        if latency_cycles < 1:
-            raise ValueError(f"operator class {name!r} latency must be >= 1")
-        if not (math.isfinite(base_energy) and base_energy >= 0):
-            raise ValueError(f"operator class {name!r} base energy must be finite and >= 0")
-        return tuple.__new__(cls, (name, opcodes, latency_cycles, base_energy))
+    def _check(self) -> None:
+        if not self.opcodes:
+            raise ValueError(f"operator class {self.name!r} has no opcodes")
+        if self.latency_cycles < 1:
+            raise ValueError(f"operator class {self.name!r} latency must be >= 1")
+        if not (math.isfinite(self.base_energy) and self.base_energy >= 0):
+            raise ValueError(f"operator class {self.name!r} base energy must be finite and >= 0")
 
 
 class OperatorLibrary:
@@ -157,28 +148,23 @@ class OperatorLibrary:
         return iter(self.classes)
 
 
-class _OperationFields(NamedTuple):
-    id: str
-    opcode: str
-    operands: tuple[DataRef, ...]
-    result: DataRef
-    extra_deps: frozenset[str] = frozenset()
-
-
-class Operation(_Checked, _OperationFields):
+@_checked
+class Operation(NamedTuple):
     """One graph node: reads ``operands`` (ordered), writes ``result`` once.
 
     ``extra_deps`` are explicit ordering edges to operation ids that must
     finish first, in addition to the producer edges implied by operands.
     """
 
-    __slots__ = ()
+    id: str
+    opcode: str
+    operands: tuple[DataRef, ...]
+    result: DataRef
+    extra_deps: frozenset[str] = frozenset()
 
-    def __new__(cls, id: str, opcode: str, operands: tuple[DataRef, ...], result: DataRef,
-                extra_deps: frozenset[str] = frozenset()):
-        if not operands:
-            raise ValueError(f"operation {id!r} needs at least one operand")
-        return tuple.__new__(cls, (id, opcode, operands, result, extra_deps))
+    def _check(self) -> None:
+        if not self.operands:
+            raise ValueError(f"operation {self.id!r} needs at least one operand")
 
 
 class Dfg:
@@ -502,8 +488,9 @@ def validate_dfg(g: Dfg) -> list[Diagnostic]:
     """Check all graph invariants; returns one Diagnostic per violation.
 
     This never raises, so it also covers graphs assembled programmatically.
-    Findings are ordered by rule: opcodes, writers, deps, per-op self-deps and
-    operands, outputs, cycles; :func:`parse_dfg` raises the first one.
+    Findings are ordered by rule: opcodes, writers, deps, per-op self-deps (an
+    op in its own ``deps`` or reading its own result) and operands, outputs,
+    cycles; :func:`parse_dfg` raises the first one.
     """
     diags: list[Diagnostic] = []
     produced = {op.result for op in g.operations}
@@ -533,7 +520,7 @@ def validate_dfg(g: Dfg) -> list[Diagnostic]:
 
     seen_undefined: set[str] = set()
     for op in g.operations:
-        if op.id in op.extra_deps:
+        if op.id in op.extra_deps or op.result in op.operands:
             diags.append(Diagnostic("CycleDetected", op.id, {"self_dep": True}))
         for ref in op.operands:
             if ref in g.primary_inputs or ref in produced:

@@ -19,7 +19,7 @@ from .dfg import (
     OperatorClass,
     _ELEMENT_RE,
     _NAME_RE,
-    _Checked,
+    _checked,
     _check_keys,
     _is_int,
     _load_json,
@@ -35,7 +35,12 @@ from .errors import (
 REGISTER = "REGISTER"
 
 
-class _MemoryBankFields(NamedTuple):
+@_checked
+class MemoryBank(NamedTuple):
+    """One memory bank: simultaneous accesses are limited by ``ports``,
+    read/write latencies are whole cycles, ``capacity_words`` of None means
+    unbounded."""
+
     id: str
     ports: int
     read_latency_cycles: int
@@ -44,29 +49,17 @@ class _MemoryBankFields(NamedTuple):
     capacity_words: int | None = None
     energy_per_access: float = 1.0
 
-
-class MemoryBank(_Checked, _MemoryBankFields):
-    """One memory bank: simultaneous accesses are limited by ``ports``,
-    read/write latencies are whole cycles, ``capacity_words`` of None means
-    unbounded."""
-
-    __slots__ = ()
-
-    def __new__(cls, id: str, ports: int, read_latency_cycles: int, write_latency_cycles: int,
-                level: int = 0, capacity_words: int | None = None,
-                energy_per_access: float = 1.0):
-        if ports < 1:
-            raise ValueError(f"bank {id!r} needs at least one port")
-        if read_latency_cycles < 1 or write_latency_cycles < 1:
-            raise ValueError(f"bank {id!r} latencies must be >= 1")
-        if level < 0:
-            raise ValueError(f"bank {id!r} level must be >= 0")
-        if capacity_words is not None and capacity_words < 1:
-            raise ValueError(f"bank {id!r} capacity must be >= 1 or unbounded")
-        if not (math.isfinite(energy_per_access) and energy_per_access >= 0):
-            raise ValueError(f"bank {id!r} energy per access must be finite and >= 0")
-        return tuple.__new__(cls, (id, ports, read_latency_cycles, write_latency_cycles,
-                                   level, capacity_words, energy_per_access))
+    def _check(self) -> None:
+        if self.ports < 1:
+            raise ValueError(f"bank {self.id!r} needs at least one port")
+        if self.read_latency_cycles < 1 or self.write_latency_cycles < 1:
+            raise ValueError(f"bank {self.id!r} latencies must be >= 1")
+        if self.level < 0:
+            raise ValueError(f"bank {self.id!r} level must be >= 0")
+        if self.capacity_words is not None and self.capacity_words < 1:
+            raise ValueError(f"bank {self.id!r} capacity must be >= 1 or unbounded")
+        if not (math.isfinite(self.energy_per_access) and self.energy_per_access >= 0):
+            raise ValueError(f"bank {self.id!r} energy per access must be finite and >= 0")
 
 
 class MemoryMapping:
@@ -303,15 +296,6 @@ class AccessModel:
                     windows.append(AccessWindow(store, 1, latency, done, True))
             self.plans[op.id] = OpPlan(cls, latency, done, tuple(windows), floor,
                                        tuple(waits.items()))
-
-    def windows(self, op_id: str, start: int) -> list[AccessWindow]:
-        """Fetch windows by bank id, then the store window, for a start."""
-        return [AccessWindow(bank, n, first + start, end + start, is_store)
-                for bank, n, first, end, is_store in self.plans[op_id].windows]
-
-    def completion(self, op_id: str, start: int) -> int:
-        """Cycle at which the result is usable downstream."""
-        return start + self.plans[op_id].done
 
     def earliest_start(self, op_id: str, finish: Mapping[str, int]) -> int:
         """Earliest legal start given the completion cycles of every

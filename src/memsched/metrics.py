@@ -70,16 +70,6 @@ class ComparisonReport(NamedTuple):
     conflict_delta: int
     verdict: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "left": self.left.to_json_dict(),
-            "right": self.right.to_json_dict(),
-            "makespan_delta": self.makespan_delta,
-            "energy_delta": self.energy_delta,
-            "conflict_delta": self.conflict_delta,
-            "verdict": self.verdict,
-        }
-
 
 REDUCTION_RANGE = (0.25, 0.50)
 
@@ -408,7 +398,6 @@ def metrics_to_json(metrics: ScheduleMetrics) -> str:
 
 
 def comparison_to_json(report: ComparisonReport, extra: dict | None = None) -> str:
-    doc = report.to_json_dict()
-    if extra:
-        doc.update(extra)
+    doc = {**report._asdict(), "left": report.left.to_json_dict(),
+           "right": report.right.to_json_dict(), **(extra or {})}
     return json.dumps(doc, indent=2) + "\n"

@@ -82,7 +82,7 @@ import json
 from collections import Counter
 from typing import Mapping, NamedTuple
 
-from .dfg import DataRef, Dfg, OperatorClass, TimingAnalysis, _Checked, compute_timing
+from .dfg import DataRef, Dfg, TimingAnalysis, _checked, compute_timing
 from .errors import (
     Infeasible,
     InfeasibleConstraint,
@@ -98,70 +98,44 @@ class Policy(enum.Enum):
     MEMORY_AWARE = "memory_aware"
 
 
-class _AllocationFields(NamedTuple):
-    counts: Mapping[str, int]
-
-
-class Allocation(_Checked, _AllocationFields):
+@_checked
+class Allocation(NamedTuple):
     """How many operator instances exist per class."""
 
-    __slots__ = ()
+    counts: Mapping[str, int]
 
-    def __new__(cls, counts: Mapping[str, int]):
-        for name, count in counts.items():
+    def _check(self) -> None:
+        for name, count in self.counts.items():
             if count < 1:
                 raise ValueError(f"allocation for class {name!r} must be >= 1")
-        return tuple.__new__(cls, (counts,))
 
     def count(self, class_name: str) -> int:
         return self.counts.get(class_name, 0)
 
 
-class _SchedulerConfigFields(NamedTuple):
+@_checked
+class SchedulerConfig(NamedTuple):
+    """Scheduling knobs: the deadline and how operations are ranked and bound."""
+
     time_constraint_cycles: int
     dynamic_mobility: bool = False
     positional_affinity: bool = False
     use_affinity: bool = True
 
-
-class SchedulerConfig(_Checked, _SchedulerConfigFields):
-    """Scheduling knobs: the deadline and how operations are ranked and bound."""
-
-    __slots__ = ()
-
-    def __new__(cls, time_constraint_cycles: int, dynamic_mobility: bool = False,
-                positional_affinity: bool = False, use_affinity: bool = True):
-        if time_constraint_cycles < 1:
+    def _check(self) -> None:
+        if self.time_constraint_cycles < 1:
             raise ValueError("time constraint must be >= 1 cycle")
-        return tuple.__new__(cls, (time_constraint_cycles, dynamic_mobility,
-                                   positional_affinity, use_affinity))
 
 
 class OperatorInstanceState:
-    """Mutable bookkeeping for one operator instance during a run; equal
-    by value, so unhashable."""
+    """Mutable bookkeeping for one operator instance during a run."""
 
-    __slots__ = ("operator_class", "instance_index", "busy_until_cycle",
-                 "last_operand_sources")
+    __slots__ = ("instance_index", "busy_until_cycle", "last_operand_sources")
 
-    def __init__(self, operator_class: OperatorClass, instance_index: int,
-                 busy_until_cycle: int = 0,
-                 last_operand_sources: tuple[DataRef, ...] | None = None):
-        self.operator_class = operator_class
+    def __init__(self, instance_index: int):
         self.instance_index = instance_index
-        self.busy_until_cycle = busy_until_cycle
-        self.last_operand_sources = last_operand_sources
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    __hash__ = None
-
-    @property
-    def class_name(self) -> str:
-        return self.operator_class.name
+        self.busy_until_cycle = 0
+        self.last_operand_sources: tuple[DataRef, ...] | None = None
 
 
 class PortBooking(NamedTuple):
@@ -367,10 +341,7 @@ class _Engine:
             if alloc.count(name) < 1:
                 raise ValueError(f"allocation covers no instances of class {name!r}")
         self.instances: dict[str, list[OperatorInstanceState]] = {
-            name: [
-                OperatorInstanceState(g.library.class_named(name), i)
-                for i in range(alloc.count(name))
-            ]
+            name: [OperatorInstanceState(i) for i in range(alloc.count(name))]
             for name in used
         }
 
@@ -520,7 +491,7 @@ class _Engine:
             op_id=oid,
             start_cycle=t,
             end_cycle=end,
-            class_name=inst.class_name,
+            class_name=plan.operator_class.name,
             instance_index=inst.instance_index,
             read_bookings=tuple(reads),
             write_booking=write,

@@ -1,8 +1,12 @@
 """A time limit per test, so a scheduling loop that never ends fails its
 test instead of stalling the suite. It uses ``signal.alarm`` and is
-installed only where the platform has ``SIGALRM``."""
+installed only where the platform has ``SIGALRM``. The ``line_budget``
+fixture measures work as executed lines, which do not depend on the host's
+speed."""
 
+import contextlib
 import signal
+import sys
 
 import pytest
 
@@ -22,3 +26,32 @@ if hasattr(signal, "SIGALRM"):
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def _line_budget(module, limit):
+    path = module.__file__
+    ran = [0]
+
+    def count(frame, event, arg):
+        if event == "line":
+            ran[0] += 1
+            if ran[0] > limit:
+                raise AssertionError(f"{module.__name__} ran more than {limit} lines")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == path else None)
+    try:
+        yield ran
+    finally:
+        sys.settrace(previous)
+
+
+@pytest.fixture
+def line_budget():
+    """``with line_budget(module, limit) as ran:`` counts in ``ran[0]`` the
+    lines ``module``'s own functions execute inside the block, and fails the
+    test as soon as more than ``limit`` run, so a loop that walks every cycle
+    fails at once instead of running to its end."""
+    return _line_budget

@@ -134,6 +134,18 @@ def test_malformed_alloc_is_exit_2(inputs, capsys, value):
     assert not (inputs["tmp"] / "out").exists()
 
 
+# int() reads Arabic-Indic digits and underscores; --T takes --alloc's rule
+@pytest.mark.parametrize("value", ["٢٤", "1_0", "-12", " 12"])
+def test_malformed_deadline_is_exit_2(inputs, capsys, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["schedule", "--dfg", inputs["fir4.dfg.json"], "--library", inputs["dsp.lib.json"],
+              "--T", value, "--out", inputs["out"]])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert f"argument --T: expected a cycle count, got {value!r}" in err, err
+    assert not (inputs["tmp"] / "out").exists()
+
+
 def test_schedule_memory_aware_two_adds(inputs):
     rc = main(
         [
@@ -486,6 +498,8 @@ GRAPH_RULES = {
         FormatError, 2, ["nowhere", "op_a"]),
     "self-dep": (
         _graph(SIN, [_op("op_a", ["sin"], "w", deps=["op_a"])]), CycleDetected, 1, ["op_a"]),
+    "self-read": (
+        _graph(SIN, [_op("op_a", ["sin", "w"], "w")], ["w"]), CycleDetected, 1, ["op_a"]),
     "two-op cycle": (
         _graph(SIN, [_op("op_a", ["sin", "u"], "w"), _op("op_b", ["w"], "u")]),
         CycleDetected, 1, ["op_a", "op_b"]),

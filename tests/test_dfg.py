@@ -10,6 +10,7 @@ from memsched import (
     CycleDetected,
     DataRef,
     Dfg,
+    Diagnostic,
     DuplicateOpcode,
     DuplicateWriter,
     FormatError,
@@ -181,6 +182,13 @@ def test_parse_self_dep_and_unknown_dep():
     base[0]["deps"] = ["nope"]
     with pytest.raises(FormatError):
         parse_dfg(doc([{"name": "u"}], [], base), LIB)
+    # reading its own result is a self-dep too, reported the same way
+    reads_itself = [{"id": "a", "opcode": "add", "args": ["x", "w"], "result": "w"}]
+    g = Dfg.build([Operation("a", "add", (scalar("x"), scalar("w")), scalar("w"))], LIB)
+    [finding] = validate_dfg(g)
+    assert finding == Diagnostic("CycleDetected", "a") and finding.details == {"self_dep": True}
+    with pytest.raises(CycleDetected):
+        parse_dfg(doc([{"name": "x"}], ["w"], reads_itself), LIB)
 
 
 def test_parse_output_must_be_produced():

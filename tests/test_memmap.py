@@ -151,11 +151,12 @@ def test_access_requirements_split_banks():
     op = Operation("m1", "mul", (scalar("x"), scalar("h")), scalar("p"))
     model = model_of([op], two_bank_mapping())
     m0, m1 = two_bank_mapping().banks
-    assert model.windows("m1", 5) == [
-        AccessWindow(m0, 1, 4, 5, False),
-        AccessWindow(m1, 1, 4, 5, False),
-    ]
-    assert model.completion("m1", 5) == 7  # mul latency, no store
+    plan = model.plans["m1"]  # windows relative to the op's start
+    assert plan.windows == (
+        AccessWindow(m0, 1, -1, 0, False),
+        AccessWindow(m1, 1, -1, 0, False),
+    )
+    assert plan.done == 2  # mul latency, no store
 
 
 def test_access_requirements_duplicate_operand_collapses():
@@ -163,19 +164,19 @@ def test_access_requirements_duplicate_operand_collapses():
     op = Operation("a1", "add", (scalar("a"), scalar("a")), scalar("b"))
     model = model_of([op], m)
     m0 = m.banks[0]
-    assert model.windows("a1", 3) == [
-        AccessWindow(m0, 1, 2, 3, False),
-        AccessWindow(m0, 1, 4, 5, True),
-    ]
-    assert model.completion("a1", 3) == 5
+    assert model.plans["a1"].windows == (
+        AccessWindow(m0, 1, -1, 0, False),
+        AccessWindow(m0, 1, 1, 2, True),
+    )
+    assert model.plans["a1"].done == 2
 
 
 def test_access_requirements_all_registers():
     op = Operation("a1", "add", (scalar("a"), scalar("b")), scalar("c"))
     for mapping in (MemoryMapping([], {}, default_register=True), None):
         model = model_of([op], mapping)
-        assert model.windows("a1", 0) == []
-        assert model.completion("a1", 0) == 1
+        assert model.plans["a1"].windows == ()
+        assert model.plans["a1"].done == 1
         assert model.earliest_start("a1", {}) == 0
 
 
@@ -191,11 +192,11 @@ def test_access_model_multi_cycle_windows():
     op = Operation("m1", "mul", (scalar("a"),), scalar("p"))
     model = model_of([op], m)
     m0 = m.banks[0]
-    assert model.windows("m1", 4) == [
-        AccessWindow(m0, 1, 2, 4, False),
-        AccessWindow(m0, 1, 6, 9, True),
-    ]
-    assert model.completion("m1", 4) == 9
+    assert model.plans["m1"].windows == (
+        AccessWindow(m0, 1, -2, 0, False),
+        AccessWindow(m0, 1, 2, 5, True),
+    )
+    assert model.plans["m1"].done == 5
     # a fetch window cannot begin before cycle 0
     assert model.earliest_start("m1", {}) == 2
 
@@ -315,6 +316,6 @@ def test_round_robin_deals_past_a_full_middle_bank():
 def test_requirement_totals_match_distinct_memory_operands():
     m = two_bank_mapping()
     op = Operation("m1", "mul", (scalar("x"), scalar("h"), scalar("x")), scalar("p"))
-    fetches = [w for w in model_of([op], m).windows("m1", 4) if not w.is_store]
+    fetches = [w for w in model_of([op], m).plans["m1"].windows if not w.is_store]
     distinct_memory = {r.name for r in op.operands if m.location_of(r) != REGISTER}
     assert sum(w.count for w in fetches) == len(distinct_memory)

@@ -247,26 +247,20 @@ def test_gating_builds_no_booking_it_does_not_keep(monkeypatch):
 
 def test_engine_derives_each_ops_windows_once(monkeypatch):
     # the access model builds each op's windows once, at start 0, and the
-    # engine reads them from the op's plan instead of asking for them again
+    # engine reads them from the op's plan instead of building them again
     import memsched.memmap as memmap
 
-    built, calls = [], Counter()
-    original_window, original_windows = memmap.AccessWindow, memmap.AccessModel.windows
+    built = []
+    original_window = memmap.AccessWindow
 
     def counting_window(*args):
         built.append(args)
         return original_window(*args)
 
-    def counting_windows(self, op_id, start):
-        calls[op_id] += 1
-        return original_windows(self, op_id, start)
-
     monkeypatch.setattr(memmap, "AccessWindow", counting_window)
-    monkeypatch.setattr(memmap.AccessModel, "windows", counting_windows)
     g, run = store_contended()
     run()
     assert len(built) == 2 * len(g.operations)  # one fetch and one store each
-    assert calls == Counter()
 
 
 def test_port_ledger_half_open_intervals():

@@ -114,29 +114,19 @@ def test_oracle_never_beaten_by_list_scheduler():
         assert best_reg <= base.makespan_cycles
 
 
-def test_oracle_work_does_not_grow_with_the_horizon(monkeypatch):
-    import memsched.memmap as memmap
+def test_oracle_work_does_not_grow_with_the_horizon(line_budget):
+    import memsched.scheduler as scheduler
 
-    calls = []
-    original = memmap.AccessModel.windows
-
-    def counting(self, op_id, start):
-        calls.append(op_id)
-        return original(self, op_id, start)
-
-    monkeypatch.setattr(memmap.AccessModel, "windows", counting)
     lib = fixtures.load_library()
     g = fixtures.load_dfg("fir4", lib)
     mapping = fixtures.load_mapping("fir4")
     alloc = compute_min_allocation(g, 12)
-    results, counts = [], []
-    for T_max in (12, 12000):
-        calls.clear()
-        best, witness = bruteforce_optimal_makespan(g, alloc, mapping, T_max)
-        results.append((best, witness.entries))
-        counts.append(len(calls))
-    assert results[0] == results[1]
-    assert counts[1] <= 2 * counts[0]
+    with line_budget(scheduler, 10000) as ran:
+        best, witness = bruteforce_optimal_makespan(g, alloc, mapping, 12)
+    # a thousandfold horizon may at most double the lines the search runs
+    with line_budget(scheduler, 2 * ran[0]):
+        longer, again = bruteforce_optimal_makespan(g, alloc, mapping, 12000)
+    assert (longer, again.entries) == (best, witness.entries)
 
 
 def test_oracle_checks_the_allocation_like_the_engine():
