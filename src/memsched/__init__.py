@@ -63,9 +63,7 @@ from .metrics import (
     comparison_to_json,
     export_csv,
     export_gantt,
-    format_schedule_csv,
     metrics_to_json,
-    parse_schedule_csv,
 )
 from .scheduler import (
     Allocation,
@@ -74,7 +72,6 @@ from .scheduler import (
     Schedule,
     ScheduleEntry,
     SchedulerConfig,
-    ample_allocation,
     bruteforce_optimal_makespan,
     compute_min_allocation,
     schedule_baseline,

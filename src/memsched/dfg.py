@@ -239,11 +239,6 @@ class Dfg:
     def __contains__(self, op_id: str) -> bool:
         return op_id in self._by_id
 
-    def producer_of(self, ref: DataRef) -> str | None:
-        """Id of the operation writing ``ref``, or None for primary inputs."""
-        writers = self._writers.get(ref)
-        return writers[0] if writers else None
-
     def predecessors(self, op_id: str) -> frozenset[str]:
         """Operation ids that must finish before ``op_id`` starts."""
         return self._preds[op_id]

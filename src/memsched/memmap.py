@@ -281,15 +281,16 @@ class AccessModel:
             windows: list[AccessWindow] = []
             floor = 0
             if mapping is not None:
+                lag_of: dict[DataRef, int] = {}  # read latency of each fetched operand
                 for bank_id, refs in sorted(memory_read_refs(op, mapping).items()):
                     bank = mapping.bank_by_id[bank_id]
                     lag = bank.read_latency_cycles
                     floor = max(floor, lag)
                     windows.append(AccessWindow(bank, len(refs), -lag, 0, False))
-                    for ref in refs:
-                        producer = g.producer_of(ref)
-                        if producer in waits:
-                            waits[producer] = max(waits[producer], lag)
+                    lag_of.update(dict.fromkeys(refs, lag))
+                # a predecessor whose result is fetched waits out the fetch
+                for pred in waits:
+                    waits[pred] = lag_of.get(g.operation(pred).result, 0)
                 store = mapping.bank_of(op.result)
                 if store is not None:
                     done += store.write_latency_cycles

@@ -322,75 +322,17 @@ def _tick_step(horizon: int) -> int:
         scale *= 10
 
 
-_CSV_HEADER = ("op", "start", "end", "class", "instance", "model2")
-
-
 def export_csv(s: Schedule) -> str:
     """CSV view of a schedule, rows sorted by (start, op id), LF endings."""
-    return format_schedule_csv(
-        {
-            "op": e.op_id,
-            "start": e.start_cycle,
-            "end": e.end_cycle,
-            "class": e.class_name,
-            "instance": e.instance_index,
-            "model2": e.is_model2,
-        }
-        for e in s.sorted_entries()
-    )
-
-
-def format_schedule_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row["op"],
-                row["start"],
-                row["end"],
-                row["class"],
-                row["instance"],
-                "true" if row["model2"] else "false",
-            ]
-        )
+    writer.writerow(("op", "start", "end", "class", "instance", "model2"))
+    writer.writerows(
+        (e.op_id, e.start_cycle, e.end_cycle, e.class_name, e.instance_index,
+         "true" if e.is_model2 else "false")
+        for e in s.sorted_entries()
+    )
     return buf.getvalue()
-
-
-def parse_schedule_csv(text: str) -> list[dict]:
-    """Inverse of :func:`export_csv` for the exported fields. A row without
-    exactly one cell per header column, a ``model2`` cell other than
-    ``true``/``false``, or a ``start``, ``end`` or ``instance`` cell that is
-    not an integer raises ValueError naming its line and column."""
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader, ()))
-    if header != _CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {header}")
-    rows = []
-    for raw in reader:
-        if not raw:
-            continue
-        if len(raw) != len(_CSV_HEADER):
-            raise ValueError(
-                f"line {reader.line_num}: expected {len(_CSV_HEADER)} cells, got {len(raw)}"
-            )
-        op, start, end, cls, instance, model2 = raw
-        if model2 not in ("true", "false"):
-            raise ValueError(
-                f"line {reader.line_num}: model2 must be true or false, got {model2!r}"
-            )
-        row = {"op": op, "start": start, "end": end, "class": cls,
-               "instance": instance, "model2": model2 == "true"}
-        for column in ("start", "end", "instance"):
-            try:
-                row[column] = int(row[column])
-            except ValueError:
-                raise ValueError(
-                    f"line {reader.line_num}: {column} must be an integer, got {row[column]!r}"
-                ) from None
-        rows.append(row)
-    return rows
 
 
 def metrics_to_json(metrics: ScheduleMetrics) -> str:

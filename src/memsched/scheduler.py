@@ -127,17 +127,6 @@ class SchedulerConfig(NamedTuple):
             raise ValueError("time constraint must be >= 1 cycle")
 
 
-class OperatorInstanceState:
-    """Mutable bookkeeping for one operator instance during a run."""
-
-    __slots__ = ("instance_index", "busy_until_cycle", "last_operand_sources")
-
-    def __init__(self, instance_index: int):
-        self.instance_index = instance_index
-        self.busy_until_cycle = 0
-        self.last_operand_sources: tuple[DataRef, ...] | None = None
-
-
 class PortBooking(NamedTuple):
     """A half-open cycle interval reserved on one bank port."""
 
@@ -189,11 +178,6 @@ class ScheduleEntry(NamedTuple):
         """Whether the operation shares an input with its instance's last."""
         return self.shared_inputs >= 1
 
-    @property
-    def finish_cycle(self) -> int:
-        """Cycle at which the result is usable downstream."""
-        return self.write_booking.end if self.write_booking else self.end_cycle
-
 
 class Schedule:
     """Complete schedule for one graph under one configuration.
@@ -226,8 +210,10 @@ class Schedule:
 
     @property
     def makespan_cycles(self) -> int:
-        """The latest finish cycle of any entry, 0 when there are none."""
-        return max((e.finish_cycle for e in self.entries.values()), default=0)
+        """The latest cycle at which an entry's result is usable, its store's
+        end or else its own; 0 when there are none."""
+        return max((e.write_booking.end if e.write_booking else e.end_cycle
+                    for e in self.entries.values()), default=0)
 
     @property
     def policy(self) -> Policy:
@@ -305,7 +291,7 @@ def compute_min_allocation(g: Dfg, time_constraint_cycles: int) -> Allocation:
     :func:`compute_timing`'s rule. A deadline below one cycle on a graph with
     operations raises ValueError.
     """
-    per_class = ample_allocation(g).counts  # operations per class
+    per_class = Counter(g.class_of(op).name for op in g.operations)
     if per_class and time_constraint_cycles < 1:
         raise ValueError("time constraint must be >= 1 cycle")
     return Allocation({
@@ -313,14 +299,6 @@ def compute_min_allocation(g: Dfg, time_constraint_cycles: int) -> Allocation:
                        // time_constraint_cycles))
         for name, n_ops in sorted(per_class.items())
     })
-
-
-def ample_allocation(g: Dfg) -> Allocation:
-    """One instance per operation of each class; removes resource contention."""
-    per_class: Counter[str] = Counter()
-    for op in g.operations:
-        per_class[g.class_of(op).name] += 1
-    return Allocation(dict(per_class))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +318,13 @@ class _Engine:
         for name in used:
             if alloc.count(name) < 1:
                 raise ValueError(f"allocation covers no instances of class {name!r}")
-        self.instances: dict[str, list[OperatorInstanceState]] = {
-            name: [OperatorInstanceState(i) for i in range(alloc.count(name))]
-            for name in used
+        # per class, indexed by instance: the cycle it is busy until and
+        # the operands of its last operation (None while it is fresh)
+        self.busy_until: dict[str, list[int]] = {
+            name: [0] * alloc.count(name) for name in used
+        }
+        self.last_operands: dict[str, list[tuple[DataRef, ...] | None]] = {
+            name: [None] * alloc.count(name) for name in used
         }
 
     def run(self) -> tuple[dict[str, ScheduleEntry], set[str]]:
@@ -376,7 +358,7 @@ class _Engine:
             group[oid] = shapes.setdefault(shape, len(shapes))
         heaps: list[list[tuple]] = [[] for _ in shapes]
         # (group, completion offset) per class
-        groups_of_class: dict[str, list[tuple[int, int]]] = {n: [] for n in self.instances}
+        groups_of_class: dict[str, list[tuple[int, int]]] = {n: [] for n in self.busy_until}
         for (name, done, _), gid in shapes.items():
             groups_of_class[name].append((gid, done))
 
@@ -386,8 +368,8 @@ class _Engine:
                 oid = heapq.heappop(arrivals)[1]
                 heapq.heappush(heaps[group[oid]], prio[oid])
             free = {
-                name: [inst for inst in insts if inst.busy_until_cycle <= t]
-                for name, insts in self.instances.items()
+                name: [i for i, until in enumerate(busy) if until <= t]
+                for name, busy in self.busy_until.items()
             }
             # entries (key, shared, instance); a group's head stays in its
             # heap and enters unbound, with its optimistic key
@@ -399,8 +381,8 @@ class _Engine:
             ]
             if not queue:
                 # idle until an op arrives or an instance frees (module docs)
-                wake = [i.busy_until_cycle for insts in self.instances.values()
-                        for i in insts if i.busy_until_cycle > t]
+                wake = [until for busy in self.busy_until.values()
+                        for until in busy if until > t]
                 if arrivals:
                     wake.append(arrivals[0][0])
                 t = min(wake, default=T)
@@ -410,7 +392,8 @@ class _Engine:
             while queue:
                 key, shared, inst = heapq.heappop(queue)
                 oid = key[-1]
-                pool = free[plans[oid].operator_class.name]
+                name = plans[oid].operator_class.name
+                pool = free[name]
                 ports = self._gate(oid, t, ledger) if pool else None
                 if ports is None:
                     # the group is blocked for the rest of the cycle: an
@@ -425,10 +408,10 @@ class _Engine:
                     heapq.heappop(heap)
                     if heap:
                         heapq.heappush(queue, (heap[0], 0, None))
-                if inst is None or inst.busy_until_cycle > t:
+                if inst is None or self.busy_until[name][inst] > t:
                     # unbound, or its instance was taken this cycle: bind,
                     # and requeue unless the exact key is still the best
-                    shared, inst = self._bind(oid, pool)
+                    shared, inst = self._bind(oid, name, pool)
                     key = (key[0], -shared if affinity else 0, oid)
                     if queue and queue[0][0] < key:
                         heapq.heappush(queue, (key, shared, inst))
@@ -444,19 +427,17 @@ class _Engine:
             t += 1
         return entries, {oid for oid in waiting if oid not in entries}
 
-    def _bind(self, oid: str, pool: list[OperatorInstanceState]):
+    def _bind(self, oid: str, name: str, pool: list[int]):
         """(shared inputs, instance) for ``oid`` among the free instances
-        ``pool`` (ascending index): the one sharing the most inputs, lowest
-        index on ties; the lowest index when affinity is off."""
+        ``pool`` of its class ``name`` (ascending): the one sharing the most
+        inputs, lowest index on ties; the lowest index when affinity is off."""
         operands = self.operands[oid]
+        last = self.last_operands[name]
         positional = self.cfg.positional_affinity
         if not self.cfg.use_affinity:
             pool = pool[:1]
-        shared, _, inst = max(
-            (_affinity(operands, i.last_operand_sources, positional), -i.instance_index, i)
-            for i in pool
-        )
-        return shared, inst
+        shared, inst = max((_affinity(operands, last[i], positional), -i) for i in pool)
+        return shared, -inst
 
     def _gate(self, oid: str, t: int, ledger: PortLedger):
         """The lowest free ports of each access window of ``oid`` started
@@ -470,10 +451,12 @@ class _Engine:
         return ports
 
     def _place(self, oid, t, shared, inst, ports, ledger, entries, finish) -> None:
-        """Start ``oid`` at t on ``inst``, booking ``ports[k]`` for its k-th
-        access window. Windows come by bank id and their ports ascending, so
-        the read bookings come out in (bank, port) order."""
+        """Start ``oid`` at t on instance ``inst`` of its class, booking
+        ``ports[k]`` for its k-th access window. Windows come by bank id and
+        their ports ascending, so the read bookings come out in (bank, port)
+        order."""
         plan = self.plans[oid]
+        name = plan.operator_class.name
         reads: list[PortBooking] = []
         write = None
         for (bank, _, first, last, is_store), chosen in zip(plan.windows, ports):
@@ -491,15 +474,15 @@ class _Engine:
             op_id=oid,
             start_cycle=t,
             end_cycle=end,
-            class_name=plan.operator_class.name,
-            instance_index=inst.instance_index,
+            class_name=name,
+            instance_index=inst,
             read_bookings=tuple(reads),
             write_booking=write,
             shared_inputs=shared,
         )
         finish[oid] = t + plan.done
-        inst.busy_until_cycle = end
-        inst.last_operand_sources = self.operands[oid]
+        self.busy_until[name][inst] = end
+        self.last_operands[name][inst] = self.operands[oid]
 
 
 def _run_or_raise(
@@ -592,8 +575,8 @@ def bruteforce_optimal_makespan(
     # end cycle, amount): one instance of its class over its latency and the
     # ports of each access window. Resources are indices because a class
     # and a bank may share a name.
-    capacity = [len(insts) for insts in engine.instances.values()]
-    rid = {("class", name): r for r, name in enumerate(engine.instances)}
+    capacity = [len(busy) for busy in engine.busy_until.values()]
+    rid = {("class", name): r for r, name in enumerate(engine.busy_until)}
     for bank in mapping.banks if mapping is not None else ():
         rid["bank", bank.id] = len(capacity)
         capacity.append(bank.ports)
@@ -689,8 +672,8 @@ def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
     finish: dict[str, int] = {}
     for oid in sorted(starts, key=lambda o: (starts[o], o)):
         start = starts[oid]
-        inst = next(i for i in engine.instances[engine.plans[oid].operator_class.name]
-                    if i.busy_until_cycle <= start)
-        shared = _affinity(engine.operands[oid], inst.last_operand_sources, False)
+        name = engine.plans[oid].operator_class.name
+        inst = next(i for i, until in enumerate(engine.busy_until[name]) if until <= start)
+        shared = _affinity(engine.operands[oid], engine.last_operands[name][inst], False)
         engine._place(oid, start, shared, inst, ports[oid], ledger, entries, finish)
     return Schedule(entries, engine.cfg, engine.model)

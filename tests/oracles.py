@@ -162,6 +162,7 @@ def check_schedule_safety(
             errors.append(f"{op.id}: span {e.end_cycle - e.start_cycle} != latency {lat}")
 
     # a result is usable at its store's end, otherwise at its execution end
+    writer = {op.result: op.id for op in g.operations}
     finish = {}
     for op in g.operations:
         wbank = _bank_of(op.result, mapping)
@@ -181,7 +182,7 @@ def check_schedule_safety(
             w0 = e.start_cycle - bank.read_latency_cycles
             if w0 < 0:
                 errors.append(f"{op.id}: read window before cycle 0 on {bank.id}")
-            producer = g.producer_of(ref)
+            producer = writer.get(ref)
             if producer is not None and finish[producer] > w0:
                 errors.append(
                     f"{op.id}: operand {ref.name} arrives at "
@@ -333,6 +334,12 @@ def random_mapping(rng: random.Random, g: Dfg, n_banks: int) -> MemoryMapping:
         mapping = MemoryMapping(banks, placement, default_register=True)
     assert not validate_mapping(mapping, g)
     return mapping
+
+
+def one_instance_per_op(g: Dfg) -> Allocation:
+    """One instance per operation of each class: no operation waits for an
+    instance."""
+    return Allocation(dict(Counter(g.class_of(op).name for op in g.operations)))
 
 
 def generous_deadline(g: Dfg, mapping: MemoryMapping | None = None) -> int:

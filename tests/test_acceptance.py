@@ -19,7 +19,6 @@ from memsched import (
     OperatorLibrary,
     SchedulerConfig,
     all_registers,
-    ample_allocation,
     analyze,
     bruteforce_optimal_makespan,
     compute_min_allocation,
@@ -34,6 +33,7 @@ from oracles import (
     check_schedule_safety,
     generous_deadline,
     make_library,
+    one_instance_per_op,
     random_dfg,
     random_mapping,
 )
@@ -242,7 +242,7 @@ def test_degeneracy_equivalences():
             assert aware.makespan_cycles == base.makespan_cycles
 
             timing = compute_timing(g, T)
-            ample = ample_allocation(g)
+            ample = one_instance_per_op(g)
             base_a, aware_a = run_both(g, ample, all_registers(), T)
             for op in g.operations:
                 assert base_a.entries[op.id].start_cycle == timing.asap[op.id]

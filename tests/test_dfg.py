@@ -90,7 +90,9 @@ def test_parse_two_op_document():
     assert [op.id for op in g.operations] == ["m1", "a1"]
     assert {r.name for r in g.primary_inputs} == {"x0", "h0", "acc0"}
     assert {r.name for r in g.primary_outputs} == {"y0"}
-    assert g.producer_of(scalar("p0")) == "m1"
+    writer = {op.result: op.id for op in g.operations}
+    assert writer[scalar("p0")] == "m1"
+    assert g.predecessors("a1") == {"m1"}
     assert validate_dfg(g) == []
 
 
@@ -249,13 +251,13 @@ def test_parse_builds_the_declared_graph():
 def test_parse_builds_each_item_once():
     g = load_dfg("fir16")
     inputs = {ref: ref for ref in g.primary_inputs}
+    writer = {op.result: op for op in g.operations}
     for op in g.operations:
         for ref in op.operands:
-            producer = g.producer_of(ref)
-            source = g.operation(producer).result if producer else inputs[ref]
+            source = writer[ref].result if ref in writer else inputs[ref]
             assert ref is source
     for ref in g.primary_outputs:
-        assert ref is g.operation(g.producer_of(ref)).result
+        assert ref is writer[ref].result
 
 
 # a faulty second op -> the error parse_dfg reports; where an entry has two

@@ -1,5 +1,7 @@
 """Metrics, comparison and exports."""
 
+import csv
+import io
 import re
 
 import pytest
@@ -24,8 +26,6 @@ from memsched import (
     compute_timing,
     export_csv,
     export_gantt,
-    format_schedule_csv,
-    parse_schedule_csv,
     scalar,
     schedule_baseline,
     schedule_memory_aware,
@@ -316,15 +316,9 @@ def test_csv_ties_break_by_op_id():
         for oid, e in s.entries.items()
     }
     s = Schedule(same_start, s.config)
-    rows = parse_schedule_csv(export_csv(s))
-    assert [r["op"] for r in rows] == ["op00", "op01", "op02"]
-
-
-def test_csv_roundtrip_fixed_point():
-    g = flat_graph(4)
-    s = manual_schedule(g, {"op02"})
-    text = export_csv(s)
-    assert format_schedule_csv(parse_schedule_csv(text)) == text
+    header, *rows = csv.reader(io.StringIO(export_csv(s)))
+    assert header == ["op", "start", "end", "class", "instance", "model2"]
+    assert [r[0] for r in rows] == ["op00", "op01", "op02"]
 
 
 # -- derived facts ----------------------------------------------------------------
@@ -366,22 +360,3 @@ def test_every_counted_model2_entry_is_discounted_per_shared_input():
         m_plain = analyze(Schedule(plain, cfg), g, per_shared_input=True)
         assert m_plain.model2_count == m.model2_count - 1
         assert m_plain.datapath_energy > m.datapath_energy
-
-
-@pytest.mark.parametrize("line, message", [
-    ("op00,0,1,u,0,yes", "line 2: model2 must be true or false, got 'yes'"),
-    ("op00,0,1,u,0,TRUE", "line 2: model2 must be true or false, got 'TRUE'"),
-    ("op00,0,1,u,0", "line 2: expected 6 cells, got 5"),
-    ("op00,0,1,u,0,true,x", "line 2: expected 6 cells, got 7"),
-    ("op00,x,1,u,0,true", "line 2: start must be an integer, got 'x'"),
-    ("op00,0,1.5,u,0,true", "line 2: end must be an integer, got '1.5'"),
-    ("op00,0,1,u,,true", "line 2: instance must be an integer, got ''"),
-])
-def test_csv_parse_rejects_malformed_rows(line, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        parse_schedule_csv(f"op,start,end,class,instance,model2\n{line}\n")
-
-
-def test_csv_parse_rejects_empty_text():
-    with pytest.raises(ValueError, match=re.escape("unexpected CSV header: ()")):
-        parse_schedule_csv("")

@@ -1,7 +1,8 @@
 """The README is the package's API: its Library API example runs against the
-package as it is, it names every export, and its type table names only
-exports."""
+package as it is, it names every export, it calls only what exists, and its
+type table names only exports."""
 
+import builtins
 import io
 import re
 import types
@@ -22,6 +23,9 @@ FILES = {
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# the timing notation's functions, which name no Python code
+NOTATION = {"prod", "read", "read_latency", "write_latency"}
+
 
 def library_api_example() -> str:
     section = README.read_text(encoding="utf-8").split("## Library API", 1)[1]
@@ -36,11 +40,15 @@ def exported_names() -> set[str]:
     }
 
 
-def readme_code_names() -> set[str]:
-    """Every identifier the README writes as code: in a code block or in an
-    inline code span."""
+def readme_code() -> str:
+    """Every code block and inline code span of the README."""
     code = re.findall(r"```.*?```|`[^`\n]+`", README.read_text(encoding="utf-8"), re.DOTALL)
-    return set(IDENTIFIER.findall("\n".join(code)))
+    return "\n".join(code)
+
+
+def readme_code_names() -> set[str]:
+    """Every identifier the README writes as code."""
+    return set(IDENTIFIER.findall(readme_code()))
 
 
 def type_table_names() -> list[str]:
@@ -60,6 +68,17 @@ def test_library_api_example_runs():
 def test_readme_names_every_export():
     missing = sorted(exported_names() - readme_code_names())
     assert not missing, f"exported but not in README: {', '.join(missing)}"
+
+
+def test_readme_calls_only_what_exists():
+    called = set(re.findall(IDENTIFIER.pattern + r"(?=\()", readme_code()))
+    known = exported_names() | set(dir(builtins)) | NOTATION
+    for name in exported_names():
+        value = getattr(memsched, name)
+        if isinstance(value, type):
+            known.update(dir(value))
+    unknown = sorted(called - known)
+    assert not unknown, f"README calls what does not exist: {', '.join(unknown)}"
 
 
 def test_type_table_lists_every_error_and_only_exports():

@@ -25,7 +25,6 @@ from memsched import (
     SchedulingError,
     TimeConstraintViolated,
     all_registers,
-    ample_allocation,
     bruteforce_optimal_makespan,
     compute_min_allocation,
     compute_timing,
@@ -36,7 +35,13 @@ from memsched import (
 )
 from memsched import fixtures
 from memsched.scheduler import _affinity
-from oracles import check_schedule_safety, generous_deadline, make_library, random_dfg
+from oracles import (
+    check_schedule_safety,
+    generous_deadline,
+    make_library,
+    one_instance_per_op,
+    random_dfg,
+)
 
 MUL = OperatorClass("mul", frozenset({"mul"}), 2, 8.0)
 ALU = OperatorClass("alu", frozenset({"add", "sub"}), 1, 2.0)
@@ -187,6 +192,30 @@ def test_binding_work_is_bounded_by_placements(monkeypatch, policy):
         s = schedule_memory_aware(g, alloc, fixtures.load_mapping("fir16"), cfg, timing)
     assert len(s.entries) == len(g.operations) == 31
     assert len(calls) <= 2 * 31
+
+
+@pytest.mark.parametrize("kernel, binds", [
+    ("fir4", 8), ("fir16", 32), ("fft8_stage", 22), ("iir_biquad", 10),
+    ("two_adds_one_bank", 3),
+])
+def test_bind_calls_per_fixture(monkeypatch, kernel, binds):
+    # baseline at minimum allocation under 8x the critical path: an op binds
+    # when it pops unbound, and again only when another op took its
+    # instance in this cycle, not when its instance frees exactly at t
+    import memsched.scheduler as scheduler
+
+    calls = []
+    original = scheduler._Engine._bind
+
+    def counting(self, oid, *args):
+        calls.append(oid)
+        return original(self, oid, *args)
+
+    monkeypatch.setattr(scheduler._Engine, "_bind", counting)
+    g = fixtures.load_dfg(kernel)
+    T = 8 * compute_timing(g, 10**6).critical_path_cycles
+    schedule_baseline(g, compute_min_allocation(g, T), SchedulerConfig(T), compute_timing(g, T))
+    assert len(calls) == binds
 
 
 def fir_chain(taps):
@@ -375,7 +404,7 @@ def test_asap_degeneracy_on_fixtures():
         g = fixtures.load_dfg(kernel, lib)
         T = compute_timing(g, 500).critical_path_cycles
         timing = compute_timing(g, T)
-        s = schedule_baseline(g, ample_allocation(g), SchedulerConfig(T), timing)
+        s = schedule_baseline(g, one_instance_per_op(g), SchedulerConfig(T), timing)
         for op in g.operations:
             assert s.entries[op.id].start_cycle == timing.asap[op.id], op.id
         assert s.makespan_cycles == T
