@@ -289,7 +289,7 @@ def parse_library(text: str) -> OperatorLibrary:
             raise FormatError(f"{where}.energy must be a number")
         try:
             classes.append(OperatorClass(name, frozenset(opcodes), latency, float(energy)))
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:  # float() of a huge integer overflows
             raise FormatError(f"{where}: {e}") from None
     return OperatorLibrary(classes)
 

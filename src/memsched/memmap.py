@@ -11,6 +11,7 @@ default, otherwise they are unmapped.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Mapping, NamedTuple
 
 from .dfg import (
@@ -210,7 +211,7 @@ def _parse_bank(entry, i: int) -> MemoryBank:
             capacity_words=capacity,
             energy_per_access=float(energy),
         )
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # float() of a huge integer overflows
         raise FormatError(f"{where}: {e}") from None
 
 
@@ -303,6 +304,41 @@ class AccessModel:
         predecessor in ``finish``."""
         p = self.plans[op_id]
         return max([p.floor] + [finish[pred] + lag for pred, lag in p.waits])
+
+
+class Profile:
+    """One resource's usage over time: ``levels[k]`` over [cuts[k], cuts[k + 1]),
+    0 before the first cut and from the last on. Cuts may be negative; a
+    removed hold leaves neighbouring levels equal, which changes no answer.
+    A call costs a binary search plus the segments it spans."""
+
+    def __init__(self):
+        self.cuts: list[int] = []
+        self.levels: list[int] = []
+
+    def add(self, start: int, end: int, amount: int) -> None:
+        """Raise the usage over [start, end) by ``amount``; a negative one
+        removes a hold."""
+        cuts, levels = self.cuts, self.levels
+        for c in (start, end):
+            i = bisect_left(cuts, c)
+            if i == len(cuts) or cuts[i] != c:
+                cuts.insert(i, c)
+                levels.insert(i, levels[i - 1] if i else 0)
+        i, j = bisect_left(cuts, start), bisect_left(cuts, end)
+        levels[i:j] = [n + amount for n in levels[i:j]]
+
+    def peak(self, start: int, end: int) -> int:
+        """The highest usage over [start, end), for start < end."""
+        cuts, levels = self.cuts, self.levels
+        i = bisect_right(cuts, start)  # the segment holding start is i - 1
+        level = levels[i - 1] if i else 0
+        j = bisect_left(cuts, end, i)  # segments i to j - 1 begin inside
+        return max(level, *levels[i:j]) if j > i else level
+
+    def length_above(self, level: int) -> int:
+        """How many cycles the usage exceeds ``level``."""
+        return sum(b - a for a, b, n in zip(self.cuts, self.cuts[1:], self.levels) if n > level)
 
 
 def validate_mapping(

@@ -9,7 +9,8 @@ each fetch holds a port over [start - read_latency, start) and each store
 over [end, end + write_latency), for every cycle of the window. A cycle in
 which a bank receives more requests than it has ports is a conflict cycle;
 the memory-aware scheduler books exactly these windows, so its schedules
-count none, and the two policies compare like for like.
+count none, and the two policies compare like for like. The replay adds
+each window once to its bank's usage profile, whatever its length.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
 from typing import Mapping, NamedTuple
 
 from .dfg import Dfg
 from .errors import InconsistentSchedule, MismatchedInputs
-from .memmap import AccessModel, MemoryMapping
+from .memmap import AccessModel, MemoryMapping, Profile
 from .scheduler import Schedule
 
 
@@ -43,23 +43,9 @@ class ScheduleMetrics(NamedTuple):
     total_conflicts: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "makespan": self.makespan_cycles,
-            "op_count": self.op_count,
-            "model2_count": self.model2_count,
-            "model2_ratio": self.model2_ratio,
-            "datapath_energy": self.datapath_energy,
-            "memory_energy": self.memory_energy,
-            "per_bank": {
-                bank: {
-                    "accesses": st.accesses,
-                    "peak_simultaneous_requests": st.peak_simultaneous_requests,
-                    "port_conflict_cycles": st.port_conflict_cycles,
-                }
-                for bank, st in sorted(self.per_bank.items())
-            },
-            "total_conflicts": self.total_conflicts,
-        }
+        doc = self._asdict()
+        return {"makespan": doc.pop("makespan_cycles"), **doc,
+                "per_bank": {bank: st._asdict() for bank, st in sorted(self.per_bank.items())}}
 
 
 class ComparisonReport(NamedTuple):
@@ -134,18 +120,19 @@ def analyze(
 
     per_bank: dict[str, BankStats] = {}
     memory_energy = 0.0
-    total_conflicts = 0
     mapping = model.mapping if model is not None else None
     if mapping is not None and mapping.banks:
-        accesses, requests = _traffic(s, model)
+        usage = {bank.id: Profile() for bank in mapping.banks}
+        accesses = dict.fromkeys(usage, 0)
+        for e in s.entries.values():
+            for bank, count, first, end, _ in model.plans[e.op_id].windows:
+                accesses[bank.id] += count
+                usage[bank.id].add(e.start_cycle + first, e.start_cycle + end, count)
         for bank in sorted(mapping.banks, key=lambda b: b.id):
-            cycles = requests.get(bank.id, {})
-            peak = max(cycles.values(), default=0)
-            conflicts = sum(1 for n in cycles.values() if n > bank.ports)
-            count = accesses.get(bank.id, 0)
-            per_bank[bank.id] = BankStats(count, peak, conflicts)
+            count, profile = accesses[bank.id], usage[bank.id]
+            per_bank[bank.id] = BankStats(count, max(profile.levels, default=0),
+                                          profile.length_above(bank.ports))
             memory_energy += count * bank.energy_per_access
-            total_conflicts += conflicts
 
     return ScheduleMetrics(
         makespan_cycles=s.makespan_cycles,
@@ -155,22 +142,8 @@ def analyze(
         datapath_energy=datapath,
         memory_energy=memory_energy,
         per_bank=per_bank,
-        total_conflicts=total_conflicts,
+        total_conflicts=sum(st.port_conflict_cycles for st in per_bank.values()),
     )
-
-
-def _traffic(s: Schedule, model: AccessModel):
-    """Accesses per bank and requests per bank and cycle."""
-    accesses: Counter[str] = Counter()
-    requests: dict[str, Counter[int]] = {}
-    for e in s.entries.values():
-        t = e.start_cycle
-        for bank, count, first, end, _ in model.plans[e.op_id].windows:
-            accesses[bank.id] += count
-            cycles = requests.setdefault(bank.id, Counter())
-            for c in range(t + first, t + end):
-                cycles[c] += count
-    return accesses, requests
 
 
 def compare(a: ScheduleMetrics, b: ScheduleMetrics) -> ComparisonReport:

@@ -69,7 +69,7 @@ A branch-and-bound search over start cycles provides exact optimal makespans
 for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
 It builds the engine once for its deadline and takes the classes, the
 access model, the allocation check and the instances from it. The search
-counts occupancy per (resource, cycle) over each operation's class interval
+keeps one usage profile per resource over each operation's class interval
 and port windows; the witness schedule is then placed by the engine's own
 placement step, in (start, id) order, so the port ledger checks it too.
 """
@@ -79,7 +79,7 @@ from __future__ import annotations
 import enum
 import heapq
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Mapping, NamedTuple
 
 from .dfg import DataRef, Dfg, TimingAnalysis, _checked, compute_timing
@@ -90,7 +90,7 @@ from .errors import (
     TimeConstraintViolated,
     TooLarge,
 )
-from .memmap import AccessModel, MemoryBank, MemoryMapping, validate_mapping
+from .memmap import AccessModel, MemoryBank, MemoryMapping, Profile, validate_mapping
 
 
 class Policy(enum.Enum):
@@ -138,15 +138,15 @@ class PortBooking(NamedTuple):
 
 class PortLedger:
     """Non-overlapping half-open interval bookings per (bank, port), kept
-    as the set of busy cycles of each port: windows last a bank latency, so
-    a check costs the window's length, not the number of bookings."""
+    as one usage profile per port: a check is a binary search over the
+    port's bookings, whatever a window's length."""
 
     def __init__(self):
-        self._busy: dict[tuple[str, int], set[int]] = {}
+        self._ports: defaultdict[tuple[str, int], Profile] = defaultdict(Profile)
 
     def is_free(self, bank_id: str, port_index: int, start: int, end: int) -> bool:
-        busy = self._busy.get((bank_id, port_index))
-        return busy is None or busy.isdisjoint(range(start, end))
+        profile = self._ports.get((bank_id, port_index))
+        return profile is None or not profile.peak(start, end)
 
     def free_ports(self, bank: MemoryBank, start: int, end: int) -> list[int]:
         """Port indices of ``bank`` free over [start, end), ascending."""
@@ -157,7 +157,7 @@ class PortLedger:
             raise ValueError(
                 f"overlapping booking on {bank_id} port {port_index}: [{start},{end})"
             )
-        self._busy.setdefault((bank_id, port_index), set()).update(range(start, end))
+        self._ports[bank_id, port_index].add(start, end, 1)
 
 
 class ScheduleEntry(NamedTuple):
@@ -235,16 +235,10 @@ class Schedule:
                 "end": e.end_cycle,
                 "class": e.class_name,
                 "instance": e.instance_index,
-                "reads": [
-                    {"bank": b.bank_id, "port": b.port_index, "from": b.start, "to": b.end}
-                    for b in e.read_bookings
-                ],
+                "reads": [_booking_json(b) for b in e.read_bookings],
             }
             if e.write_booking is not None:
-                b = e.write_booking
-                entry["write"] = {
-                    "bank": b.bank_id, "port": b.port_index, "from": b.start, "to": b.end,
-                }
+                entry["write"] = _booking_json(e.write_booking)
             entry["model2"] = e.is_model2
             entries.append(entry)
         return {
@@ -256,6 +250,10 @@ class Schedule:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
+
+
+def _booking_json(b: PortBooking) -> dict:
+    return {"bank": b.bank_id, "port": b.port_index, "from": b.start, "to": b.end}
 
 
 def _affinity(
@@ -460,11 +458,9 @@ class _Engine:
         reads: list[PortBooking] = []
         write = None
         for (bank, _, first, last, is_store), chosen in zip(plan.windows, ports):
-            first += t
-            last += t
             for p in chosen:
-                ledger.book(bank.id, p, first, last)
-                booking = PortBooking(bank.id, p, first, last)
+                booking = PortBooking(bank.id, p, t + first, t + last)
+                ledger.book(*booking)
                 if is_store:
                     write = booking
                 else:
@@ -595,24 +591,19 @@ def bruteforce_optimal_makespan(
     lower = max([timing.critical_path_cycles]
                 + [-(-w // cap) for w, cap in zip(work, capacity)])
 
-    usage: Counter[tuple[int, int]] = Counter()
+    usage = [Profile() for _ in capacity]
     starts: dict[str, int] = {}
     finish: dict[str, int] = {}
     best = T_max + 1
     best_starts: dict[str, int] | None = None
 
     def fits(oid: str, s: int) -> bool:
-        for r, first, end, amount in holds[oid]:
-            room = capacity[r] - amount
-            for c in range(s + first, s + end):
-                if usage[(r, c)] > room:
-                    return False
-        return True
+        return all(usage[r].peak(s + first, s + end) <= capacity[r] - amount
+                   for r, first, end, amount in holds[oid])
 
     def hold(oid: str, s: int, sign: int) -> None:
         for r, first, end, amount in holds[oid]:
-            for c in range(s + first, s + end):
-                usage[(r, c)] += sign * amount
+            usage[r].add(s + first, s + end, sign * amount)
 
     def dfs(i: int) -> None:
         nonlocal best, best_starts
@@ -649,22 +640,21 @@ def bruteforce_optimal_makespan(
 def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
     """Place a feasible start assignment with the engine's own step, in
     (start, id) order: each op on the lowest-index instance free at its
-    start, each access on the lowest port whose last window ended by the
-    access's start. Both are exact interval partitions when the per-cycle
-    occupancy fits, which the search guaranteed, and the ledger re-checks
+    start, each access, in window order, on the lowest port free over its
+    window. Both are exact interval partitions when the occupancy fits at
+    every cycle, which the search guaranteed, and the ledger re-checks
     every booking."""
     accesses = sorted(
-        (s + w.start, s + w.end, oid, k, w.bank.id, w.bank.ports)
+        (s + w.start, s + w.end, oid, k, w.bank)
         for oid, s in starts.items()
         for k, w in enumerate(engine.plans[oid].windows)
         for _ in range(w.count)
     )
     ports = {oid: [[] for _ in engine.plans[oid].windows] for oid in starts}
-    port_ends: dict[str, list[int]] = {}  # end of each port's last window
-    for start, end, oid, k, bank_id, n_ports in accesses:
-        ends = port_ends.setdefault(bank_id, [0] * n_ports)
-        port = next(p for p, e in enumerate(ends) if e <= start)
-        ends[port] = end
+    first_fit = PortLedger()
+    for start, end, oid, k, bank in accesses:
+        port = first_fit.free_ports(bank, start, end)[0]
+        first_fit.book(bank.id, port, start, end)
         ports[oid][k].append(port)
 
     ledger = PortLedger()

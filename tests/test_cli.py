@@ -624,6 +624,12 @@ PRECEDENCE = {
     "unknown alloc class before reduction range and mapping": (
         "fir4", X_ONLY_MAPPING, ["compare", "--T", "12", "--reduction", "0.1", "--alloc", "nope=1"],
         1, "ERROR UnknownOpcode: "),
+    "mem-aware without a mapping": (
+        "fir4", None, ["schedule", "--policy", "mem-aware", "--T", "12"],
+        2, "error: policy mem-aware needs --mapping or --default-mapping"),
+    "compare without a mapping": (
+        "fir4", None, ["compare", "--T", "12"],
+        2, "error: compare needs --mapping or --default-mapping"),
     "round-robin without a mapping": (
         "fir4", None, ["compare", "--T", "12", "--default-mapping", "round-robin"],
         2, "error: round-robin placement needs at least one bank"),
@@ -649,3 +655,110 @@ def test_error_precedence(inputs, capsys, case):
     err = capsys.readouterr().err
     assert rc == code
     assert err.splitlines()[-1].startswith(last_line), err
+
+
+# -- document syntax: each error path, its exit code and its exact message ----
+
+HUGE = "1" + "0" * 400  # a JSON integer that float() cannot hold
+
+
+def _lib(*classes):
+    return json.dumps({"classes": list(classes)})
+
+
+def _cls(**change):
+    return {"name": "alu", "opcodes": ["add"], "latency": 1, **change}
+
+
+def _map(*banks, **rest):
+    return json.dumps({"banks": list(banks), **rest})
+
+
+def _bank(**change):
+    return {"id": "M0", "ports": 1, "read_latency": 1, "write_latency": 1, "level": 0, **change}
+
+
+# case -> (option the document goes to, document, exit code, stderr)
+DOCUMENT_ERRORS = {
+    "library not an object": (
+        "--library", "[]", 2, "error: library document must be a JSON object"),
+    "classes not a list": (
+        "--library", '{"classes": {}}', 2,
+        "error: library document.classes must be of type list"),
+    "no classes": ("--library", _lib(), 2, "error: library declares no operator classes"),
+    "class not an object": ("--library", _lib(1), 2, "error: classes[0] must be an object"),
+    "class name not an identifier": (
+        "--library", _lib(_cls(name="2x")), 2, "error: classes[0]: '2x' is not a valid identifier"),
+    "opcodes not identifiers": (
+        "--library", _lib(_cls(opcodes=["a-b"])), 2,
+        "error: classes[0].opcodes must be identifier strings"),
+    "energy not a number": (
+        "--library", _lib(_cls(energy="2")), 2, "error: classes[0].energy must be a number"),
+    "huge integer energy": (
+        "--library", _lib(_cls()).replace('"latency": 1', f'"latency": 1, "energy": {HUGE}'),
+        2, "error: classes[0]: int too large to convert to float"),
+    "class declared twice": (
+        "--library", _lib(_cls(), _cls(opcodes=["sub"])), 1,
+        "ERROR DuplicateOpcode: operator class 'alu' declared twice"),
+    "graph not an object": ("--dfg", "[]", 2, "error: dfg document must be a JSON object"),
+    "input not an object": ("--dfg", _graph([1], []), 2, "error: inputs[0] must be an object"),
+    "input name not an identifier": (
+        "--dfg", _graph([{"name": "1x"}], []), 2,
+        "error: inputs[0]: '1x' is not a valid identifier"),
+    "input declared twice": (
+        "--dfg", _graph([{"name": "x"}, {"name": "x"}], []), 2,
+        "error: input 'x' declared twice"),
+    "outputs not names": (
+        "--dfg", _graph([], [], [1]), 2, "error: outputs must be a list of names"),
+    "mapping not an object": (
+        "--mapping", "[]", 2, "error: mapping document must be a JSON object"),
+    "banks not a list": ("--mapping", '{"banks": {}}', 2, "error: mapping banks must be a list"),
+    "place not an object": (
+        "--mapping", _map(place=[]), 2, "error: mapping place must be an object"),
+    "bad placement key": (
+        "--mapping", _map(place={"a-b": "M0"}), 2, "error: bad placement key 'a-b'"),
+    "placement target not a name": (
+        "--mapping", _map(place={"x": 1}), 2,
+        "error: placement of 'x' must name a bank or REGISTER"),
+    "default not REGISTER": (
+        "--mapping", _map(default="M0"), 2, 'error: mapping default may only be "REGISTER"'),
+    "bank not an object": ("--mapping", _map(1), 2, "error: banks[0] must be an object"),
+    "ports not an integer": (
+        "--mapping", _map(_bank(ports="1")), 2, "error: banks[0].ports must be an integer"),
+    "bank id not an identifier": (
+        "--mapping", _map(_bank(id="0M")), 2, "error: banks[0].id must be an identifier"),
+    "capacity not an integer": (
+        "--mapping", _map(_bank(capacity_words=1.5)), 2,
+        "error: banks[0].capacity_words must be an integer"),
+    "bank energy not a number": (
+        "--mapping", _map(_bank(energy_per_access="1")), 2,
+        "error: banks[0].energy_per_access must be a number"),
+    "huge integer bank energy": (
+        "--mapping", _map(_bank()).replace('"level": 0', f'"level": 0, "energy_per_access": {HUGE}'),
+        2, "error: banks[0]: int too large to convert to float"),
+    "no port": (
+        "--mapping", _map(_bank(ports=0)), 2, "error: banks[0]: bank 'M0' needs at least one port"),
+    "read latency 0": (
+        "--mapping", _map(_bank(read_latency=0)), 2,
+        "error: banks[0]: bank 'M0' latencies must be >= 1"),
+    "write latency 0": (
+        "--mapping", _map(_bank(write_latency=0)), 2,
+        "error: banks[0]: bank 'M0' latencies must be >= 1"),
+    "negative level": (
+        "--mapping", _map(_bank(level=-1)), 2, "error: banks[0]: bank 'M0' level must be >= 0"),
+    "capacity 0": (
+        "--mapping", _map(_bank(capacity_words=0)), 2,
+        "error: banks[0]: bank 'M0' capacity must be >= 1 or unbounded"),
+    "negative bank energy": (
+        "--mapping", _map(_bank(energy_per_access=-1)), 2,
+        "error: banks[0]: bank 'M0' energy per access must be finite and >= 0"),
+    "bank declared twice": (
+        "--mapping", _map(_bank(), _bank()), 2, "error: bank 'M0' declared twice"),
+}
+
+
+@pytest.mark.parametrize("case", list(DOCUMENT_ERRORS))
+def test_document_error_exit_code_and_message(inputs, capsys, case):
+    flag, text, code, message = DOCUMENT_ERRORS[case]
+    rc, err = _validate_doc(inputs, capsys, text, flag)
+    assert (rc, err) == (code, message + "\n")

@@ -1,8 +1,10 @@
 """Memory banks, placements and the access model."""
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memsched import (
     AccessModel,
@@ -24,6 +26,7 @@ from memsched import (
     scalar,
     validate_mapping,
 )
+from memsched.memmap import Profile
 
 LIB = OperatorLibrary(
     [
@@ -319,3 +322,34 @@ def test_requirement_totals_match_distinct_memory_operands():
     fetches = [w for w in model_of([op], m).plans["m1"].windows if not w.is_store]
     distinct_memory = {r.name for r in op.operands if m.location_of(r) != REGISTER}
     assert sum(w.count for w in fetches) == len(distinct_memory)
+
+
+# -- the usage profile --------------------------------------------------------
+
+# one step: the index of a held hold to remove (None, or nothing held,
+# adds a hold instead), the added hold's start, length and amount, and a
+# query window and level
+STEP = st.tuples(st.none() | st.integers(0, 13), st.integers(-30, 30), st.integers(1, 12),
+                 st.integers(1, 3), st.integers(-45, 45), st.integers(1, 20), st.integers(0, 4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(STEP, max_size=14))
+def test_profile_matches_a_per_cycle_count(steps):
+    # holds are added and removed in any order, before and after cycle 0;
+    # the plain per-cycle count is the reference
+    profile, usage, held = Profile(), Counter(), []
+    assert profile.peak(-5, 5) == profile.length_above(0) == 0
+    for remove, start, length, amount, lo, width, level in steps:
+        if held and remove is not None:
+            start, end, amount = held.pop(remove % len(held))
+            amount = -amount
+        else:
+            end = start + length
+            held.append((start, end, amount))
+        profile.add(start, end, amount)
+        for c in range(start, end):
+            usage[c] += amount
+        assert profile.peak(lo, lo + width) == max(usage[c] for c in range(lo, lo + width))
+        assert profile.length_above(level) == sum(1 for n in usage.values() if n > level)
+        assert max(profile.levels, default=0) == max(usage.values(), default=0)

@@ -212,6 +212,51 @@ def test_analyze_rejects_inconsistent_schedules():
     del s.entries["op02"]
     with pytest.raises(InconsistentSchedule):
         analyze(s, g)
+    s = manual_schedule(g, set())
+    s.entries["op01"] = s.entries["op01"]._replace(end_cycle=4)
+    with pytest.raises(InconsistentSchedule) as err:
+        analyze(s, g)
+    assert err.value.message == "entry 'op01' spans 3 cycles, class latency is 1"
+
+
+def _fir4_on_banks_of_latency(latency):
+    mapping = fixtures.load_mapping("fir4")
+    banks = [b._replace(read_latency_cycles=latency, write_latency_cycles=latency)
+             for b in mapping.banks]
+    return MemoryMapping(banks, mapping.placement, mapping.default_register)
+
+
+def test_replay_work_does_not_grow_with_latency(line_budget):
+    # the memory-blind schedule is the same at every bank latency; the
+    # replay adds each window once, however many cycles it spans
+    import memsched.metrics
+
+    g = fixtures.load_dfg("fir4")
+    s = schedule_baseline(g, Allocation({"mul": 1, "alu": 1}), SchedulerConfig(12),
+                          compute_timing(g, 12))
+    assert [e.start_cycle for e in s.sorted_entries() if e.class_name == "mul"] == [0, 2, 4, 6]
+    lines = {}
+    for latency in (1, 200_000):
+        model = AccessModel(g, _fir4_on_banks_of_latency(latency))
+        with line_budget(memsched.metrics, 2_000) as ran:
+            m = analyze(s, g, model)
+        lines[latency] = ran[0]
+    assert lines[1] == lines[200_000]
+    # each bank serves one operand of every mul: fetch windows
+    # [s - 200000, s) for s = 0, 2, 4, 6 overlap on [-199998, 4), all four
+    # on [-199994, 0)
+    assert m.per_bank["M0"] == m.per_bank["M1"] == (4, 4, 200_002)
+    assert m.total_conflicts == 400_004
+
+
+def test_compare_verdict_rounds_a_float_energy_delta():
+    m = analyze(manual_schedule(flat_graph(2), set()), flat_graph(2))
+    left = m._replace(datapath_energy=0.1 + 0.2)  # 0.30000000000000004
+    right = m._replace(datapath_energy=0.0, total_conflicts=3)
+    assert compare(left, right).verdict == (
+        "makespan: tie; energy: right wins by 0.3; conflicts: left wins by 3")
+    assert compare(right, left).verdict == (
+        "makespan: tie; energy: left wins by 0.3; conflicts: right wins by 3")
 
 
 def test_compare_deltas_and_mismatch():
@@ -270,6 +315,21 @@ def test_gantt_port_rows_show_serialized_fetches():
     assert svg.count(_READ_COLOR) == 2
     assert svg.count(_WRITE_COLOR) == 0
     assert export_gantt(s, mapping) == svg  # deterministic
+
+
+def test_gantt_draws_a_store_window_on_its_port_row():
+    # one op stores its result to a bank with a 2-cycle write latency
+    g = Dfg.build([Operation("op00", "f", (scalar("x"),), scalar("d"))], UNIT)
+    mapping = MemoryMapping([MemoryBank("M0", 1, 1, 2, 0)], {"d": "M0"}, default_register=True)
+    s = schedule_memory_aware(g, Allocation({"u": 1}), mapping, SchedulerConfig(4),
+                              compute_timing(g, 4))
+    assert s.entries["op00"].write_booking == PortBooking("M0", 0, 1, 3)
+    svg = export_gantt(s, mapping)
+    # cycle 1 lies at x = 110 + 30; the port row is the second row, at y = 34 + 26
+    assert (f'<rect x="140" y="63" width="60" height="20" fill="{_WRITE_COLOR}" '
+            'stroke="#555555" stroke-width="1"/>') in svg
+    assert '<text x="170" y="77" text-anchor="middle" fill="#222222">op00</text>' in svg
+    assert svg.count(_WRITE_COLOR) == 1 and svg.count(_READ_COLOR) == 0
 
 
 @pytest.mark.parametrize("horizon", [19, 41, 2001, 200_000])
