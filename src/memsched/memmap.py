@@ -11,7 +11,7 @@ default, otherwise they are unmapped.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Iterable, Mapping, NamedTuple
 
 from .dfg import (
@@ -309,8 +309,9 @@ class AccessModel:
 class Profile:
     """One resource's usage over time: ``levels[k]`` over [cuts[k], cuts[k + 1]),
     0 before the first cut and from the last on. Cuts may be negative; a
-    removed hold leaves neighbouring levels equal, which changes no answer.
-    A call costs a binary search plus the segments it spans."""
+    removed hold leaves equal neighbouring levels, and ``clear`` may answer
+    the cut between them, which is still safe. A call costs a binary search
+    plus the segments it spans."""
 
     def __init__(self):
         self.cuts: list[int] = []
@@ -328,13 +329,20 @@ class Profile:
         i, j = bisect_left(cuts, start), bisect_left(cuts, end)
         levels[i:j] = [n + amount for n in levels[i:j]]
 
-    def peak(self, start: int, end: int) -> int:
-        """The highest usage over [start, end), for start < end."""
+    def clear(self, start: int, end: int, level: int = 0) -> int:
+        """``start`` when the usage stays at or below ``level`` >= 0 over
+        [start, end), for start < end; otherwise the end of the last segment
+        above ``level`` that meets the window: a window as long that starts
+        later, but before that cycle, meets that segment too."""
         cuts, levels = self.cuts, self.levels
-        i = bisect_right(cuts, start)  # the segment holding start is i - 1
-        level = levels[i - 1] if i else 0
-        j = bisect_left(cuts, end, i)  # segments i to j - 1 begin inside
-        return max(level, *levels[i:j]) if j > i else level
+        k = bisect_left(cuts, end)  # segments 0 to k - 1 begin before end
+        while k:
+            k -= 1
+            if levels[k] > level:
+                return cuts[k + 1]
+            if cuts[k] <= start:  # the segment holding start
+                break
+        return start
 
     def length_above(self, level: int) -> int:
         """How many cycles the usage exceeds ``level``."""

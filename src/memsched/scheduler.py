@@ -9,9 +9,9 @@ per bank port: an operation may only start at cycle t if it is legal under
 the mapping's access model (``memmap.AccessModel``) and a port is free for
 each of its fetch and store windows. An operation joins the ready list at its
 earliest legal start; each cycle the engine queues the best ready operation
-of each group (below) whose class has a free instance, pops the best, binds
-it to its best free instance and places it if its ports are free, otherwise
-the operation waits for the next cycle.
+of each group (below) that is awake, pops the best, binds it to its best
+free instance and places it if its ports are free, otherwise its group
+sleeps until the first cycle at which the missing resource can be had.
 
 The engine is incremental; these facts keep it equal to re-sorting every
 candidate after every placement:
@@ -40,24 +40,24 @@ candidate after every placement:
   deadline, finds a free instance or none, and finds its ports free or
   busy, together. Ready operations wait in one heap per group under their
   static key, and a group's head stands for the group: each cycle the queue
-  gets the head of every non-empty group whose class has a free instance
+  gets the head of every non-empty group whose wake cycle (below) has come
   and whose completion offset meets the deadline, and no other operation.
-- Instances and ports only fill up within a cycle, so a popped operation
-  whose class is full or whose port is busy stays blocked for the rest of
-  the cycle, and so does its group. Binding has no side effects, so a
-  popped operation is gated first and, when blocked, deferred without
-  binding. A blocked head stays in its heap and its group gets no further
-  pull this cycle; a bound operation blocked later in the cycle goes back
-  into its group's heap when the cycle ends.
+- Within a run instances only get busier and ports only gain bookings, so
+  a blocked group sleeps until a lower bound on its next start, its wake
+  cycle: its full class's first release, or for the first window short of
+  ports the ``count``-th smallest ``PortLedger.clear`` answer among the
+  bank's ports, less the window's offset. Binding has no side effects, so
+  a popped operation is gated first and, when blocked, deferred without
+  binding; a bound operation blocked later in the cycle goes back into its
+  group's heap when the cycle ends.
 - A head that passes the gate is taken off its heap and the group's next
   head joins the queue before the head binds, so the queue's minimum is
   always the minimum over every candidate: the heap holds no key below its
   head's. Only an unbound queue entry is a head, so each group has at most
   one head queued.
-- A cycle whose queue is empty is idle until the next arrival or the next
-  instance release, so the engine jumps there (to T when neither comes):
-  ports matter only to a queued operation, and an operation whose
-  completion misses the deadline misses it at every later cycle too.
+- After a cycle every non-empty group sleeps past it or misses the deadline
+  at every later cycle too, so the engine jumps to the next arrival or wake
+  cycle (to T when neither comes).
 
 Priorities do not change under a deadline shift: moving the deadline moves
 every ALAP start, hence every slack, equally. So when a deadline T is
@@ -90,7 +90,7 @@ from .errors import (
     TimeConstraintViolated,
     TooLarge,
 )
-from .memmap import AccessModel, MemoryBank, MemoryMapping, Profile, validate_mapping
+from .memmap import AccessModel, MemoryMapping, Profile, validate_mapping
 
 
 class Policy(enum.Enum):
@@ -144,16 +144,14 @@ class PortLedger:
     def __init__(self):
         self._ports: defaultdict[tuple[str, int], Profile] = defaultdict(Profile)
 
-    def is_free(self, bank_id: str, port_index: int, start: int, end: int) -> bool:
+    def clear(self, bank_id: str, port_index: int, start: int, end: int) -> int:
+        """``Profile.clear`` of the port at level 0: ``start`` when it is
+        free over [start, end), otherwise a later cycle."""
         profile = self._ports.get((bank_id, port_index))
-        return profile is None or not profile.peak(start, end)
-
-    def free_ports(self, bank: MemoryBank, start: int, end: int) -> list[int]:
-        """Port indices of ``bank`` free over [start, end), ascending."""
-        return [p for p in range(bank.ports) if self.is_free(bank.id, p, start, end)]
+        return start if profile is None else profile.clear(start, end)
 
     def book(self, bank_id: str, port_index: int, start: int, end: int) -> None:
-        if not self.is_free(bank_id, port_index, start, end):
+        if self.clear(bank_id, port_index, start, end) != start:
             raise ValueError(
                 f"overlapping booking on {bank_id} port {port_index}: [{start},{end})"
             )
@@ -312,17 +310,17 @@ class _Engine:
         # each op's class, latency, completion offset and windows at start 0
         self.plans = model.plans
         self.operands = {op.id: op.operands for op in g.operations}
-        used = sorted({p.operator_class.name for p in self.plans.values()})
-        for name in used:
+        used = sorted(Counter(p.operator_class.name for p in self.plans.values()).items())
+        for name, _ in used:
             if alloc.count(name) < 1:
                 raise ValueError(f"allocation covers no instances of class {name!r}")
         # per class, indexed by instance: the cycle it is busy until and
-        # the operands of its last operation (None while it is fresh)
-        self.busy_until: dict[str, list[int]] = {
-            name: [0] * alloc.count(name) for name in used
-        }
+        # the operands of its last operation (None while it is fresh). A
+        # class of n operations gets at most n instances: a fresh instance
+        # is bound only while every lower-indexed one is busy.
+        self.busy_until = {name: [0] * min(alloc.count(name), n) for name, n in used}
         self.last_operands: dict[str, list[tuple[DataRef, ...] | None]] = {
-            name: [None] * alloc.count(name) for name in used
+            name: [None] * len(busy) for name, busy in self.busy_until.items()
         }
 
     def run(self) -> tuple[dict[str, ScheduleEntry], set[str]]:
@@ -355,47 +353,34 @@ class _Engine:
             shape = (p.operator_class.name, p.done, p.windows)
             group[oid] = shapes.setdefault(shape, len(shapes))
         heaps: list[list[tuple]] = [[] for _ in shapes]
-        # (group, completion offset) per class
-        groups_of_class: dict[str, list[tuple[int, int]]] = {n: [] for n in self.busy_until}
-        for (name, done, _), gid in shapes.items():
-            groups_of_class[name].append((gid, done))
+        lasts = [T - done for _, done, _ in shapes]  # latest start meeting the deadline
+        wake = [0] * len(shapes)  # no group member can start before it
 
         t = 0
         while t < T and len(entries) < len(waiting):
             while arrivals and arrivals[0][0] <= t:
                 oid = heapq.heappop(arrivals)[1]
                 heapq.heappush(heaps[group[oid]], prio[oid])
-            free = {
-                name: [i for i, until in enumerate(busy) if until <= t]
-                for name, busy in self.busy_until.items()
-            }
             # entries (key, shared, instance); a group's head stays in its
             # heap and enters unbound, with its optimistic key
-            queue = [
-                (heaps[gid][0], 0, None)
-                for name, pool in free.items() if pool
-                for gid, done in groups_of_class[name]
-                if heaps[gid] and t + done <= T
-            ]
-            if not queue:
-                # idle until an op arrives or an instance frees (module docs)
-                wake = [until for busy in self.busy_until.values()
-                        for until in busy if until > t]
-                if arrivals:
-                    wake.append(arrivals[0][0])
-                t = min(wake, default=T)
-                continue
+            queue = [(heap[0], 0, None) for heap, w, last in zip(heaps, wake, lasts)
+                     if heap and w <= t <= last]
             heapq.heapify(queue)
+            free: dict[str, list[int]] = {}  # per class, built at its first pop
             deferred: list[str] = []  # bound ops blocked later in the cycle
             while queue:
                 key, shared, inst = heapq.heappop(queue)
                 oid = key[-1]
                 name = plans[oid].operator_class.name
+                if name not in free:
+                    free[name] = [i for i, until in enumerate(self.busy_until[name]) if until <= t]
                 pool = free[name]
-                ports = self._gate(oid, t, ledger) if pool else None
-                if ports is None:
-                    # the group is blocked for the rest of the cycle: an
-                    # unbound head stays in its heap and pulls no successor
+                at, ports = (self._gate(oid, t, ledger) if pool
+                             else (min(self.busy_until[name]), None))  # a full class
+                if at > t:
+                    # the group waits until `at`: an unbound head stays in
+                    # its heap and pulls no successor
+                    wake[group[oid]] = at
                     if inst is not None:
                         deferred.append(oid)
                     continue
@@ -422,7 +407,10 @@ class _Engine:
                         heapq.heappush(arrivals, (model.earliest_start(s, finish), s))
             for oid in deferred:
                 heapq.heappush(heaps[group[oid]], prio[oid])
-            t += 1
+            # on to the next arrival or wake cycle (module docs); a group
+            # asleep past t still holds the op that found it blocked
+            nxt = [w for w in wake if w > t]
+            t = min(nxt + [arrivals[0][0]] if arrivals else nxt, default=T)
         return entries, {oid for oid in waiting if oid not in entries}
 
     def _bind(self, oid: str, name: str, pool: list[int]):
@@ -438,15 +426,17 @@ class _Engine:
         return shared, -inst
 
     def _gate(self, oid: str, t: int, ledger: PortLedger):
-        """The lowest free ports of each access window of ``oid`` started
-        at t, or None when a bank has too few free."""
+        """(t, ports) when every access window of ``oid`` started at t finds
+        enough free ports, ``ports[k]`` the lowest of the k-th; otherwise
+        (wake, None), its group's wake cycle > t (module docs)."""
         ports = []
         for bank, count, first, end, _ in self.plans[oid].windows:
-            free = ledger.free_ports(bank, t + first, t + end)
-            if len(free) < count:
-                return None
-            ports.append(free[:count])
-        return ports
+            start = t + first
+            clear = [ledger.clear(bank.id, p, start, t + end) for p in range(bank.ports)]
+            if clear.count(start) < count:
+                return sorted(clear)[count - 1] - first, None
+            ports.append([p for p, at in enumerate(clear) if at == start][:count])
+        return t, ports
 
     def _place(self, oid, t, shared, inst, ports, ledger, entries, finish) -> None:
         """Start ``oid`` at t on instance ``inst`` of its class, booking
@@ -597,8 +587,8 @@ def bruteforce_optimal_makespan(
     best = T_max + 1
     best_starts: dict[str, int] | None = None
 
-    def fits(oid: str, s: int) -> bool:
-        return all(usage[r].peak(s + first, s + end) <= capacity[r] - amount
+    def fit(oid: str, s: int) -> int:  # s, or a later start before which none fits
+        return max(usage[r].clear(s + first, s + end, capacity[r] - amount) - first
                    for r, first, end, amount in holds[oid])
 
     def hold(oid: str, s: int, sign: int) -> None:
@@ -619,19 +609,21 @@ def bruteforce_optimal_makespan(
         lo = model.earliest_start(oid, finish)
         # latest start that still completes by T_max
         hi = T_max - plans[oid].done
-        for s in range(lo, hi + 1):
-            if s + tail[oid] >= best:  # best may have dropped in a child
-                break
-            if not fits(oid, s):
-                continue
-            hold(oid, s, +1)
-            starts[oid] = s
-            finish[oid] = s + plans[oid].done
-            dfs(i + 1)
-            del starts[oid], finish[oid]
-            hold(oid, s, -1)
+        s = lo
+        while s <= hi and s + tail[oid] < best:  # best may have dropped in a child
+            at = fit(oid, s)
+            if at == s:
+                hold(oid, s, +1)
+                starts[oid] = s
+                finish[oid] = s + plans[oid].done
+                dfs(i + 1)
+                del starts[oid], finish[oid]
+                hold(oid, s, -1)
+                at += 1
+            s = at
 
-    dfs(0)
+    if all(amount <= capacity[r] for held in holds.values() for r, _, _, amount in held):
+        dfs(0)  # an op needing more ports than its bank has fits nowhere
     if best_starts is None:
         raise Infeasible(f"no schedule fits within {T_max} cycles")
     return best, _witness_schedule(engine, best_starts)
@@ -651,10 +643,10 @@ def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
         for _ in range(w.count)
     )
     ports = {oid: [[] for _ in engine.plans[oid].windows] for oid in starts}
-    first_fit = PortLedger()
+    taken = PortLedger()
     for start, end, oid, k, bank in accesses:
-        port = first_fit.free_ports(bank, start, end)[0]
-        first_fit.book(bank.id, port, start, end)
+        port = next(p for p in range(bank.ports) if taken.clear(bank.id, p, start, end) == start)
+        taken.book(bank.id, port, start, end)
         ports[oid][k].append(port)
 
     ledger = PortLedger()

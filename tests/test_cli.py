@@ -330,6 +330,49 @@ def test_compare_byte_identical_runs(inputs, capsys):
     assert out1 == out2
 
 
+def _scheduler_lines(line_budget, limit, argv):
+    """Lines memsched.scheduler runs for one call, which must exit 0."""
+    import memsched.scheduler as scheduler
+
+    with line_budget(scheduler, limit) as ran:
+        assert main(argv) == 0
+    return ran[0]
+
+
+@pytest.mark.parametrize("command", ["schedule", "compare"])
+def test_engine_work_does_not_grow_with_bank_latency(inputs, capsys, line_budget, command):
+    # a port-blocked group waits for the end of the booking in its way, so
+    # 200000-cycle windows cost a few wake-ups more than 1-cycle ones, not
+    # one check per cycle waited
+    mapping = json.loads(fixture_text("fir4.map.json"))
+    ran = []
+    for latency in (1, 200000):
+        for bank in mapping["banks"]:
+            bank["read_latency"] = bank["write_latency"] = latency
+        path = inputs["tmp"] / f"fir4-{latency}.map.json"
+        path.write_text(json.dumps(mapping), encoding="utf-8")
+        argv = [command, "--dfg", inputs["fir4.dfg.json"], "--library", inputs["dsp.lib.json"],
+                "--mapping", str(path), "--T", "3000020", "--out", inputs["out"]]
+        if command == "schedule":
+            argv += ["--policy", "mem-aware"]
+        ran.append(_scheduler_lines(line_budget, ran[0] + 500 if ran else 10000, argv))
+
+
+def test_engine_work_does_not_grow_with_allocation(inputs, capsys, line_budget):
+    # instances beyond a class's operation count are never bound
+    mapping = inputs["tmp"] / "fir4.map.json"
+    mapping.write_text(fixture_text("fir4.map.json"), encoding="utf-8")
+    ran = []
+    for count in (4, 10**6):
+        argv = ["schedule", "--dfg", inputs["fir4.dfg.json"], "--library", inputs["dsp.lib.json"],
+                "--mapping", str(mapping), "--policy", "mem-aware", "--T", "20",
+                "--alloc", f"alu={count}", "--alloc", f"mul={count}",
+                "--out", str(inputs["tmp"] / str(count))]
+        ran.append(_scheduler_lines(line_budget, ran[0] if ran else 10000, argv))
+    outputs = [(inputs["tmp"] / str(count) / "schedule.json").read_bytes() for count in (4, 10**6)]
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command", ["schedule", "compare"])
 def test_reduction_out_of_range_is_exit_2(inputs, capsys, command):
     rc = main(

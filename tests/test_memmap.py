@@ -339,7 +339,7 @@ def test_profile_matches_a_per_cycle_count(steps):
     # holds are added and removed in any order, before and after cycle 0;
     # the plain per-cycle count is the reference
     profile, usage, held = Profile(), Counter(), []
-    assert profile.peak(-5, 5) == profile.length_above(0) == 0
+    assert profile.clear(-5, 5) == -5 and profile.length_above(0) == 0
     for remove, start, length, amount, lo, width, level in steps:
         if held and remove is not None:
             start, end, amount = held.pop(remove % len(held))
@@ -350,6 +350,14 @@ def test_profile_matches_a_per_cycle_count(steps):
         profile.add(start, end, amount)
         for c in range(start, end):
             usage[c] += amount
-        assert profile.peak(lo, lo + width) == max(usage[c] for c in range(lo, lo + width))
+        answer = profile.clear(lo, lo + width, level)
+        over = [c for c in range(lo, lo + width) if usage[c] > level]
+        assert (answer == lo) == (not over)
+        if over:
+            # the end of one segment, reached from the last cycle above the
+            # level without a change of usage: a later window as long that
+            # starts before it meets that cycle
+            assert over[-1] < answer and answer in profile.cuts
+            assert all(usage[c] == usage[over[-1]] for c in range(over[-1], answer))
         assert profile.length_above(level) == sum(1 for n in usage.values() if n > level)
         assert max(profile.levels, default=0) == max(usage.values(), default=0)

@@ -24,7 +24,8 @@ from memsched import (
     schedule_memory_aware,
 )
 from memsched import fixtures
-from memsched.scheduler import PortLedger
+from memsched.memmap import AccessModel
+from memsched.scheduler import PortLedger, _Engine
 from oracles import (
     check_schedule_safety,
     enumerate_independent_starts,
@@ -267,13 +268,26 @@ def test_port_ledger_half_open_intervals():
     ledger = PortLedger()
     ledger.book("M0", 0, 2, 4)
     ledger.book("M0", 0, 4, 5)  # [2,4) and [4,5) only touch
-    assert not ledger.is_free("M0", 0, 3, 4)
+    assert ledger.clear("M0", 0, 0, 2) == 0 and ledger.clear("M0", 0, 5, 9) == 5
+    # a busy window answers the end of the last booking it meets
+    assert ledger.clear("M0", 0, 3, 4) == 4
+    assert ledger.clear("M0", 0, 4, 5) == ledger.clear("M0", 0, 1, 9) == 5
     with pytest.raises(ValueError):
         ledger.book("M0", 0, 3, 4)
-    assert ledger.is_free("M0", 0, 0, 2) and ledger.is_free("M0", 0, 5, 9)
+
+    # the gate takes the lowest free ports, ascending, or answers the first
+    # cycle at which enough of them can be free
+    ops = [Operation("r", "add", (scalar("a"), scalar("b")), scalar("u"))]
+    g = Dfg.build(ops, LIB)
+    mapping = MemoryMapping([bank("M0", ports=4)], {"a": "M0", "b": "M0"},
+                            default_register=True)
+    engine = _Engine(g, Allocation({"alu": 1}), SchedulerConfig(9),
+                     compute_timing(g, 9), AccessModel(g, mapping))
     ledger.book("M0", 2, 3, 4)
-    assert ledger.free_ports(bank("M0", ports=4), 3, 4) == [1, 3]
-    assert ledger.free_ports(bank("M0", ports=4), 5, 6) == [0, 1, 2, 3]
+    assert engine._gate("r", 4, ledger) == (4, [[1, 3]])  # fetch over [3, 4)
+    ledger.book("M0", 1, 2, 6)
+    assert engine._gate("r", 4, ledger) == (5, None)  # only port 3 is free
+    assert engine._gate("r", 5, ledger) == (5, [[2, 3]])  # port 0 is busy again
 
 
 def test_schedule_json_is_bit_exact():

@@ -83,6 +83,13 @@ def test_guard_and_infeasible():
     with pytest.raises(Infeasible):
         bruteforce_optimal_makespan(unit_chain(3), Allocation({"alu": 1}), None, 2)
 
+    # two fetches from a one-port bank at once fit at no start
+    g = Dfg.build([Operation("r", "add", (scalar("a"), scalar("b")), scalar("u"))], LIB)
+    mapping = MemoryMapping([MemoryBank("M0", 1, 1, 1, 0)], {"a": "M0", "b": "M0"},
+                            default_register=True)
+    with pytest.raises(Infeasible):
+        bruteforce_optimal_makespan(g, Allocation({"alu": 1}), mapping, 30)
+
 
 def test_witness_policy_tracks_mapping():
     g = unit_chain(2)
@@ -127,6 +134,44 @@ def test_oracle_work_does_not_grow_with_the_horizon(line_budget):
     with line_budget(scheduler, 2 * ran[0]):
         longer, again = bruteforce_optimal_makespan(g, alloc, mapping, 12000)
     assert (longer, again.entries) == (best, witness.entries)
+
+
+@pytest.mark.parametrize("kernel, T_max, alloc, mapping, holds, best", [
+    ("fir4", 10, None, "fixture", 132, 10),
+    ("fir4", 51, None, "fixture", 132, 10),
+    ("two_adds_one_bank", 4, None, "fixture", 12, 3),
+    ("iir_biquad", 20, None, "fixture", 264, 12),
+    # the optimum meets the lower bound, which ends the search
+    ("iir_biquad", 20, {"mul": 5, "alu": 4}, "registers", 24, 6),
+    # no schedule fits: every start that still stores by T_max is tried
+    ("fir4", 10, None, "store y", 426, None),
+])
+def test_oracle_node_count_per_fixture(monkeypatch, kernel, T_max, alloc, mapping, holds, best):
+    # each node of the search adds and then removes its op's holds, and the
+    # witness books its windows: a search that visits more starts, or
+    # prunes fewer, changes the count
+    from memsched import memmap
+
+    added = []
+    original = memmap.Profile.add
+
+    def counting(self, *args):
+        added.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(memmap.Profile, "add", counting)
+    g = fixtures.load_dfg(kernel, fixtures.load_library())
+    alloc = Allocation(alloc) if alloc else compute_min_allocation(g, T_max)
+    m = fixtures.load_mapping(kernel) if mapping != "registers" else None
+    if mapping == "store y":
+        m = MemoryMapping(m.banks, {**m.placement, "y": "M0"}, default_register=True)
+    if best is None:
+        with pytest.raises(Infeasible):
+            bruteforce_optimal_makespan(g, alloc, m, T_max)
+    else:
+        makespan, witness = bruteforce_optimal_makespan(g, alloc, m, T_max)
+        assert makespan == witness.makespan_cycles == best
+    assert len(added) == holds
 
 
 def test_oracle_checks_the_allocation_like_the_engine():
