@@ -318,15 +318,17 @@ class Profile:
         self.levels: list[int] = []
 
     def add(self, start: int, end: int, amount: int) -> None:
-        """Raise the usage over [start, end) by ``amount``; a negative one
-        removes a hold."""
+        """Raise the usage over [start, end) by ``amount``, for start < end;
+        a negative one removes a hold."""
         cuts, levels = self.cuts, self.levels
-        for c in (start, end):
-            i = bisect_left(cuts, c)
-            if i == len(cuts) or cuts[i] != c:
-                cuts.insert(i, c)
-                levels.insert(i, levels[i - 1] if i else 0)
-        i, j = bisect_left(cuts, start), bisect_left(cuts, end)
+        i = bisect_left(cuts, start)
+        if i == len(cuts) or cuts[i] != start:
+            cuts.insert(i, start)
+            levels.insert(i, levels[i - 1] if i else 0)
+        j = bisect_left(cuts, end, i + 1)  # end's cut lies after start's
+        if j == len(cuts) or cuts[j] != end:
+            cuts.insert(j, end)
+            levels.insert(j, levels[j - 1])
         levels[i:j] = [n + amount for n in levels[i:j]]
 
     def clear(self, start: int, end: int, level: int = 0) -> int:

@@ -45,8 +45,8 @@ candidate after every placement:
 - Within a run instances only get busier and ports only gain bookings, so
   a blocked group sleeps until a lower bound on its next start, its wake
   cycle: its full class's first release, or for the first window short of
-  ports the ``count``-th smallest ``PortLedger.clear`` answer among the
-  bank's ports, less the window's offset. Binding has no side effects, so
+  ports the ``count``-th smallest ``Profile.clear`` answer among the bank's
+  ports, less the window's offset. Binding has no side effects, so
   a popped operation is gated first and, when blocked, deferred without
   binding; a bound operation blocked later in the cycle goes back into its
   group's heap when the cycle ends.
@@ -67,11 +67,11 @@ so a run at kT succeeds exactly when the 8T run finishes by kT.
 
 A branch-and-bound search over start cycles provides exact optimal makespans
 for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
-It builds the engine once for its deadline and takes the classes, the
-access model, the allocation check and the instances from it. The search
-keeps one usage profile per resource over each operation's class interval
-and port windows; the witness schedule is then placed by the engine's own
-placement step, in (start, id) order, so the port ledger checks it too.
+It builds the engine once for its deadline and takes the access model, the
+allocation check and each class's and bank's capacity (its tables) from it.
+The search keeps one usage profile per resource over each operation's class
+interval and port windows; the witness schedule is then placed by the
+engine's own placement step, in (start, id) order, which checks it too.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from __future__ import annotations
 import enum
 import heapq
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Mapping, NamedTuple
 
 from .dfg import DataRef, Dfg, TimingAnalysis, _checked, compute_timing
@@ -134,28 +134,6 @@ class PortBooking(NamedTuple):
     port_index: int
     start: int
     end: int
-
-
-class PortLedger:
-    """Non-overlapping half-open interval bookings per (bank, port), kept
-    as one usage profile per port: a check is a binary search over the
-    port's bookings, whatever a window's length."""
-
-    def __init__(self):
-        self._ports: defaultdict[tuple[str, int], Profile] = defaultdict(Profile)
-
-    def clear(self, bank_id: str, port_index: int, start: int, end: int) -> int:
-        """``Profile.clear`` of the port at level 0: ``start`` when it is
-        free over [start, end), otherwise a later cycle."""
-        profile = self._ports.get((bank_id, port_index))
-        return start if profile is None else profile.clear(start, end)
-
-    def book(self, bank_id: str, port_index: int, start: int, end: int) -> None:
-        if self.clear(bank_id, port_index, start, end) != start:
-            raise ValueError(
-                f"overlapping booking on {bank_id} port {port_index}: [{start},{end})"
-            )
-        self._ports[bank_id, port_index].add(start, end, 1)
 
 
 class ScheduleEntry(NamedTuple):
@@ -322,6 +300,12 @@ class _Engine:
         self.last_operands: dict[str, list[tuple[DataRef, ...] | None]] = {
             name: [None] * len(busy) for name, busy in self.busy_until.items()
         }
+        # per bank id, indexed by port: its bookings. A bank of n accesses
+        # gets at most n ports, as bookings take the lowest free ones.
+        accesses = Counter(w.bank for p in self.plans.values()
+                           for w in p.windows for _ in range(w.count))
+        self.ports = {bank.id: [Profile() for _ in range(min(bank.ports, n))]
+                      for bank, n in accesses.items()}
 
     def run(self) -> tuple[dict[str, ScheduleEntry], set[str]]:
         g, model = self.g, self.model
@@ -335,7 +319,6 @@ class _Engine:
             for op in g.operations
         }
         plans = self.plans
-        ledger = PortLedger()
         entries: dict[str, ScheduleEntry] = {}
         finish: dict[str, int] = {}
         succs = g.successors()
@@ -375,7 +358,7 @@ class _Engine:
                 if name not in free:
                     free[name] = [i for i, until in enumerate(self.busy_until[name]) if until <= t]
                 pool = free[name]
-                at, ports = (self._gate(oid, t, ledger) if pool
+                at, ports = (self._gate(oid, t) if pool
                              else (min(self.busy_until[name]), None))  # a full class
                 if at > t:
                     # the group waits until `at`: an unbound head stays in
@@ -399,7 +382,7 @@ class _Engine:
                     if queue and queue[0][0] < key:
                         heapq.heappush(queue, (key, shared, inst))
                         continue
-                self._place(oid, t, shared, inst, ports, ledger, entries, finish)
+                self._place(oid, t, shared, inst, ports, entries, finish)
                 pool.remove(inst)
                 for s in succs[oid]:
                     waiting[s] -= 1
@@ -425,24 +408,32 @@ class _Engine:
         shared, inst = max((_affinity(operands, last[i], positional), -i) for i in pool)
         return shared, -inst
 
-    def _gate(self, oid: str, t: int, ledger: PortLedger):
+    def _gate(self, oid: str, t: int):
         """(t, ports) when every access window of ``oid`` started at t finds
         enough free ports, ``ports[k]`` the lowest of the k-th; otherwise
         (wake, None), its group's wake cycle > t (module docs)."""
         ports = []
         for bank, count, first, end, _ in self.plans[oid].windows:
             start = t + first
-            clear = [ledger.clear(bank.id, p, start, t + end) for p in range(bank.ports)]
-            if clear.count(start) < count:
-                return sorted(clear)[count - 1] - first, None
-            ports.append([p for p, at in enumerate(clear) if at == start][:count])
+            free, busy = [], []  # the free ports; when each busy one clears
+            for p, profile in enumerate(self.ports[bank.id]):
+                at = profile.clear(start, t + end)
+                if at > start:
+                    busy.append(at)
+                    continue
+                free.append(p)
+                if len(free) == count:
+                    break
+            else:  # short of ports
+                return sorted(busy)[count - len(free) - 1] - first, None
+            ports.append(free)
         return t, ports
 
-    def _place(self, oid, t, shared, inst, ports, ledger, entries, finish) -> None:
+    def _place(self, oid, t, shared, inst, ports, entries, finish) -> None:
         """Start ``oid`` at t on instance ``inst`` of its class, booking
-        ``ports[k]`` for its k-th access window. Windows come by bank id and
-        their ports ascending, so the read bookings come out in (bank, port)
-        order."""
+        ``ports[k]`` for its k-th access window (ValueError on an overlap).
+        Windows come by bank id and their ports ascending, so the read
+        bookings come out in (bank, port) order."""
         plan = self.plans[oid]
         name = plan.operator_class.name
         reads: list[PortBooking] = []
@@ -450,7 +441,9 @@ class _Engine:
         for (bank, _, first, last, is_store), chosen in zip(plan.windows, ports):
             for p in chosen:
                 booking = PortBooking(bank.id, p, t + first, t + last)
-                ledger.book(*booking)
+                if self.ports[bank.id][p].clear(t + first, t + last) != t + first:
+                    raise ValueError(f"overlapping {booking}")
+                self.ports[bank.id][p].add(t + first, t + last, 1)
                 if is_store:
                     write = booking
                 else:
@@ -561,11 +554,10 @@ def bruteforce_optimal_makespan(
     # end cycle, amount): one instance of its class over its latency and the
     # ports of each access window. Resources are indices because a class
     # and a bank may share a name.
-    capacity = [len(busy) for busy in engine.busy_until.values()]
-    rid = {("class", name): r for r, name in enumerate(engine.busy_until)}
-    for bank in mapping.banks if mapping is not None else ():
-        rid["bank", bank.id] = len(capacity)
-        capacity.append(bank.ports)
+    tables = {("class", name): busy for name, busy in engine.busy_until.items()}
+    tables.update({("bank", bank_id): ports for bank_id, ports in engine.ports.items()})
+    rid = {key: r for r, key in enumerate(tables)}
+    capacity = [len(table) for table in tables.values()]
     holds = {
         oid: [(rid["class", plans[oid].operator_class.name], 0, plans[oid].latency, 1)]
         + [(rid["bank", w.bank.id], w.start, w.end, w.count) for w in plans[oid].windows]
@@ -633,9 +625,9 @@ def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
     """Place a feasible start assignment with the engine's own step, in
     (start, id) order: each op on the lowest-index instance free at its
     start, each access, in window order, on the lowest port free over its
-    window. Both are exact interval partitions when the occupancy fits at
-    every cycle, which the search guaranteed, and the ledger re-checks
-    every booking."""
+    window in a fresh copy of the engine's port table. Both are exact
+    interval partitions when the occupancy fits at every cycle, which the
+    search guaranteed, and the placement re-checks every booking."""
     accesses = sorted(
         (s + w.start, s + w.end, oid, k, w.bank)
         for oid, s in starts.items()
@@ -643,13 +635,13 @@ def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
         for _ in range(w.count)
     )
     ports = {oid: [[] for _ in engine.plans[oid].windows] for oid in starts}
-    taken = PortLedger()
+    taken = {bank_id: [Profile() for _ in table] for bank_id, table in engine.ports.items()}
     for start, end, oid, k, bank in accesses:
-        port = next(p for p in range(bank.ports) if taken.clear(bank.id, p, start, end) == start)
-        taken.book(bank.id, port, start, end)
+        port = next(p for p, profile in enumerate(taken[bank.id])
+                    if profile.clear(start, end) == start)
+        taken[bank.id][port].add(start, end, 1)
         ports[oid][k].append(port)
 
-    ledger = PortLedger()
     entries: dict[str, ScheduleEntry] = {}
     finish: dict[str, int] = {}
     for oid in sorted(starts, key=lambda o: (starts[o], o)):
@@ -657,5 +649,5 @@ def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
         name = engine.plans[oid].operator_class.name
         inst = next(i for i, until in enumerate(engine.busy_until[name]) if until <= start)
         shared = _affinity(engine.operands[oid], engine.last_operands[name][inst], False)
-        engine._place(oid, start, shared, inst, ports[oid], ledger, entries, finish)
+        engine._place(oid, start, shared, inst, ports[oid], entries, finish)
     return Schedule(entries, engine.cfg, engine.model)

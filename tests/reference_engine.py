@@ -3,7 +3,7 @@ model" and the priority rule, to check the package's engine against.
 
 It derives dependencies, ASAP/ALAP timing, fetch and store windows and port
 occupancy itself and uses none of the package's scheduling code: no
-``_Engine``, ``AccessModel`` or ``PortLedger``. Every cycle it recomputes
+``_Engine`` or ``AccessModel``. Every cycle it recomputes
 every candidate from scratch, picks the best one, and places it or drops it
 for the rest of the cycle; nothing is cached between picks.
 

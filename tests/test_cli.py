@@ -358,6 +358,29 @@ def test_engine_work_does_not_grow_with_bank_latency(inputs, capsys, line_budget
         ran.append(_scheduler_lines(line_budget, ran[0] + 500 if ran else 10000, argv))
 
 
+@pytest.mark.parametrize("command", ["schedule", "compare"])
+def test_engine_work_does_not_grow_with_bank_ports(inputs, capsys, line_budget, command):
+    # a bank gets at most one port per access it serves, so ports beyond
+    # that cost the engine and the oracle nothing; gantt.svg draws every
+    # declared port and is left out
+    mapping = json.loads(fixture_text("fir4.map.json"))
+    names = ["schedule.json", "metrics.json"] if command == "schedule" else ["compare.json"]
+    ran, outputs = [], []
+    for ports in (4, 8, 20000):
+        for bank in mapping["banks"]:
+            bank["ports"] = ports
+        path = inputs["tmp"] / f"fir4-{ports}.map.json"
+        path.write_text(json.dumps(mapping), encoding="utf-8")
+        out = inputs["tmp"] / f"out-{ports}"
+        argv = [command, "--dfg", inputs["fir4.dfg.json"], "--library", inputs["dsp.lib.json"],
+                "--mapping", str(path), "--T", "40", "--out", str(out)]
+        argv += ["--policy", "mem-aware"] if command == "schedule" else ["--oracle"]
+        ran.append(_scheduler_lines(line_budget, ran[0] if ran else 10000, argv))
+        outputs.append([capsys.readouterr().out] + [(out / name).read_bytes() for name in names])
+    assert ran == ran[:1] * 3
+    assert outputs == outputs[:1] * 3
+
+
 def test_engine_work_does_not_grow_with_allocation(inputs, capsys, line_budget):
     # instances beyond a class's operation count are never bound
     mapping = inputs["tmp"] / "fir4.map.json"

@@ -25,7 +25,7 @@ from memsched import (
 )
 from memsched import fixtures
 from memsched.memmap import AccessModel
-from memsched.scheduler import PortLedger, _Engine
+from memsched.scheduler import _Engine
 from oracles import (
     check_schedule_safety,
     enumerate_independent_starts,
@@ -264,30 +264,33 @@ def test_engine_derives_each_ops_windows_once(monkeypatch):
     assert len(built) == 2 * len(g.operations)  # one fetch and one store each
 
 
-def test_port_ledger_half_open_intervals():
-    ledger = PortLedger()
-    ledger.book("M0", 0, 2, 4)
-    ledger.book("M0", 0, 4, 5)  # [2,4) and [4,5) only touch
-    assert ledger.clear("M0", 0, 0, 2) == 0 and ledger.clear("M0", 0, 5, 9) == 5
-    # a busy window answers the end of the last booking it meets
-    assert ledger.clear("M0", 0, 3, 4) == 4
-    assert ledger.clear("M0", 0, 4, 5) == ledger.clear("M0", 0, 1, 9) == 5
-    with pytest.raises(ValueError):
-        ledger.book("M0", 0, 3, 4)
-
-    # the gate takes the lowest free ports, ascending, or answers the first
-    # cycle at which enough of them can be free
-    ops = [Operation("r", "add", (scalar("a"), scalar("b")), scalar("u"))]
+def test_port_table_half_open_intervals():
+    # four fetches from M0 size its table at four of its six ports
+    ops = [Operation("r", "add", (scalar("a"), scalar("b")), scalar("u")),
+           Operation("s", "add", (scalar("c"), scalar("d")), scalar("v"))]
     g = Dfg.build(ops, LIB)
-    mapping = MemoryMapping([bank("M0", ports=4)], {"a": "M0", "b": "M0"},
+    mapping = MemoryMapping([bank("M0", ports=6)], dict.fromkeys("abcd", "M0"),
                             default_register=True)
     engine = _Engine(g, Allocation({"alu": 1}), SchedulerConfig(9),
                      compute_timing(g, 9), AccessModel(g, mapping))
-    ledger.book("M0", 2, 3, 4)
-    assert engine._gate("r", 4, ledger) == (4, [[1, 3]])  # fetch over [3, 4)
-    ledger.book("M0", 1, 2, 6)
-    assert engine._gate("r", 4, ledger) == (5, None)  # only port 3 is free
-    assert engine._gate("r", 5, ledger) == (5, [[2, 3]])  # port 0 is busy again
+    ports = engine.ports["M0"]
+    assert len(ports) == 4
+    ports[0].add(2, 4, 1)
+    engine._place("r", 5, 0, 0, [[0]], {}, {})  # its fetch [4,5) only touches [2,4)
+    assert ports[0].clear(0, 2) == 0 and ports[0].clear(5, 9) == 5
+    # a busy window answers the end of the last booking it meets
+    assert ports[0].clear(3, 4) == 4
+    assert ports[0].clear(4, 5) == ports[0].clear(1, 9) == 5
+    with pytest.raises(ValueError):
+        engine._place("s", 4, 0, 0, [[0, 1]], {}, {})  # fetch over [3, 4)
+
+    # the gate takes the lowest free ports, ascending, or answers the first
+    # cycle at which enough of them can be free
+    ports[2].add(3, 4, 1)
+    assert engine._gate("r", 4) == (4, [[1, 3]])  # fetch over [3, 4)
+    ports[1].add(2, 6, 1)
+    assert engine._gate("r", 4) == (5, None)  # only port 3 is free
+    assert engine._gate("r", 5) == (5, [[2, 3]])  # port 0 is busy again
 
 
 def test_schedule_json_is_bit_exact():
