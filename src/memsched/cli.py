@@ -155,7 +155,7 @@ def _schedule(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "schedule.json").write_text(schedule.to_json(), encoding="utf-8")
     (out / "metrics.json").write_text(metrics_to_json(m), encoding="utf-8")
-    (out / "gantt.svg").write_text(export_gantt(schedule, mapping), encoding="utf-8")
+    (out / "gantt.svg").write_text(export_gantt(schedule), encoding="utf-8")
     (out / "schedule.csv").write_text(export_csv(schedule), encoding="utf-8")
     print(
         f"{schedule.policy.value}: makespan {schedule.makespan_cycles} cycles, "

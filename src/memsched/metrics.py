@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple
 
 from .dfg import Dfg
 from .errors import InconsistentSchedule, MismatchedInputs
-from .memmap import AccessModel, MemoryMapping, Profile
+from .memmap import AccessModel, Profile
 from .scheduler import Schedule
 
 
@@ -201,15 +201,14 @@ _ROW_H = 26
 _CYCLE_W = 30
 
 
-def export_gantt(s: Schedule, mapping: MemoryMapping | None = None) -> str:
+def export_gantt(s: Schedule) -> str:
     """Deterministic SVG chart: one row per operator instance used, one row
-    per bank port, boxes spanning each half-open cycle interval."""
+    per bank port that holds a booking, boxes spanning each half-open cycle
+    interval."""
     entries = s.sorted_entries()
     instance_rows = sorted({(e.class_name, e.instance_index) for e in entries})
-    port_rows = []
-    if mapping is not None:
-        for bank in sorted(mapping.banks, key=lambda b: b.id):
-            port_rows.extend((bank.id, p) for p in range(bank.ports))
+    port_rows = sorted({(b.bank_id, b.port_index) for e in entries
+                        for b in e.read_bookings + (e.write_booking,) if b is not None})
 
     # the makespan covers every booking: fetches end at their op's start,
     # and the makespan counts each store's end

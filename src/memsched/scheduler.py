@@ -4,14 +4,16 @@ Two policies share one engine and one ``SchedulerConfig``; the mapping
 decides which one runs. BASELINE (no mapping) treats every data item as
 register-resident and packs operations onto a fixed pool of operator
 instances, highest priority first (least mobility, then input-sharing
-affinity, then id). MEMORY_AWARE (a mapping) adds one bookable access token
-per bank port: an operation may only start at cycle t if it is legal under
-the mapping's access model (``memmap.AccessModel``) and a port is free for
-each of its fetch and store windows. An operation joins the ready list at its
-earliest legal start; each cycle the engine queues the best ready operation
-of each group (below) that is awake, pops the best, binds it to its best
-free instance and places it if its ports are free, otherwise its group
-sleeps until the first cycle at which the missing resource can be had.
+affinity, then id). MEMORY_AWARE (a mapping) gates on bank capacity: an
+operation may only start at cycle t if it is legal under the mapping's
+access model (``memmap.AccessModel``) and, in every cycle of each of its
+fetch and store windows, the accesses booked on the bank plus its own fit
+the bank's ports. An operation joins the ready list at its earliest legal
+start; each cycle the engine queues the best ready operation of each group
+(below) that is awake, pops the best, binds it to its best free instance
+and places it if its banks have room, otherwise its group sleeps until the
+first cycle at which the missing resource can be had. Ports are bound once
+the run is over, by one left-edge pass (``_Engine.entries``).
 
 The engine is incremental; these facts keep it equal to re-sorting every
 candidate after every placement:
@@ -37,16 +39,17 @@ candidate after every placement:
 - Operations of one class with the same completion offset and the same
   access windows relative to their start form a group, interned to an int
   once per run. At one cycle every member of a group meets or misses the
-  deadline, finds a free instance or none, and finds its ports free or
-  busy, together. Ready operations wait in one heap per group under their
+  deadline, finds a free instance or none, and finds room on its banks or
+  none, together. Ready operations wait in one heap per group under their
   static key, and a group's head stands for the group: each cycle the queue
   gets the head of every non-empty group whose wake cycle (below) has come
   and whose completion offset meets the deadline, and no other operation.
-- Within a run instances only get busier and ports only gain bookings, so
+- Within a run instances only get busier and banks only gain bookings, so
   a blocked group sleeps until a lower bound on its next start, its wake
-  cycle: its full class's first release, or for the first window short of
-  ports the ``count``-th smallest ``Profile.clear`` answer among the bank's
-  ports, less the window's offset. Binding has no side effects, so
+  cycle: its full class's first release, or for the first window its bank
+  has no room for, the ``Profile.clear`` answer of the bank's usage at the
+  level that leaves room for the window's accesses (the oracle's query),
+  less the window's offset. Binding has no side effects, so
   a popped operation is gated first and, when blocked, deferred without
   binding; a bound operation blocked later in the cycle goes back into its
   group's heap when the cycle ends.
@@ -68,10 +71,11 @@ so a run at kT succeeds exactly when the 8T run finishes by kT.
 A branch-and-bound search over start cycles provides exact optimal makespans
 for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
 It builds the engine once for its deadline and takes the access model, the
-allocation check and each class's and bank's capacity (its tables) from it.
+allocation check and each class's and bank's capacity from it.
 The search keeps one usage profile per resource over each operation's class
-interval and port windows; the witness schedule is then placed by the
-engine's own placement step, in (start, id) order, which checks it too.
+interval and bank windows; the witness schedule is then placed by the
+engine's own placement step, in (start, id) order, which checks it too, and
+its ports are bound by the engine's binder.
 """
 
 from __future__ import annotations
@@ -300,14 +304,17 @@ class _Engine:
         self.last_operands: dict[str, list[tuple[DataRef, ...] | None]] = {
             name: [None] * len(busy) for name, busy in self.busy_until.items()
         }
-        # per bank id, indexed by port: its bookings. A bank of n accesses
-        # gets at most n ports, as bookings take the lowest free ones.
+        # per bank id: the accesses booked on it over time, and how many it
+        # serves at once. A bank of n accesses never serves more than n.
         accesses = Counter(w.bank for p in self.plans.values()
                            for w in p.windows for _ in range(w.count))
-        self.ports = {bank.id: [Profile() for _ in range(min(bank.ports, n))]
-                      for bank, n in accesses.items()}
+        self.usage = {bank.id: Profile() for bank in accesses}
+        self.capacity = {bank.id: min(bank.ports, n) for bank, n in accesses.items()}
+        self.placed: dict[str, tuple[int, int, int]] = {}  # op -> (start, instance, shared)
+        self.finish: dict[str, int] = {}  # op -> cycle its result is usable
 
-    def run(self) -> tuple[dict[str, ScheduleEntry], set[str]]:
+    def run(self) -> set[str]:
+        """Place every operation it can by the deadline; the ones it cannot."""
         g, model = self.g, self.model
         T = self.cfg.time_constraint_cycles
         affinity = self.cfg.use_affinity
@@ -318,9 +325,7 @@ class _Engine:
             op.id: (slack[op.id], -len(op.operands) if affinity else 0, op.id)
             for op in g.operations
         }
-        plans = self.plans
-        entries: dict[str, ScheduleEntry] = {}
-        finish: dict[str, int] = {}
+        plans, placed, finish = self.plans, self.placed, self.finish
         succs = g.successors()
         # unplaced predecessors per op; at 0 its earliest start is fixed and
         # it waits in `arrivals` until that cycle, then joins its group's heap
@@ -340,7 +345,7 @@ class _Engine:
         wake = [0] * len(shapes)  # no group member can start before it
 
         t = 0
-        while t < T and len(entries) < len(waiting):
+        while t < T and len(placed) < len(waiting):
             while arrivals and arrivals[0][0] <= t:
                 oid = heapq.heappop(arrivals)[1]
                 heapq.heappush(heaps[group[oid]], prio[oid])
@@ -358,8 +363,7 @@ class _Engine:
                 if name not in free:
                     free[name] = [i for i, until in enumerate(self.busy_until[name]) if until <= t]
                 pool = free[name]
-                at, ports = (self._gate(oid, t) if pool
-                             else (min(self.busy_until[name]), None))  # a full class
+                at = self._gate(oid, t) if pool else min(self.busy_until[name])  # a full class
                 if at > t:
                     # the group waits until `at`: an unbound head stays in
                     # its heap and pulls no successor
@@ -382,7 +386,7 @@ class _Engine:
                     if queue and queue[0][0] < key:
                         heapq.heappush(queue, (key, shared, inst))
                         continue
-                self._place(oid, t, shared, inst, ports, entries, finish)
+                self._place(oid, t, shared, inst)
                 pool.remove(inst)
                 for s in succs[oid]:
                     waiting[s] -= 1
@@ -394,7 +398,7 @@ class _Engine:
             # asleep past t still holds the op that found it blocked
             nxt = [w for w in wake if w > t]
             t = min(nxt + [arrivals[0][0]] if arrivals else nxt, default=T)
-        return entries, {oid for oid in waiting if oid not in entries}
+        return {oid for oid in waiting if oid not in placed}
 
     def _bind(self, oid: str, name: str, pool: list[int]):
         """(shared inputs, instance) for ``oid`` among the free instances
@@ -408,60 +412,66 @@ class _Engine:
         shared, inst = max((_affinity(operands, last[i], positional), -i) for i in pool)
         return shared, -inst
 
-    def _gate(self, oid: str, t: int):
-        """(t, ports) when every access window of ``oid`` started at t finds
-        enough free ports, ``ports[k]`` the lowest of the k-th; otherwise
-        (wake, None), its group's wake cycle > t (module docs)."""
-        ports = []
+    def _gate(self, oid: str, t: int) -> int:
+        """t when every access window of ``oid`` started at t fits its bank's
+        capacity; otherwise its group's wake cycle > t (module docs)."""
         for bank, count, first, end, _ in self.plans[oid].windows:
-            start = t + first
-            free, busy = [], []  # the free ports; when each busy one clears
-            for p, profile in enumerate(self.ports[bank.id]):
-                at = profile.clear(start, t + end)
-                if at > start:
-                    busy.append(at)
-                    continue
-                free.append(p)
-                if len(free) == count:
-                    break
-            else:  # short of ports
-                return sorted(busy)[count - len(free) - 1] - first, None
-            ports.append(free)
-        return t, ports
+            at = self.usage[bank.id].clear(t + first, t + end, self.capacity[bank.id] - count)
+            if at > t + first:
+                return at - first
+        return t
 
-    def _place(self, oid, t, shared, inst, ports, entries, finish) -> None:
-        """Start ``oid`` at t on instance ``inst`` of its class, booking
-        ``ports[k]`` for its k-th access window (ValueError on an overlap).
-        Windows come by bank id and their ports ascending, so the read
-        bookings come out in (bank, port) order."""
+    def _place(self, oid: str, t: int, shared: int, inst: int) -> None:
+        """Start ``oid`` at t on instance ``inst`` of its class, adding each
+        access window to its bank's usage (ValueError when the gate would
+        not pass it)."""
+        if self._gate(oid, t) != t:
+            raise ValueError(f"{oid} over-subscribes a bank at cycle {t}")
         plan = self.plans[oid]
         name = plan.operator_class.name
-        reads: list[PortBooking] = []
-        write = None
-        for (bank, _, first, last, is_store), chosen in zip(plan.windows, ports):
-            for p in chosen:
-                booking = PortBooking(bank.id, p, t + first, t + last)
-                if self.ports[bank.id][p].clear(t + first, t + last) != t + first:
-                    raise ValueError(f"overlapping {booking}")
-                self.ports[bank.id][p].add(t + first, t + last, 1)
-                if is_store:
-                    write = booking
-                else:
-                    reads.append(booking)
-        end = t + plan.latency
-        entries[oid] = ScheduleEntry(
-            op_id=oid,
-            start_cycle=t,
-            end_cycle=end,
-            class_name=name,
-            instance_index=inst,
-            read_bookings=tuple(reads),
-            write_booking=write,
-            shared_inputs=shared,
-        )
-        finish[oid] = t + plan.done
-        self.busy_until[name][inst] = end
+        for bank, count, first, end, _ in plan.windows:
+            self.usage[bank.id].add(t + first, t + end, count)
+        self.placed[oid] = (t, inst, shared)
+        self.finish[oid] = t + plan.done
+        self.busy_until[name][inst] = t + plan.latency
         self.last_operands[name][inst] = self.operands[oid]
+
+    def entries(self) -> dict[str, ScheduleEntry]:
+        """The placed operations as schedule entries, each access bound to a
+        port by one left-edge pass: windows in (start, end, op, bank) order,
+        each access on the lowest port of its bank whose last window has
+        ended, so the accesses of one window take ascending ports. The ports
+        busy when a window starts all hold an access in its first cycle, so
+        a bank never gets more ports than its peak usage, which the
+        placement kept within its capacity. An entry's read bookings are in
+        (bank, port) order."""
+        plans = self.plans
+        windows = sorted([(s + w.start, s + w.end, oid, w)
+                          for oid, (s, _, _) in self.placed.items()
+                          for w in plans[oid].windows])
+        reads: dict[str, list[PortBooking]] = {}
+        writes: dict[str, PortBooking] = {}
+        ends: dict[str, list[int]] = {}  # per bank, by port: when its last window ends
+        for start, end, oid, w in windows:
+            ports = ends.setdefault(w.bank.id, [])
+            for _ in range(w.count):
+                for p, until in enumerate(ports):
+                    if until <= start:
+                        ports[p] = end
+                        break
+                else:
+                    p = len(ports)
+                    ports.append(end)
+                booking = PortBooking(w.bank.id, p, start, end)
+                if w.is_store:
+                    writes[oid] = booking
+                else:
+                    reads.setdefault(oid, []).append(booking)
+        return {
+            oid: ScheduleEntry(oid, s, s + plans[oid].latency, plans[oid].operator_class.name,
+                               inst, tuple(sorted(reads.get(oid, ()))), writes.get(oid), shared)
+            for oid, (s, inst, shared) in self.placed.items()
+        }
 
 
 def _run_or_raise(
@@ -473,19 +483,18 @@ def _run_or_raise(
 ) -> Schedule:
     if timing.critical_path_cycles > cfg.time_constraint_cycles:
         raise InfeasibleConstraint(timing.critical_path_cycles, cfg.time_constraint_cycles)
-    entries, unscheduled = _Engine(g, alloc, cfg, timing, model).run()
+    engine = _Engine(g, alloc, cfg, timing, model)
+    unscheduled = engine.run()
     if unscheduled:
         # One run at 8T answers for 2T and 4T too (see module docs).
         T = cfg.time_constraint_cycles
-        relaxed, left = _Engine(
-            g, alloc, cfg._replace(time_constraint_cycles=8 * T), timing, model
-        ).run()
+        relaxed = _Engine(g, alloc, cfg._replace(time_constraint_cycles=8 * T), timing, model)
         suggestion = None
-        if not left:
-            makespan = Schedule(relaxed, cfg).makespan_cycles
+        if not relaxed.run():
+            makespan = max(relaxed.finish.values())  # the relaxed schedule's
             suggestion = next(k * T for k in (2, 4, 8) if k * T >= makespan)
         raise TimeConstraintViolated(sorted(unscheduled), T, suggestion)
-    return Schedule(entries, cfg, model)
+    return Schedule(engine.entries(), cfg, model)
 
 
 def schedule_baseline(
@@ -552,12 +561,12 @@ def bruteforce_optimal_makespan(
 
     # what an op holds relative to its start, as (resource, first cycle,
     # end cycle, amount): one instance of its class over its latency and the
-    # ports of each access window. Resources are indices because a class
-    # and a bank may share a name.
-    tables = {("class", name): busy for name, busy in engine.busy_until.items()}
-    tables.update({("bank", bank_id): ports for bank_id, ports in engine.ports.items()})
-    rid = {key: r for r, key in enumerate(tables)}
-    capacity = [len(table) for table in tables.values()]
+    # accesses of each window on its bank. Resources are indices because a
+    # class and a bank may share a name.
+    caps = {("class", name): len(busy) for name, busy in engine.busy_until.items()}
+    caps.update((("bank", bank_id), cap) for bank_id, cap in engine.capacity.items())
+    rid = {key: r for r, key in enumerate(caps)}
+    capacity = list(caps.values())
     holds = {
         oid: [(rid["class", plans[oid].operator_class.name], 0, plans[oid].latency, 1)]
         + [(rid["bank", w.bank.id], w.start, w.end, w.count) for w in plans[oid].windows]
@@ -623,31 +632,15 @@ def bruteforce_optimal_makespan(
 
 def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
     """Place a feasible start assignment with the engine's own step, in
-    (start, id) order: each op on the lowest-index instance free at its
-    start, each access, in window order, on the lowest port free over its
-    window in a fresh copy of the engine's port table. Both are exact
-    interval partitions when the occupancy fits at every cycle, which the
-    search guaranteed, and the placement re-checks every booking."""
-    accesses = sorted(
-        (s + w.start, s + w.end, oid, k, w.bank)
-        for oid, s in starts.items()
-        for k, w in enumerate(engine.plans[oid].windows)
-        for _ in range(w.count)
-    )
-    ports = {oid: [[] for _ in engine.plans[oid].windows] for oid in starts}
-    taken = {bank_id: [Profile() for _ in table] for bank_id, table in engine.ports.items()}
-    for start, end, oid, k, bank in accesses:
-        port = next(p for p, profile in enumerate(taken[bank.id])
-                    if profile.clear(start, end) == start)
-        taken[bank.id][port].add(start, end, 1)
-        ports[oid][k].append(port)
-
-    entries: dict[str, ScheduleEntry] = {}
-    finish: dict[str, int] = {}
+    (start, id) order, each op on the lowest-index instance free at its
+    start, and bind its ports with the engine's binder. Taking the lowest
+    free instance is an exact interval partition when the class's occupancy
+    fits at every cycle, which the search guaranteed, and the placement
+    re-checks every bank window."""
     for oid in sorted(starts, key=lambda o: (starts[o], o)):
         start = starts[oid]
         name = engine.plans[oid].operator_class.name
         inst = next(i for i, until in enumerate(engine.busy_until[name]) if until <= start)
         shared = _affinity(engine.operands[oid], engine.last_operands[name][inst], False)
-        engine._place(oid, start, shared, inst, ports[oid], entries, finish)
-    return Schedule(entries, engine.cfg, engine.model)
+        engine._place(oid, start, shared, inst)
+    return Schedule(engine.entries(), engine.cfg, engine.model)

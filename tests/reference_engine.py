@@ -1,15 +1,16 @@
 """A deliberately naive list scheduler, written only from README's "Timing
 model" and the priority rule, to check the package's engine against.
 
-It derives dependencies, ASAP/ALAP timing, fetch and store windows and port
-occupancy itself and uses none of the package's scheduling code: no
-``_Engine`` or ``AccessModel``. Every cycle it recomputes
+It derives dependencies, ASAP/ALAP timing, fetch and store windows, bank
+occupancy and port binding itself and uses none of the package's scheduling
+code: no ``_Engine``, ``AccessModel`` or ``Profile``. Every cycle it recomputes
 every candidate from scratch, picks the best one, and places it or drops it
 for the rest of the cycle; nothing is cached between picks.
 
 The rules, as README states them:
 
 - an operation occupies its instance over [start, start + latency);
+- a bank serves at most ``ports`` accesses in each cycle;
 - a fetch from bank B holds one B port over [start - read_latency(B),
   start); duplicate operands collapse to one fetch, and all fetches of one
   operation from one bank hold ports at once; the window may not begin
@@ -23,7 +24,9 @@ The rules, as README states them:
   operation, then operation id; the operation binds to the free instance
   sharing the most inputs, lowest index on ties (the lowest free index
   when affinity is off, which also drops sharing from the priority);
-- ports are taken lowest index first.
+- ports are bound once the schedule is complete: every window in (start,
+  end, op, bank id) order takes, for each of its accesses, the lowest port
+  of its bank that is free over the whole window.
 """
 
 from __future__ import annotations
@@ -93,13 +96,13 @@ def reference_schedule(g, counts, mapping, T, *, dynamic_mobility=False,
 
     busy_until = {(c, i): 0 for c in set(cls.values()) for i in range(counts[c])}
     last_operands: dict[tuple[str, int], tuple] = {}
-    port_busy: set[tuple[str, int, int]] = set()  # (bank, port, cycle)
+    requests: dict[tuple[str, int], int] = {}  # (bank, cycle) -> accesses booked
     finish: dict[str, int] = {}
     placed: dict[str, dict] = {}
+    windows: dict[str, list] = {}  # op -> [(bank, accesses, from, to, is store)]
 
-    def free_ports(b, lo, hi):
-        return [p for p in range(b.ports)
-                if all((b.id, p, c) not in port_busy for c in range(lo, hi))]
+    def fits(b, n, lo, hi, _):
+        return all(requests.get((b.id, c), 0) + n <= b.ports for c in range(lo, hi))
 
     def candidate(oid, t):
         op = ops[oid]
@@ -135,30 +138,36 @@ def reference_schedule(g, counts, mapping, T, *, dynamic_mobility=False,
             if not found:
                 break
             (_, _, oid), shared, inst = min(found)
-            reads, write, ok = set(), None, True
-            for b, refs in fetches[oid].items():
-                free = free_ports(b, t - b.read_latency_cycles, t)
-                if len(free) < len(refs):
-                    ok = False
-                    break
-                reads |= {(b.id, p, t - b.read_latency_cycles, t) for p in free[: len(refs)]}
+            wanted = [(b, len(refs), t - b.read_latency_cycles, t, False)
+                      for b, refs in fetches[oid].items()]
             store = bank(ops[oid].result)
             end = t + latency[oid]
-            if ok and store is not None:
-                free = free_ports(store, end, end + store.write_latency_cycles)
-                if free:
-                    write = (store.id, free[0], end, end + store.write_latency_cycles)
-                else:
-                    ok = False
-            if not ok:
+            if store is not None:
+                wanted.append((store, 1, end, end + store.write_latency_cycles, True))
+            if not all(fits(*w) for w in wanted):
                 dropped.add(oid)
                 continue
-            for b_id, p, lo, hi in reads | ({write} if write else set()):
-                port_busy.update((b_id, p, c) for c in range(lo, hi))
+            for b, n, lo, hi, _ in wanted:
+                for c in range(lo, hi):
+                    requests[(b.id, c)] = requests.get((b.id, c), 0) + n
             busy_until[(cls[oid], inst)] = end
             last_operands[(cls[oid], inst)] = ops[oid].operands
             finish[oid] = completion(oid, t)
+            windows[oid] = wanted
             placed[oid] = {"start": t, "instance": inst, "shared": shared,
-                           "reads": reads, "write": write}
+                           "reads": set(), "write": None}
         t += 1
+
+    port_busy: set[tuple[str, int, int]] = set()  # (bank, port, cycle)
+    for lo, hi, oid, _, b, n, is_store in sorted(
+            (lo, hi, oid, b.id, b, n, is_store)
+            for oid, wanted in windows.items() for b, n, lo, hi, is_store in wanted):
+        for _ in range(n):
+            p = next(p for p in range(b.ports)
+                     if all((b.id, p, c) not in port_busy for c in range(lo, hi)))
+            port_busy.update((b.id, p, c) for c in range(lo, hi))
+            if is_store:
+                placed[oid]["write"] = (b.id, p, lo, hi)
+            else:
+                placed[oid]["reads"].add((b.id, p, lo, hi))
     return placed, sorted(oid for oid in ops if oid not in placed)

@@ -265,32 +265,55 @@ def test_engine_derives_each_ops_windows_once(monkeypatch):
 
 
 def test_port_table_half_open_intervals():
-    # four fetches from M0 size its table at four of its six ports
+    # four fetches from a 6-port M0: the bank never serves more than four
     ops = [Operation("r", "add", (scalar("a"), scalar("b")), scalar("u")),
            Operation("s", "add", (scalar("c"), scalar("d")), scalar("v"))]
     g = Dfg.build(ops, LIB)
     mapping = MemoryMapping([bank("M0", ports=6)], dict.fromkeys("abcd", "M0"),
                             default_register=True)
-    engine = _Engine(g, Allocation({"alu": 1}), SchedulerConfig(9),
+    engine = _Engine(g, Allocation({"alu": 2}), SchedulerConfig(9),
                      compute_timing(g, 9), AccessModel(g, mapping))
-    ports = engine.ports["M0"]
-    assert len(ports) == 4
-    ports[0].add(2, 4, 1)
-    engine._place("r", 5, 0, 0, [[0]], {}, {})  # its fetch [4,5) only touches [2,4)
-    assert ports[0].clear(0, 2) == 0 and ports[0].clear(5, 9) == 5
-    # a busy window answers the end of the last booking it meets
-    assert ports[0].clear(3, 4) == 4
-    assert ports[0].clear(4, 5) == ports[0].clear(1, 9) == 5
-    with pytest.raises(ValueError):
-        engine._place("s", 4, 0, 0, [[0, 1]], {}, {})  # fetch over [3, 4)
+    assert engine.capacity == {"M0": 4}
+    usage = engine.usage["M0"]
+    usage.add(2, 4, 3)  # three accesses over [2, 4)
+    engine._place("r", 5, 0, 0)  # its two fetches over [4, 5) only touch [2, 4)
+    assert usage.clear(0, 2) == 0 and usage.clear(5, 9) == 5
+    assert usage.clear(3, 4, 2) == 4 and usage.clear(4, 5, 2) == 4
+    with pytest.raises(ValueError, match="over-subscribes a bank at cycle 4"):
+        engine._place("s", 4, 0, 1)  # fetches over [3, 4): five accesses
 
-    # the gate takes the lowest free ports, ascending, or answers the first
-    # cycle at which enough of them can be free
-    ports[2].add(3, 4, 1)
-    assert engine._gate("r", 4) == (4, [[1, 3]])  # fetch over [3, 4)
-    ports[1].add(2, 6, 1)
-    assert engine._gate("r", 4) == (5, None)  # only port 3 is free
-    assert engine._gate("r", 5) == (5, [[2, 3]])  # port 0 is busy again
+    # a blocked gate answers the first cycle at which the bank has room
+    assert engine._gate("s", 4) == 5
+    assert engine._gate("s", 5) == 5
+    engine._place("s", 5, 0, 1)
+
+    # the binder gives each window the lowest ports whose last window has
+    # ended, ascending; the hold added by hand above is no placed window
+    entries = engine.entries()
+    assert [b.port_index for b in entries["r"].read_bookings] == [0, 1]
+    assert [b.port_index for b in entries["s"].read_bookings] == [2, 3]
+
+
+def test_capacity_admits_what_a_pinned_port_would_delay():
+    # M0 has two ports, 2-cycle fetches and 1-cycle stores. o4's fetch of a
+    # over [3, 5) meets o3's fetch at cycle 3 and o0's store at cycle 4:
+    # one access in each cycle, so the bank has room. Had each access been
+    # pinned to a port when its op was placed, o3's fetch and o0's store
+    # would hold different ports and o4 would wait until cycle 6.
+    ops = [Operation("o0", "mul", (scalar("b"),), scalar("r0")),
+           Operation("o1", "add", (scalar("c"),), scalar("r1")),
+           Operation("o2", "mul", (scalar("c"),), scalar("r2")),
+           Operation("o3", "add", (scalar("b"),), scalar("r3")),
+           Operation("o4", "add", (scalar("a"),), scalar("r4"))]
+    g = Dfg.build(ops, LIB)
+    place = dict.fromkeys(["a", "b", "r0", "r1", "r2", "r3", "r4"], "M0")
+    mapping = MemoryMapping([bank("M0", ports=2, rl=2, wl=1)], place, default_register=True)
+    alloc = Allocation({"alu": 3, "mul": 2})
+    s = run_aware(g, mapping, alloc.counts, 60)
+    assert {oid: e.start_cycle for oid, e in s.entries.items()} == {
+        "o0": 2, "o1": 0, "o2": 0, "o3": 4, "o4": 5}
+    assert s.makespan_cycles == 7
+    assert check_schedule_safety(g, s, mapping, alloc) == []
 
 
 def test_schedule_json_is_bit_exact():

@@ -290,7 +290,7 @@ def empty_schedule():
 
 def test_gantt_empty_schedule_has_axes_only():
     _, s = empty_schedule()
-    svg = export_gantt(s, None)
+    svg = export_gantt(s)
     assert svg.startswith("<svg")
     # one background rect, no operation or booking boxes
     assert svg.count("<rect") == 1
@@ -299,7 +299,7 @@ def test_gantt_empty_schedule_has_axes_only():
 def test_gantt_single_op_box():
     g = flat_graph(1)
     s = manual_schedule(g, set())
-    svg = export_gantt(s, None)
+    svg = export_gantt(s)
     assert svg.count("<rect") == 2  # background + one op box
     assert ">op00<" in svg
 
@@ -310,26 +310,28 @@ def test_gantt_port_rows_show_serialized_fetches():
     s = schedule_memory_aware(
         g, Allocation({"alu": 2}), mapping, SchedulerConfig(4), timing
     )
-    svg = export_gantt(s, mapping)
+    svg = export_gantt(s)
     assert "M0.p0" in svg
     assert svg.count(_READ_COLOR) == 2
     assert svg.count(_WRITE_COLOR) == 0
-    assert export_gantt(s, mapping) == svg  # deterministic
+    assert export_gantt(s) == svg  # deterministic
 
 
 def test_gantt_draws_a_store_window_on_its_port_row():
-    # one op stores its result to a bank with a 2-cycle write latency
+    # one op stores its result to a 3-port bank with a 2-cycle write latency
     g = Dfg.build([Operation("op00", "f", (scalar("x"),), scalar("d"))], UNIT)
-    mapping = MemoryMapping([MemoryBank("M0", 1, 1, 2, 0)], {"d": "M0"}, default_register=True)
+    mapping = MemoryMapping([MemoryBank("M0", 3, 1, 2, 0)], {"d": "M0"}, default_register=True)
     s = schedule_memory_aware(g, Allocation({"u": 1}), mapping, SchedulerConfig(4),
                               compute_timing(g, 4))
     assert s.entries["op00"].write_booking == PortBooking("M0", 0, 1, 3)
-    svg = export_gantt(s, mapping)
+    svg = export_gantt(s)
     # cycle 1 lies at x = 110 + 30; the port row is the second row, at y = 34 + 26
     assert (f'<rect x="140" y="63" width="60" height="20" fill="{_WRITE_COLOR}" '
             'stroke="#555555" stroke-width="1"/>') in svg
     assert '<text x="170" y="77" text-anchor="middle" fill="#222222">op00</text>' in svg
     assert svg.count(_WRITE_COLOR) == 1 and svg.count(_READ_COLOR) == 0
+    # only a port that holds a booking gets a row
+    assert "M0.p0" in svg and "M0.p1" not in svg
 
 
 @pytest.mark.parametrize("horizon", [19, 41, 2001, 200_000])
@@ -337,7 +339,7 @@ def test_gantt_axis_has_at_most_41_ticks(horizon):
     # one op as long as the horizon; every tick is one grid line and one label
     entry = ScheduleEntry("op00", 0, horizon, "u", 0)
     s = Schedule({"op00": entry}, SchedulerConfig(horizon))
-    svg = export_gantt(s, None)
+    svg = export_gantt(s)
     labels = re.findall(r'text-anchor="middle" fill="#333333">(\d+)<', svg)
     step = int(labels[1])
     assert str(step)[0] in "125" and set(str(step)[1:]) <= {"0"}
