@@ -83,6 +83,8 @@ class MemoryMapping:
         for bank in self.banks:
             if bank.id in self.bank_by_id:
                 raise FormatError(f"bank {bank.id!r} declared twice")
+            if bank.id == REGISTER:
+                raise FormatError(f"bank id {REGISTER!r} is reserved for registers")
             self.bank_by_id[bank.id] = bank
         self.placement: dict[str, str] = dict(placement)
         self.default_register = default_register

@@ -48,8 +48,8 @@ candidate after every placement:
   a blocked group sleeps until a lower bound on its next start, its wake
   cycle: its full class's first release, or for the first window its bank
   has no room for, the ``Profile.clear`` answer of the bank's usage at the
-  level that leaves room for the window's accesses (the oracle's query),
-  less the window's offset. Binding has no side effects, so
+  level that leaves room for the window's accesses (``fit``, the oracle's
+  step too), less the window's offset. Binding has no side effects, so
   a popped operation is gated first and, when blocked, deferred without
   binding; a bound operation blocked later in the cycle goes back into its
   group's heap when the cycle ends.
@@ -71,11 +71,11 @@ so a run at kT succeeds exactly when the 8T run finishes by kT.
 A branch-and-bound search over start cycles provides exact optimal makespans
 for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
 It builds the engine once for its deadline and takes the access model, the
-allocation check and each class's and bank's capacity from it.
-The search keeps one usage profile per resource over each operation's class
-interval and bank windows; the witness schedule is then placed by the
-engine's own placement step, in (start, id) order, which checks it too, and
-its ports are bound by the engine's binder.
+allocation check and the resource table from it, adds each class to the
+table (it places operations out of start order), and checks and holds every
+resource through the engine's one step, ``fit`` and ``hold``. The witness
+schedule is placed by the engine's own placement step, in (start, id) order,
+which checks it too, and its ports are bound by the engine's binder.
 """
 
 from __future__ import annotations
@@ -304,12 +304,17 @@ class _Engine:
         self.last_operands: dict[str, list[tuple[DataRef, ...] | None]] = {
             name: [None] * len(busy) for name, busy in self.busy_until.items()
         }
-        # per bank id: the accesses booked on it over time, and how many it
-        # serves at once. A bank of n accesses never serves more than n.
+        # the resource table: per resource, its capacity and usage (`rid`
+        # keeps a bank and a class of one name apart); per op, its holds
+        # (resource, first, end, amount) from its start. Each window holds
+        # its bank; a bank of n accesses never serves more than n at once.
         accesses = Counter(w.bank for p in self.plans.values()
                            for w in p.windows for _ in range(w.count))
-        self.usage = {bank.id: Profile() for bank in accesses}
-        self.capacity = {bank.id: min(bank.ports, n) for bank, n in accesses.items()}
+        self.rid = {("bank", bank.id): r for r, bank in enumerate(accesses)}
+        self.capacity = [min(bank.ports, n) for bank, n in accesses.items()]
+        self.usage = [Profile() for _ in self.capacity]
+        self.holds = {oid: [(self.rid["bank", w.bank.id], w.start, w.end, w.count)
+                            for w in p.windows] for oid, p in self.plans.items()}
         self.placed: dict[str, tuple[int, int, int]] = {}  # op -> (start, instance, shared)
         self.finish: dict[str, int] = {}  # op -> cycle its result is usable
 
@@ -363,7 +368,7 @@ class _Engine:
                 if name not in free:
                     free[name] = [i for i, until in enumerate(self.busy_until[name]) if until <= t]
                 pool = free[name]
-                at = self._gate(oid, t) if pool else min(self.busy_until[name])  # a full class
+                at = self.fit(oid, t) if pool else min(self.busy_until[name])  # a full class
                 if at > t:
                     # the group waits until `at`: an unbound head stays in
                     # its heap and pulls no successor
@@ -412,25 +417,39 @@ class _Engine:
         shared, inst = max((_affinity(operands, last[i], positional), -i) for i in pool)
         return shared, -inst
 
-    def _gate(self, oid: str, t: int) -> int:
-        """t when every access window of ``oid`` started at t fits its bank's
-        capacity; otherwise its group's wake cycle > t (module docs)."""
-        for bank, count, first, end, _ in self.plans[oid].windows:
-            at = self.usage[bank.id].clear(t + first, t + end, self.capacity[bank.id] - count)
+    def hold_classes(self) -> None:
+        """Add each class to the table, held over each op's latency, for a
+        caller that places ops out of start order (no ``busy_until`` wake)."""
+        for name, busy in self.busy_until.items():
+            self.rid["class", name] = len(self.capacity)
+            self.capacity.append(len(busy))
+            self.usage.append(Profile())
+        for oid, p in self.plans.items():
+            self.holds[oid].append((self.rid["class", p.operator_class.name], 0, p.latency, 1))
+
+    def fit(self, oid: str, t: int) -> int:
+        """t when every hold of ``oid`` started at t fits its resource's
+        capacity; otherwise a later start before which it cannot fit, the
+        answer of the first hold that does not (module docs)."""
+        for r, first, end, amount in self.holds[oid]:
+            at = self.usage[r].clear(t + first, t + end, self.capacity[r] - amount)
             if at > t + first:
                 return at - first
         return t
 
+    def hold(self, oid: str, t: int, sign: int) -> None:
+        """Add (``sign`` 1) or remove (-1) the holds of ``oid`` started at t."""
+        for r, first, end, amount in self.holds[oid]:
+            self.usage[r].add(t + first, t + end, sign * amount)
+
     def _place(self, oid: str, t: int, shared: int, inst: int) -> None:
-        """Start ``oid`` at t on instance ``inst`` of its class, adding each
-        access window to its bank's usage (ValueError when the gate would
-        not pass it)."""
-        if self._gate(oid, t) != t:
-            raise ValueError(f"{oid} over-subscribes a bank at cycle {t}")
+        """Start ``oid`` at t on instance ``inst`` of its class and add its
+        holds (ValueError when they do not fit)."""
+        if self.fit(oid, t) != t:
+            raise ValueError(f"{oid} over-subscribes a resource at cycle {t}")
+        self.hold(oid, t, 1)
         plan = self.plans[oid]
         name = plan.operator_class.name
-        for bank, count, first, end, _ in plan.windows:
-            self.usage[bank.id].add(t + first, t + end, count)
         self.placed[oid] = (t, inst, shared)
         self.finish[oid] = t + plan.done
         self.busy_until[name][inst] = t + plan.latency
@@ -554,24 +573,11 @@ def bruteforce_optimal_makespan(
     except InfeasibleConstraint:
         raise Infeasible(f"no schedule fits within {T_max} cycles") from None
     engine = _Engine(g, alloc, SchedulerConfig(T_max), timing, AccessModel(g, mapping))
-    plans, model = engine.plans, engine.model
+    engine.hold_classes()  # the search places ops out of start order
+    plans, model, holds, capacity = engine.plans, engine.model, engine.holds, engine.capacity
     # longest path from an op's start to the end of the graph
     tail = {oid: T_max - alap for oid, alap in timing.alap.items()}
     order = list(timing.asap)  # topological
-
-    # what an op holds relative to its start, as (resource, first cycle,
-    # end cycle, amount): one instance of its class over its latency and the
-    # accesses of each window on its bank. Resources are indices because a
-    # class and a bank may share a name.
-    caps = {("class", name): len(busy) for name, busy in engine.busy_until.items()}
-    caps.update((("bank", bank_id), cap) for bank_id, cap in engine.capacity.items())
-    rid = {key: r for r, key in enumerate(caps)}
-    capacity = list(caps.values())
-    holds = {
-        oid: [(rid["class", plans[oid].operator_class.name], 0, plans[oid].latency, 1)]
-        + [(rid["bank", w.bank.id], w.start, w.end, w.count) for w in plans[oid].windows]
-        for oid in order
-    }
 
     # admissible global lower bound: critical path, and per resource its
     # total occupancy spread over its capacity
@@ -582,19 +588,10 @@ def bruteforce_optimal_makespan(
     lower = max([timing.critical_path_cycles]
                 + [-(-w // cap) for w, cap in zip(work, capacity)])
 
-    usage = [Profile() for _ in capacity]
     starts: dict[str, int] = {}
     finish: dict[str, int] = {}
     best = T_max + 1
     best_starts: dict[str, int] | None = None
-
-    def fit(oid: str, s: int) -> int:  # s, or a later start before which none fits
-        return max(usage[r].clear(s + first, s + end, capacity[r] - amount) - first
-                   for r, first, end, amount in holds[oid])
-
-    def hold(oid: str, s: int, sign: int) -> None:
-        for r, first, end, amount in holds[oid]:
-            usage[r].add(s + first, s + end, sign * amount)
 
     def dfs(i: int) -> None:
         nonlocal best, best_starts
@@ -612,14 +609,14 @@ def bruteforce_optimal_makespan(
         hi = T_max - plans[oid].done
         s = lo
         while s <= hi and s + tail[oid] < best:  # best may have dropped in a child
-            at = fit(oid, s)
+            at = engine.fit(oid, s)
             if at == s:
-                hold(oid, s, +1)
+                engine.hold(oid, s, +1)
                 starts[oid] = s
                 finish[oid] = s + plans[oid].done
                 dfs(i + 1)
                 del starts[oid], finish[oid]
-                hold(oid, s, -1)
+                engine.hold(oid, s, -1)
                 at += 1
             s = at
 
@@ -636,7 +633,7 @@ def _witness_schedule(engine: _Engine, starts: Mapping[str, int]) -> Schedule:
     start, and bind its ports with the engine's binder. Taking the lowest
     free instance is an exact interval partition when the class's occupancy
     fits at every cycle, which the search guaranteed, and the placement
-    re-checks every bank window."""
+    re-checks every hold, of the op's class as of its banks."""
     for oid in sorted(starts, key=lambda o: (starts[o], o)):
         start = starts[oid]
         name = engine.plans[oid].operator_class.name

@@ -821,6 +821,9 @@ DOCUMENT_ERRORS = {
         "error: banks[0]: bank 'M0' energy per access must be finite and >= 0"),
     "bank declared twice": (
         "--mapping", _map(_bank(), _bank()), 2, "error: bank 'M0' declared twice"),
+    "bank named REGISTER": (
+        "--mapping", _map(_bank(id="REGISTER")), 2,
+        "error: bank id 'REGISTER' is reserved for registers"),
 }
 
 

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memsched import (
     Allocation,
@@ -264,6 +265,32 @@ def test_engine_derives_each_ops_windows_once(monkeypatch):
     assert len(built) == 2 * len(g.operations)  # one fetch and one store each
 
 
+@pytest.mark.parametrize("kernel", fixtures.KERNELS)
+def test_engine_adds_each_window_once(monkeypatch, kernel):
+    # the engine holds bank windows only, as a full class waits for its
+    # instances' first release: one usage add per placed window, and none
+    # without a mapping
+    from memsched import memmap
+
+    added = []
+    original = memmap.Profile.add
+
+    def counting(self, *args):
+        added.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(memmap.Profile, "add", counting)
+    g, mapping = fixtures.load_dfg(kernel), fixtures.load_mapping(kernel)
+    T = generous_deadline(g, mapping)
+    alloc, cfg, timing = compute_min_allocation(g, T), SchedulerConfig(T), compute_timing(g, T)
+    s = schedule_memory_aware(g, alloc, mapping, cfg, timing)
+    windows = sum(len(s.model.plans[oid].windows) for oid in s.entries)
+    assert len(s.entries) == len(g.operations) and len(added) == windows > 0
+    added.clear()
+    schedule_baseline(g, alloc, cfg, timing)
+    assert added == []
+
+
 def test_port_table_half_open_intervals():
     # four fetches from a 6-port M0: the bank never serves more than four
     ops = [Operation("r", "add", (scalar("a"), scalar("b")), scalar("u")),
@@ -273,18 +300,19 @@ def test_port_table_half_open_intervals():
                             default_register=True)
     engine = _Engine(g, Allocation({"alu": 2}), SchedulerConfig(9),
                      compute_timing(g, 9), AccessModel(g, mapping))
-    assert engine.capacity == {"M0": 4}
-    usage = engine.usage["M0"]
+    assert engine.rid == {("bank", "M0"): 0} and engine.capacity == [4]
+    assert engine.holds == {"r": [(0, -1, 0, 2)], "s": [(0, -1, 0, 2)]}
+    usage = engine.usage[0]
     usage.add(2, 4, 3)  # three accesses over [2, 4)
     engine._place("r", 5, 0, 0)  # its two fetches over [4, 5) only touch [2, 4)
     assert usage.clear(0, 2) == 0 and usage.clear(5, 9) == 5
     assert usage.clear(3, 4, 2) == 4 and usage.clear(4, 5, 2) == 4
-    with pytest.raises(ValueError, match="over-subscribes a bank at cycle 4"):
+    with pytest.raises(ValueError, match="over-subscribes a resource at cycle 4"):
         engine._place("s", 4, 0, 1)  # fetches over [3, 4): five accesses
 
-    # a blocked gate answers the first cycle at which the bank has room
-    assert engine._gate("s", 4) == 5
-    assert engine._gate("s", 5) == 5
+    # a blocked step answers the first cycle at which the bank has room
+    assert engine.fit("s", 4) == 5
+    assert engine.fit("s", 5) == 5
     engine._place("s", 5, 0, 1)
 
     # the binder gives each window the lowest ports whose last window has
@@ -292,6 +320,86 @@ def test_port_table_half_open_intervals():
     entries = engine.entries()
     assert [b.port_index for b in entries["r"].read_bookings] == [0, 1]
     assert [b.port_index for b in entries["s"].read_bookings] == [2, 3]
+
+
+def test_a_full_class_answers_its_first_release():
+    # three muls on two instances, m0 fetching from a bank named like the
+    # class. Once the classes are resources too, as the oracle makes them,
+    # a start that finds both instances held waits for the first release
+    ops = [Operation(f"m{i}", "mul", (scalar(f"x{i}"),), scalar(f"p{i}")) for i in range(3)]
+    g = Dfg.build(ops, LIB)
+    mapping = MemoryMapping([bank("mul")], {"x0": "mul"}, default_register=True)
+    engine = _Engine(g, Allocation({"mul": 2}), SchedulerConfig(9),
+                     compute_timing(g, 9), AccessModel(g, mapping))
+    engine.hold_classes()
+    assert engine.rid == {("bank", "mul"): 0, ("class", "mul"): 1}
+    assert engine.capacity == [1, 2]
+    assert engine.holds["m0"] == [(0, -1, 0, 1), (1, 0, 2, 1)]
+    assert engine.holds["m2"] == [(1, 0, 2, 1)]
+    engine.hold("m0", 1, 1)
+    assert engine.fit("m2", 2) == 2
+    engine.hold("m1", 2, 1)
+    assert engine.fit("m2", 2) == 3  # m0 releases its instance at 3
+    assert engine.fit("m2", 0) == 0 and engine.fit("m2", 4) == 4
+    engine.hold("m0", 1, -1)
+    assert engine.fit("m2", 2) == 2
+
+
+# one step: whether to remove a held op (when one is held) instead of
+# adding one, the op and its start, and a query op and start
+STEP = st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 10),
+                 st.integers(0, 3), st.integers(-2, 12))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(STEP, max_size=14))
+def test_fit_matches_a_per_cycle_count(steps):
+    # ops held and released in any order, past capacity too; the plain
+    # per-cycle count of each resource is the reference
+    ops = [Operation("a0", "add", (scalar("x"),), scalar("r0")),
+           Operation("a1", "add", (scalar("x"), scalar("y")), scalar("r1")),
+           Operation("m0", "mul", (scalar("z"),), scalar("w")),
+           Operation("m1", "mul", (scalar("x"),), scalar("r2"))]
+    g = Dfg.build(ops, LIB)
+    mapping = MemoryMapping([bank("M0", ports=2, rl=2), bank("M1")],
+                            {"x": "M0", "y": "M0", "w": "M0", "z": "M1"},
+                            default_register=True)
+    engine = _Engine(g, Allocation({"alu": 2, "mul": 1}), SchedulerConfig(20),
+                     compute_timing(g, 20), AccessModel(g, mapping))
+    engine.hold_classes()
+    M0, M1, alu, mul = (engine.rid[k] for k in (("bank", "M0"), ("bank", "M1"),
+                                                 ("class", "alu"), ("class", "mul")))
+    assert [engine.capacity[r] for r in (M0, M1, alu, mul)] == [2, 1, 2, 1]
+    assert {oid: sorted(held) for oid, held in engine.holds.items()} == {
+        "a0": sorted([(M0, -2, 0, 1), (alu, 0, 1, 1)]),
+        "a1": sorted([(M0, -2, 0, 2), (alu, 0, 1, 1)]),
+        "m0": sorted([(M1, -1, 0, 1), (M0, 2, 3, 1), (mul, 0, 2, 1)]),
+        "m1": sorted([(M0, -2, 0, 1), (mul, 0, 2, 1)]),
+    }
+    names = [op.id for op in ops]
+    usage, held = Counter(), []
+
+    def fits(oid, t):
+        return all(usage[r, c] + amount <= engine.capacity[r]
+                   for r, first, end, amount in engine.holds[oid]
+                   for c in range(t + first, t + end))
+
+    for remove, op, start, query, t in steps:
+        sign = 1
+        if remove and held:
+            oid, start = held.pop(op % len(held))
+            sign = -1
+        else:
+            oid = names[op]
+            held.append((oid, start))
+        engine.hold(oid, start, sign)
+        for r, first, end, amount in engine.holds[oid]:
+            for c in range(start + first, start + end):
+                usage[r, c] += sign * amount
+        oid = names[query]
+        answer = engine.fit(oid, t)
+        assert (answer == t) == fits(oid, t)
+        assert answer >= t and not any(fits(oid, s) for s in range(t, answer))
 
 
 def test_capacity_admits_what_a_pinned_port_would_delay():

@@ -136,30 +136,37 @@ def test_oracle_work_does_not_grow_with_the_horizon(line_budget):
     assert (longer, again.entries) == (best, witness.entries)
 
 
-@pytest.mark.parametrize("kernel, T_max, alloc, mapping, holds, best", [
-    ("fir4", 10, None, "fixture", 124, 10),
-    ("fir4", 51, None, "fixture", 124, 10),
-    ("two_adds_one_bank", 4, None, "fixture", 10, 3),
-    ("iir_biquad", 20, None, "fixture", 254, 12),
+@pytest.mark.parametrize("kernel, T_max, alloc, mapping, search, best", [
+    ("fir4", 10, None, "fixture", 116, 10),
+    ("fir4", 51, None, "fixture", 116, 10),
+    ("two_adds_one_bank", 4, None, "fixture", 8, 3),
+    ("iir_biquad", 20, None, "fixture", 244, 12),
     # the optimum meets the lower bound, which ends the search
     ("iir_biquad", 20, {"mul": 5, "alu": 4}, "registers", 24, 6),
     # no schedule fits: every start that still stores by T_max is tried
     ("fir4", 10, None, "store y", 426, None),
 ])
-def test_oracle_node_count_per_fixture(monkeypatch, kernel, T_max, alloc, mapping, holds, best):
-    # each node of the search adds and then removes its op's holds, and the
-    # witness adds each of its windows once: a search that visits more
-    # starts, or prunes fewer, changes the count
+def test_oracle_node_count_per_fixture(monkeypatch, kernel, T_max, alloc, mapping, search, best):
+    # each node of the search adds and then removes its op's holds: a
+    # search that visits more starts, or prunes fewer, changes the count.
+    # The witness then adds each op's holds once: each of its windows and
+    # its class (15, 15, 4, 19 and 9 adds on the feasible cases)
+    import memsched.scheduler as scheduler
     from memsched import memmap
 
-    added = []
-    original = memmap.Profile.add
+    added, searched = [], []
+    original, place = memmap.Profile.add, scheduler._witness_schedule
 
     def counting(self, *args):
         added.append(args)
         return original(self, *args)
 
+    def placing(engine, starts):
+        searched.append(len(added))
+        return place(engine, starts)
+
     monkeypatch.setattr(memmap.Profile, "add", counting)
+    monkeypatch.setattr(scheduler, "_witness_schedule", placing)
     g = fixtures.load_dfg(kernel, fixtures.load_library())
     alloc = Allocation(alloc) if alloc else compute_min_allocation(g, T_max)
     m = fixtures.load_mapping(kernel) if mapping != "registers" else None
@@ -168,10 +175,13 @@ def test_oracle_node_count_per_fixture(monkeypatch, kernel, T_max, alloc, mappin
     if best is None:
         with pytest.raises(Infeasible):
             bruteforce_optimal_makespan(g, alloc, m, T_max)
+        assert (searched, len(added)) == ([], search)
     else:
         makespan, witness = bruteforce_optimal_makespan(g, alloc, m, T_max)
         assert makespan == witness.makespan_cycles == best
-    assert len(added) == holds
+        plans = witness.model.plans
+        holds = sum(len(plans[oid].windows) + 1 for oid in witness.entries)
+        assert (searched, len(added)) == ([search], search + holds)
 
 
 def test_oracle_checks_the_allocation_like_the_engine():
