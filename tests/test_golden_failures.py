@@ -97,8 +97,10 @@ def test_deadline_failures_match_golden(family):
 
 
 def test_deadline_failure_family_hits_every_suggestion(family):
+    # the exact count of each suggestion over the 640 outcomes, so a change
+    # in how the suggestion is found that moves any of them shows here
     _, suggestions = family
-    assert set(suggestions) == {2, 4, 8, None}
+    assert dict(suggestions) == {2: 152, 4: 258, 8: 94, None: 32}
 
 
 if __name__ == "__main__":
