@@ -83,12 +83,12 @@ class UnmappedData(SchedulingError):
 
 
 class TimeConstraintViolated(SchedulingError):
-    """Some operations could not be placed before the deadline.
+    """The schedule's makespan exceeds the deadline.
 
-    ``suggested_time_constraint`` is the smallest power-of-two multiple of the
-    requested constraint (up to 8x) at which scheduling succeeds, or ``None``
-    when even 8x was not enough. The schedule itself is never silently
-    relaxed.
+    ``unscheduled`` names the operations that complete (store end, else
+    execution end) after it; ``suggested_time_constraint`` is the smallest
+    of 2x, 4x and 8x the deadline that the makespan fits, or ``None`` above
+    8x. The schedule itself is never silently relaxed.
     """
 
     code = "TimeConstraintViolated"

@@ -36,37 +36,36 @@ candidate after every placement:
   key is smaller: right after binding, or when it pops again bound to an
   instance that is still free. Without affinity the key (slack, 0, id) is
   exact from the start.
-- Operations of one class with the same completion offset and the same
-  access windows relative to their start form a group, interned to an int
-  once per run. At one cycle every member of a group meets or misses the
-  deadline, finds a free instance or none, and finds room on its banks or
-  none, together. Ready operations wait in one heap per group under their
-  static key, and a group's head stands for the group: each cycle the queue
-  gets the head of every non-empty group whose wake cycle (below) has come
-  and whose completion offset meets the deadline, and no other operation.
+- Operations of one class with the same access windows relative to their
+  start form a group, interned to an int once per run. At one cycle every
+  member of a group finds a free instance or none, and finds room on its
+  banks or none, together. Ready operations wait in one heap per group
+  under their static key, and a group's head stands for the group: each
+  cycle the queue gets the head of every non-empty group whose wake cycle
+  (below) has come, and no other operation.
 - Within a run instances only get busier and banks only gain bookings, so
   a blocked group sleeps until a lower bound on its next start, its wake
   cycle: its full class's first release, or for the first window its bank
   has no room for, the ``Profile.clear`` answer of the bank's usage at the
   level that leaves room for the window's accesses (``fit``, the oracle's
   step too), less the window's offset. Binding has no side effects, so
-  a popped operation is gated first and, when blocked, deferred without
-  binding; a bound operation blocked later in the cycle goes back into its
-  group's heap when the cycle ends.
+  a popped operation is gated first and, when blocked, waits without
+  binding; a bound one goes straight back into its group's heap, which
+  stays blocked for the rest of the cycle.
 - A head that passes the gate is taken off its heap and the group's next
   head joins the queue before the head binds, so the queue's minimum is
   always the minimum over every candidate: the heap holds no key below its
   head's. Only an unbound queue entry is a head, so each group has at most
   one head queued.
-- After a cycle every non-empty group sleeps past it or misses the deadline
-  at every later cycle too, so the engine jumps to the next arrival or wake
-  cycle (to T when neither comes).
+- After a cycle every non-empty group sleeps past it, so the engine jumps
+  to the next arrival or wake cycle; while operations are left, one of the
+  two comes, and the run fails loudly if neither does.
 
-Priorities do not change under a deadline shift: moving the deadline moves
-every ALAP start, hence every slack, equally. So when a deadline T is
-missed, one run at 8T with T's timing answers for 2T and 4T too: an
-operation the deadline blocks at one cycle is blocked at every later one,
-so a run at kT succeeds exactly when the 8T run finishes by kT.
+The engine reads no deadline: it places every operation, and the deadline T
+is checked once on the finished run. A run that stopped at T would choose
+the same until it placed an operation completing after T, so every schedule
+that meets T is the one built here. A miss names the operations completing
+after T and suggests the smallest of 2T, 4T and 8T the makespan fits.
 
 A branch-and-bound search over start cycles provides exact optimal makespans
 for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
@@ -318,10 +317,9 @@ class _Engine:
         self.placed: dict[str, tuple[int, int, int]] = {}  # op -> (start, instance, shared)
         self.finish: dict[str, int] = {}  # op -> cycle its result is usable
 
-    def run(self) -> set[str]:
-        """Place every operation it can by the deadline; the ones it cannot."""
+    def run(self) -> None:
+        """Place every operation (module docs)."""
         g, model = self.g, self.model
-        T = self.cfg.time_constraint_cycles
         affinity = self.cfg.use_affinity
         # optimistic static key (module docs): shared inputs never exceed
         # the operands
@@ -339,28 +337,27 @@ class _Engine:
                     for oid, n in waiting.items() if n == 0]
         heapq.heapify(arrivals)
         # ready ops wait in one heap per group (module docs), interned from
-        # the class, the completion offset and the windows at start 0
+        # the class and the windows at start 0
         shapes: dict[tuple, int] = {}
         group: dict[str, int] = {}
         for oid, p in plans.items():
-            shape = (p.operator_class.name, p.done, p.windows)
+            shape = (p.operator_class.name, p.windows)
             group[oid] = shapes.setdefault(shape, len(shapes))
         heaps: list[list[tuple]] = [[] for _ in shapes]
-        lasts = [T - done for _, done, _ in shapes]  # latest start meeting the deadline
         wake = [0] * len(shapes)  # no group member can start before it
 
         t = 0
-        while t < T and len(placed) < len(waiting):
+        while len(placed) < len(waiting):
+            if t is None:  # ops are left, and none is pending (module docs)
+                raise RuntimeError("no operation left can start")
             while arrivals and arrivals[0][0] <= t:
                 oid = heapq.heappop(arrivals)[1]
                 heapq.heappush(heaps[group[oid]], prio[oid])
             # entries (key, shared, instance); a group's head stays in its
             # heap and enters unbound, with its optimistic key
-            queue = [(heap[0], 0, None) for heap, w, last in zip(heaps, wake, lasts)
-                     if heap and w <= t <= last]
+            queue = [(heap[0], 0, None) for heap, w in zip(heaps, wake) if heap and w <= t]
             heapq.heapify(queue)
             free: dict[str, list[int]] = {}  # per class, built at its first pop
-            deferred: list[str] = []  # bound ops blocked later in the cycle
             while queue:
                 key, shared, inst = heapq.heappop(queue)
                 oid = key[-1]
@@ -371,10 +368,10 @@ class _Engine:
                 at = self.fit(oid, t) if pool else min(self.busy_until[name])  # a full class
                 if at > t:
                     # the group waits until `at`: an unbound head stays in
-                    # its heap and pulls no successor
+                    # its heap and pulls no successor, a bound one goes back
                     wake[group[oid]] = at
                     if inst is not None:
-                        deferred.append(oid)
+                        heapq.heappush(heaps[group[oid]], prio[oid])
                     continue
                 if inst is None:
                     # pull the group's next head before binding, so the
@@ -397,13 +394,9 @@ class _Engine:
                     waiting[s] -= 1
                     if not waiting[s]:
                         heapq.heappush(arrivals, (model.earliest_start(s, finish), s))
-            for oid in deferred:
-                heapq.heappush(heaps[group[oid]], prio[oid])
             # on to the next arrival or wake cycle (module docs); a group
             # asleep past t still holds the op that found it blocked
-            nxt = [w for w in wake if w > t]
-            t = min(nxt + [arrivals[0][0]] if arrivals else nxt, default=T)
-        return {oid for oid in waiting if oid not in placed}
+            t = min([w for w in wake if w > t] + [at for at, _ in arrivals[:1]], default=None)
 
     def _bind(self, oid: str, name: str, pool: list[int]):
         """(shared inputs, instance) for ``oid`` among the free instances
@@ -503,16 +496,12 @@ def _run_or_raise(
     if timing.critical_path_cycles > cfg.time_constraint_cycles:
         raise InfeasibleConstraint(timing.critical_path_cycles, cfg.time_constraint_cycles)
     engine = _Engine(g, alloc, cfg, timing, model)
-    unscheduled = engine.run()
-    if unscheduled:
-        # One run at 8T answers for 2T and 4T too (see module docs).
-        T = cfg.time_constraint_cycles
-        relaxed = _Engine(g, alloc, cfg._replace(time_constraint_cycles=8 * T), timing, model)
-        suggestion = None
-        if not relaxed.run():
-            makespan = max(relaxed.finish.values())  # the relaxed schedule's
-            suggestion = next(k * T for k in (2, 4, 8) if k * T >= makespan)
-        raise TimeConstraintViolated(sorted(unscheduled), T, suggestion)
+    engine.run()
+    T, makespan = cfg.time_constraint_cycles, max(engine.finish.values(), default=0)
+    if makespan > T:  # the deadline's one check (module docs)
+        late = sorted(oid for oid, done in engine.finish.items() if done > T)
+        suggestion = next((k * T for k in (2, 4, 8) if k * T >= makespan), None)
+        raise TimeConstraintViolated(late, T, suggestion)
     return Schedule(engine.entries(), cfg, model)
 
 

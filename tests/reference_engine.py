@@ -26,7 +26,11 @@ The rules, as README states them:
   when affinity is off, which also drops sharing from the priority);
 - ports are bound once the schedule is complete: every window in (start,
   end, op, bank id) order takes, for each of its accesses, the lowest port
-  of its bank that is free over the whole window.
+  of its bank that is free over the whole window;
+- the deadline places nothing: every operation is placed, and the makespan
+  is checked against the deadline once the schedule is complete. When it
+  misses, the error names the operations that complete (store end, else
+  execution end) after the deadline.
 """
 
 from __future__ import annotations
@@ -47,12 +51,13 @@ def _shared(operands, last, positional: bool) -> int:
 
 def reference_schedule(g, counts, mapping, T, *, dynamic_mobility=False,
                        positional_affinity=False, use_affinity=True):
-    """Schedule ``g`` with ``counts`` instances per class by deadline ``T``.
+    """Schedule ``g`` with ``counts`` instances per class, ranked by timing
+    at deadline ``T``.
 
-    ``mapping`` None is the memory-blind policy. Returns (placements,
-    unscheduled ids); a placement is a dict with start, instance, shared
-    inputs, the set of read bookings (bank, port, from, to) and the write
-    booking or None.
+    ``mapping`` None is the memory-blind policy. Returns (placements, ids of
+    the operations completing after ``T``); a placement is a dict with
+    start, instance, shared inputs, the set of read bookings (bank, port,
+    from, to) and the write booking or None.
     """
     ops = {op.id: op for op in g.operations}
     latency = {oid: g.class_of(op).latency_cycles for oid, op in ops.items()}
@@ -112,8 +117,6 @@ def reference_schedule(g, counts, mapping, T, *, dynamic_mobility=False,
             return None
         if any(t < finish[p] + w for p, w in lag[oid].items()):
             return None
-        if completion(oid, t) > T:
-            return None
         free = [i for i in range(counts[cls[oid]]) if busy_until[(cls[oid], i)] <= t]
         if not free:
             return None
@@ -129,7 +132,7 @@ def reference_schedule(g, counts, mapping, T, *, dynamic_mobility=False,
         return (slack, -shared if use_affinity else 0, oid), shared, inst
 
     t = 0
-    while t < T and len(placed) < len(ops):
+    while len(placed) < len(ops):
         dropped: set[str] = set()
         while True:
             found = [c for oid in sorted(ops)
@@ -170,4 +173,4 @@ def reference_schedule(g, counts, mapping, T, *, dynamic_mobility=False,
                 placed[oid]["write"] = (b.id, p, lo, hi)
             else:
                 placed[oid]["reads"].add((b.id, p, lo, hi))
-    return placed, sorted(oid for oid in ops if oid not in placed)
+    return placed, sorted(oid for oid in ops if finish[oid] > T)

@@ -1,7 +1,7 @@
 """Golden digests of the deadline-failure path: the ``TimeConstraintViolated``
-message (the operations left unscheduled and the suggested deadline) on
-seeded instances that miss their deadline, compared against
-``golden_failure_digests.json``.
+message (the operations that complete after the deadline and the suggested
+deadline) on seeded instances that miss their deadline, compared against
+``golden_failure_digests.json``, and the one-run rule that message follows.
 
 Each instance is a random graph from ``tests/oracles.py`` on one random
 bank, at its critical path as the deadline, with the minimum allocation or
@@ -9,7 +9,10 @@ one instance per class. It is scheduled under both policies and every
 combination of ``dynamic_mobility``, ``positional_affinity`` and
 ``use_affinity``; the digest covers the 16 outcomes in order ("ok" for a
 run that fits). The family reaches every suggestion the error can carry:
-2x, 4x and 8x the deadline, and none.
+2x, 4x and 8x the deadline, and none. The engine places every operation
+whatever the deadline, so a run at the suggested deadline builds the
+schedule the failing run built, and the operations it completes after the
+deadline are the ones the error names.
 
 Refresh the file with ``PYTHONPATH=src:tests python tests/test_golden_failures.py``
 only when a change of rule is intended and documented.
@@ -45,12 +48,16 @@ GOLDEN = Path(__file__).with_name("golden_failure_digests.json")
 FLAGS = list(itertools.product((False, True), repeat=3))
 
 
-def failure_digests() -> tuple[dict[str, str], Counter]:
-    """Digest per instance, and how often each suggestion (as a multiple of
-    the deadline, None for no suggestion) was made."""
+def run(g, alloc, mapping, policy, cfg, timing):
+    if policy is Policy.BASELINE:
+        return schedule_baseline(g, alloc, cfg, timing)
+    return schedule_memory_aware(g, alloc, mapping, cfg, timing)
+
+
+def family_outcomes():
+    """Per seeded instance: its key, its (graph, allocation, mapping) and its
+    16 outcomes (policy, config, the TimeConstraintViolated raised or None)."""
     rng = random.Random(2)
-    digests: dict[str, str] = {}
-    suggestions: Counter = Counter()
     for i in range(40):
         lib = make_library(rng, rng.randint(1, 2))
         g = random_dfg(rng, rng.randint(6, 20), lib)
@@ -68,42 +75,81 @@ def failure_digests() -> tuple[dict[str, str], Counter]:
                     positional_affinity=positional, use_affinity=affinity,
                 )
                 try:
-                    if policy is Policy.BASELINE:
-                        schedule_baseline(g, alloc, cfg, timing)
-                    else:
-                        schedule_memory_aware(g, alloc, mapping, cfg, timing)
-                    outcomes.append("ok")
+                    run(g, alloc, mapping, policy, cfg, timing)
+                    outcomes.append((policy, cfg, None))
                 except TimeConstraintViolated as e:
-                    outcomes.append(e.message)
-                    s = e.suggested_time_constraint
-                    suggestions[None if s is None else s // T] += 1
-        digests[f"failure/{i:03d}"] = hashlib.sha256(
-            "\0".join(outcomes).encode("utf-8")
-        ).hexdigest()
+                    outcomes.append((policy, cfg, e))
+        yield f"failure/{i:03d}", (g, alloc, mapping), outcomes
+
+
+def failure_digests(family) -> tuple[dict[str, str], Counter]:
+    """Digest per instance, and how often each suggestion (as a multiple of
+    the deadline, None for no suggestion) was made."""
+    digests: dict[str, str] = {}
+    suggestions: Counter = Counter()
+    for key, _, outcomes in family:
+        for _, cfg, e in outcomes:
+            if e is not None:
+                s = e.suggested_time_constraint
+                suggestions[None if s is None else s // cfg.time_constraint_cycles] += 1
+        digests[key] = hashlib.sha256("\0".join(
+            "ok" if e is None else e.message for _, _, e in outcomes
+        ).encode("utf-8")).hexdigest()
     return digests, suggestions
 
 
 @pytest.fixture(scope="module")
 def family():
-    return failure_digests()
+    return list(family_outcomes())
 
 
-def test_deadline_failures_match_golden(family):
-    digests, _ = family
+@pytest.fixture(scope="module")
+def digests(family):
+    return failure_digests(family)
+
+
+def test_deadline_failures_match_golden(digests):
+    digests, _ = digests
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert len(expected) == 40
     assert sorted(k for k in expected.keys() | digests.keys()
                   if expected.get(k) != digests.get(k)) == []
 
 
-def test_deadline_failure_family_hits_every_suggestion(family):
+def test_deadline_failure_family_hits_every_suggestion(digests):
     # the exact count of each suggestion over the 640 outcomes, so a change
     # in how the suggestion is found that moves any of them shows here
-    _, suggestions = family
+    _, suggestions = digests
     assert dict(suggestions) == {2: 152, 4: 258, 8: 94, None: 32}
 
 
+def test_failures_follow_the_one_run_rule(family):
+    # at the suggested deadline S, with the timing computed at S as the CLI
+    # computes it, the run succeeds, S is the smallest multiple that fits,
+    # and the operations completing after T are exactly the ones the error
+    # named; with no suggestion, 8T fails too
+    checked: Counter = Counter()
+    for key, (g, alloc, mapping), outcomes in family:
+        for policy, cfg, err in outcomes:
+            if err is None:
+                continue
+            T, S = cfg.time_constraint_cycles, err.suggested_time_constraint
+            again = cfg._replace(time_constraint_cycles=S or 8 * T)
+            timing = compute_timing(g, again.time_constraint_cycles)
+            checked[S is not None] += 1
+            if S is None:
+                with pytest.raises(TimeConstraintViolated):
+                    run(g, alloc, mapping, policy, again, timing)
+                continue
+            s = run(g, alloc, mapping, policy, again, timing)
+            assert S == 2 * T or s.makespan_cycles > S // 2, (key, policy, cfg)
+            late = sorted(e.op_id for e in s.entries.values()
+                          if (e.write_booking.end if e.write_booking else e.end_cycle) > T)
+            assert late == err.unscheduled, (key, policy, cfg)
+    assert checked == {True: 504, False: 32}
+
+
 if __name__ == "__main__":
-    digests, _ = failure_digests()
+    digests, _ = failure_digests(family_outcomes())
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
