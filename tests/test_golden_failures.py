@@ -104,22 +104,22 @@ def family():
 
 
 @pytest.fixture(scope="module")
-def digests(family):
+def summary(family):
     return failure_digests(family)
 
 
-def test_deadline_failures_match_golden(digests):
-    digests, _ = digests
+def test_deadline_failures_match_golden(summary):
+    digests, _ = summary
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert len(expected) == 40
     assert sorted(k for k in expected.keys() | digests.keys()
                   if expected.get(k) != digests.get(k)) == []
 
 
-def test_deadline_failure_family_hits_every_suggestion(digests):
+def test_deadline_failure_family_hits_every_suggestion(summary):
     # the exact count of each suggestion over the 640 outcomes, so a change
     # in how the suggestion is found that moves any of them shows here
-    _, suggestions = digests
+    _, suggestions = summary
     assert dict(suggestions) == {2: 152, 4: 258, 8: 94, None: 32}
 
 
