@@ -832,3 +832,74 @@ def test_document_error_exit_code_and_message(inputs, capsys, case):
     flag, text, code, message = DOCUMENT_ERRORS[case]
     rc, err = _validate_doc(inputs, capsys, text, flag)
     assert (rc, err) == (code, message + "\n")
+
+
+# -- argument parsing -----------------------------------------------------------
+
+_FILES = ["--dfg", "g.json", "--library", "l.json"]
+_RUN = _FILES + ["--T", "5"]
+ARGV = [
+    ["validate", "--help"],
+    ["schedule", "--help"],
+    ["compare", "--help"],
+    ["schedule", "--dfg", "g.json", "-h"],
+    ["--help"],
+    ["-h"],
+    [],
+    ["bogus"],
+    ["sched", *_RUN],
+    ["--", "schedule", *_RUN],
+    ["--dfg", "a", "schedule", *_RUN],
+    ["schedule", *_RUN, "--bogus"],
+    ["schedule", *_RUN, "stray"],
+    ["validate", *_FILES, "extra"],
+    ["validate", "--df", "g.json", "--lib", "l.json"],
+    ["validate", "--dfg", "a.json", "--dfg", "g.json", "--library", "l.json"],
+    ["validate", "--dfg", "g.json"],
+    ["validate", *_FILES, "--mapping", "m.json", "--default-mapping", "round-robin"],
+    ["validate", *_FILES, "--default-mapping", "striped"],
+    ["validate", *_FILES, "--T", "5"],
+    ["schedule", *_FILES],
+    ["schedule", *_FILES, "--T", "x"],
+    ["schedule", *_FILES, "--T", "-3"],
+    ["schedule", *_RUN, "--alloc", "alu"],
+    ["schedule", *_RUN, "--alloc", "alu=2", "--alloc", "mul=1"],
+    ["schedule", *_RUN, "--policy", "fast"],
+    ["schedule", *_RUN, "--policy", "mem-aware", "--mapping", "m.json", "--out", "o"],
+    ["schedule", *_RUN, "--reduction", "much"],
+    ["schedule", *_RUN, "--reduction=0.4", "--dynamic-mobility", "--positional-affinity",
+     "--no-affinity", "--per-shared-input-energy"],
+    ["schedule", *_RUN, "--oracle"],
+    ["compare", *_RUN, "--oracle"],
+    ["compare", *_RUN, "--oracle=1"],
+    ["compare", *_RUN, "--policy", "baseline"],
+    ["compare", "--T=5", "--lib=l.json", "--dfg=g.json", "--default-mapping=registers"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_parses_like_the_whole_parser(monkeypatch, capsys, argv):
+    # main hands _guard the command and the namespace the whole parser
+    # builds, and any exit, usage and message are the whole parser's too
+    import memsched.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to it
+    commands = {"validate": cli._validate, "schedule": cli._schedule, "compare": cli._compare}
+
+    def outcome(parse):
+        try:
+            result = parse()
+        except SystemExit as e:
+            result = e.code
+        out, err = capsys.readouterr()
+        return result, out, err
+
+    def through_main():
+        handed = []
+        monkeypatch.setattr(cli, "_guard", lambda command, args: handed.append((command, args)))
+        cli.main(list(argv))
+        (command, args), = handed
+        assert command is commands[args.command]
+        return args
+
+    assert outcome(through_main) == outcome(lambda: cli.build_parser().parse_args(list(argv)))
