@@ -242,62 +242,72 @@ def _parse_alloc(value: str) -> tuple[str, int]:
     return name, int(count)
 
 
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """Declare ``command``'s arguments on ``p``, in help order."""
+    p.add_argument("--dfg", required=True, help="data-flow graph document")
+    p.add_argument("--library", required=True, help="operator library document")
+    p.add_argument("--mapping", help="memory mapping document")
+    p.add_argument(
+        "--default-mapping",
+        choices=list(_DEFAULT_MAPPINGS),
+        help="generate the placement instead of taking it from --mapping",
+    )
+    if command == "validate":
+        return p
+    p.add_argument("--T", required=True, dest="time_constraint",
+                   type=lambda v: _digits(v, f"expected a cycle count, got {v!r}"),
+                   help="real-time constraint in cycles")
+    p.add_argument("--reduction", type=float, default=0.25,
+                   help="energy discount for input-sharing ops "
+                        "({:.2f}..{:.2f})".format(*REDUCTION_RANGE))
+    p.add_argument("--alloc", type=_parse_alloc, action="append", default=[],
+                   metavar="CLASS=COUNT",
+                   help="override the instance count of one class (repeatable)")
+    p.add_argument("--dynamic-mobility", action="store_true",
+                   help="re-evaluate slack against the current cycle")
+    p.add_argument("--positional-affinity", action="store_true",
+                   help="count shared inputs per operand position")
+    p.add_argument("--no-affinity", action="store_true",
+                   help="disable input-sharing priority and binding")
+    p.add_argument("--per-shared-input-energy", action="store_true",
+                   help="scale the energy discount by the shared-input fraction")
+    p.add_argument("--out", default=".", help="output directory")
+    if command == "schedule":
+        p.add_argument("--policy", choices=["baseline", "mem-aware"], default="baseline")
+    else:
+        p.add_argument("--oracle", action="store_true",
+                       help="add the exact optimal makespan (small graphs only)")
+    return p
+
+
+_COMMANDS = {"validate": _validate, "schedule": _schedule, "compare": _compare}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memsched",
         description="Schedule DSP data-flow graphs under memory-mapping constraints.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_schedule_flags):
-        p.add_argument("--dfg", required=True, help="data-flow graph document")
-        p.add_argument("--library", required=True, help="operator library document")
-        p.add_argument("--mapping", help="memory mapping document")
-        p.add_argument(
-            "--default-mapping",
-            choices=list(_DEFAULT_MAPPINGS),
-            help="generate the placement instead of taking it from --mapping",
-        )
-        if with_schedule_flags:
-            p.add_argument("--T", required=True, dest="time_constraint",
-                           type=lambda v: _digits(v, f"expected a cycle count, got {v!r}"),
-                           help="real-time constraint in cycles")
-            p.add_argument("--reduction", type=float, default=0.25,
-                           help="energy discount for input-sharing ops "
-                                "({:.2f}..{:.2f})".format(*REDUCTION_RANGE))
-            p.add_argument("--alloc", type=_parse_alloc, action="append", default=[],
-                           metavar="CLASS=COUNT",
-                           help="override the instance count of one class (repeatable)")
-            p.add_argument("--dynamic-mobility", action="store_true",
-                           help="re-evaluate slack against the current cycle")
-            p.add_argument("--positional-affinity", action="store_true",
-                           help="count shared inputs per operand position")
-            p.add_argument("--no-affinity", action="store_true",
-                           help="disable input-sharing priority and binding")
-            p.add_argument("--per-shared-input-energy", action="store_true",
-                           help="scale the energy discount by the shared-input fraction")
-            p.add_argument("--out", default=".", help="output directory")
-
-    p_validate = sub.add_parser("validate", help="check the input documents")
-    add_common(p_validate, with_schedule_flags=False)
-
-    p_schedule = sub.add_parser("schedule", help="run one policy and write reports")
-    add_common(p_schedule, with_schedule_flags=True)
-    p_schedule.add_argument("--policy", choices=["baseline", "mem-aware"],
-                            default="baseline")
-
-    p_compare = sub.add_parser("compare", help="run both policies and compare")
-    add_common(p_compare, with_schedule_flags=True)
-    p_compare.add_argument("--oracle", action="store_true",
-                           help="add the exact optimal makespan (small graphs only)")
-
+    for name, text in (("validate", "check the input documents"),
+                       ("schedule", "run one policy and write reports"),
+                       ("compare", "run both policies and compare")):
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = {"validate": _validate, "schedule": _schedule, "compare": _compare}
-    return _guard(command[args.command], args)
+    """Run the command ``argv`` (default ``sys.argv[1:]``) names, parsed by
+    that command's parser alone. When ``argv`` does not start with a command,
+    or an argument is left over, the whole parser parses it and reports."""
+    argv = sys.argv[1:] if argv is None else argv
+    rest = None
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"memsched {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if rest is None or rest:
+        args = build_parser().parse_args(argv)
+    return _guard(_COMMANDS[args.command], args)
 
 
 if __name__ == "__main__":

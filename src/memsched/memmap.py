@@ -313,7 +313,7 @@ class Profile:
     0 before the first cut and from the last on. Cuts may be negative; a
     removed hold leaves equal neighbouring levels, and ``clear`` may answer
     the cut between them, which is still safe. A call costs a binary search
-    plus the segments it spans."""
+    plus the segments it spans; an ``add`` from the last cut on only appends."""
 
     def __init__(self):
         self.cuts: list[int] = []
@@ -323,6 +323,12 @@ class Profile:
         """Raise the usage over [start, end) by ``amount``, for start < end;
         a negative one removes a hold."""
         cuts, levels = self.cuts, self.levels
+        if not cuts or start >= cuts[-1]:  # the usage is 0 from the last cut on
+            if cuts and start == cuts[-1]:
+                del cuts[-1], levels[-1]
+            cuts += start, end
+            levels += amount, 0
+            return
         i = bisect_left(cuts, start)
         if i == len(cuts) or cuts[i] != start:
             cuts.insert(i, start)

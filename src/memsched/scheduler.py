@@ -205,34 +205,31 @@ class Schedule:
     def sorted_entries(self) -> list[ScheduleEntry]:
         return sorted(self.entries.values(), key=lambda e: (e.start_cycle, e.op_id))
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
+        """schedule.json, written in one pass: the bytes of
+        ``json.dumps(doc, indent=2) + "\\n"`` for the document README shows."""
+        q = json.dumps
         entries = []
         for e in self.sorted_entries():
-            entry = {
-                "op": e.op_id,
-                "start": e.start_cycle,
-                "end": e.end_cycle,
-                "class": e.class_name,
-                "instance": e.instance_index,
-                "reads": [_booking_json(b) for b in e.read_bookings],
-            }
+            reads = ",\n        ".join(_booking_json(b, "        ") for b in e.read_bookings)
+            fields = f"[\n        {reads}\n      ]" if reads else "[]"
             if e.write_booking is not None:
-                entry["write"] = _booking_json(e.write_booking)
-            entry["model2"] = e.is_model2
-            entries.append(entry)
-        return {
-            "policy": self.policy.value,
-            "time_constraint": self.config.time_constraint_cycles,
-            "makespan": self.makespan_cycles,
-            "entries": entries,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+                fields += f',\n      "write": {_booking_json(e.write_booking, "      ")}'
+            entries.append(
+                f'    {{\n      "op": {q(e.op_id)},\n      "start": {e.start_cycle},\n'
+                f'      "end": {e.end_cycle},\n      "class": {q(e.class_name)},\n'
+                f'      "instance": {e.instance_index},\n      "reads": {fields},\n'
+                f'      "model2": {"true" if e.is_model2 else "false"}\n    }}')
+        listed = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+        return (f'{{\n  "policy": {q(self.policy.value)},\n'
+                f'  "time_constraint": {self.config.time_constraint_cycles},\n'
+                f'  "makespan": {self.makespan_cycles},\n  "entries": {listed}\n}}\n')
 
 
-def _booking_json(b: PortBooking) -> dict:
-    return {"bank": b.bank_id, "port": b.port_index, "from": b.start, "to": b.end}
+def _booking_json(b: PortBooking, pad: str) -> str:
+    """One booking's object, its closing brace at ``pad``."""
+    return (f'{{\n{pad}  "bank": {json.dumps(b.bank_id)},\n{pad}  "port": {b.port_index},\n'
+            f'{pad}  "from": {b.start},\n{pad}  "to": {b.end}\n{pad}}}')
 
 
 def _affinity(

@@ -252,6 +252,38 @@ def check_schedule_safety(
 
 
 # ---------------------------------------------------------------------------
+# reference schedule.json document
+
+def schedule_doc(s: Schedule) -> dict:
+    """The document ``s.to_json()`` writes, as plain JSON values: the
+    entries in start order, each with its reads, its store when it has one,
+    and whether it shares an input."""
+    def booking(b):
+        return {"bank": b.bank_id, "port": b.port_index, "from": b.start, "to": b.end}
+
+    entries = []
+    for e in sorted(s.entries.values(), key=lambda e: (e.start_cycle, e.op_id)):
+        entry = {
+            "op": e.op_id,
+            "start": e.start_cycle,
+            "end": e.end_cycle,
+            "class": e.class_name,
+            "instance": e.instance_index,
+            "reads": [booking(b) for b in e.read_bookings],
+        }
+        if e.write_booking is not None:
+            entry["write"] = booking(e.write_booking)
+        entry["model2"] = e.shared_inputs >= 1
+        entries.append(entry)
+    return {
+        "policy": s.policy.value,
+        "time_constraint": s.config.time_constraint_cycles,
+        "makespan": s.makespan_cycles,
+        "entries": entries,
+    }
+
+
+# ---------------------------------------------------------------------------
 # random problem generator (seeded, deterministic)
 
 def make_library(rng: random.Random, n_classes: int) -> OperatorLibrary:

@@ -333,21 +333,22 @@ STEP = st.tuples(st.none() | st.integers(0, 13), st.integers(-30, 30), st.intege
                  st.integers(1, 3), st.integers(-45, 45), st.integers(1, 20), st.integers(0, 4))
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(st.lists(STEP, max_size=14))
-def test_profile_matches_a_per_cycle_count(steps):
-    # holds are added and removed in any order, before and after cycle 0;
+def _profile_matches_a_per_cycle_count(steps, in_start_order):
     # the plain per-cycle count is the reference
     profile, usage, held = Profile(), Counter(), []
     assert profile.clear(-5, 5) == -5 and profile.length_above(0) == 0
+    last_start = -30
     for remove, start, length, amount, lo, width, level in steps:
         if held and remove is not None:
             start, end, amount = held.pop(remove % len(held))
             amount = -amount
         else:
+            if in_start_order:
+                start = last_start = last_start + start % 4
             end = start + length
             held.append((start, end, amount))
         profile.add(start, end, amount)
+        assert all(a < b for a, b in zip(profile.cuts, profile.cuts[1:]))
         for c in range(start, end):
             usage[c] += amount
         answer = profile.clear(lo, lo + width, level)
@@ -361,3 +362,18 @@ def test_profile_matches_a_per_cycle_count(steps):
             assert all(usage[c] == usage[over[-1]] for c in range(over[-1], answer))
         assert profile.length_above(level) == sum(1 for n in usage.values() if n > level)
         assert max(profile.levels, default=0) == max(usage.values(), default=0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(STEP, max_size=14))
+def test_profile_matches_a_per_cycle_count(steps):
+    # holds are added and removed in any order, before and after cycle 0
+    _profile_matches_a_per_cycle_count(steps, in_start_order=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(STEP, max_size=14))
+def test_profile_matches_a_per_cycle_count_in_start_order(steps):
+    # holds are added in non-decreasing start order, as the engine adds them,
+    # each starting at, after or before the last cut, and removed in any order
+    _profile_matches_a_per_cycle_count(steps, in_start_order=True)

@@ -19,6 +19,7 @@ from memsched import (
     OperatorClass,
     OperatorLibrary,
     Policy,
+    PortBooking,
     Schedule,
     ScheduleEntry,
     SchedulerConfig,
@@ -41,6 +42,7 @@ from oracles import (
     make_library,
     one_instance_per_op,
     random_dfg,
+    schedule_doc,
 )
 
 MUL = OperatorClass("mul", frozenset({"mul"}), 2, 8.0)
@@ -430,6 +432,39 @@ def test_deterministic_serialization_across_runs():
         s = run_baseline(g, {"mul": 2, "alu": 1}, 24)
         outs.add(s.to_json())
     assert len(outs) == 1
+
+
+def _fixture_schedules():
+    lib = fixtures.load_library()
+    for kernel in ("fir4", "fir16", "fft8_stage", "iir_biquad", "two_adds_one_bank"):
+        g, mapping = fixtures.load_dfg(kernel, lib), fixtures.load_mapping(kernel)
+        T = generous_deadline(g, mapping)
+        alloc, cfg, timing = compute_min_allocation(g, T), SchedulerConfig(T), compute_timing(g, T)
+        yield f"{kernel} baseline", schedule_baseline(g, alloc, cfg, timing)
+        yield f"{kernel} mem-aware", schedule_memory_aware(g, alloc, mapping, cfg, timing)
+
+
+def _hand_built_schedules():
+    m0, m1 = PortBooking("M0", 0, 0, 1), PortBooking("M1", 1, 0, 2)
+    cfg = SchedulerConfig(9)
+    yield "empty graph", Schedule({}, cfg)
+    entries = {
+        "no reads, no store": ScheduleEntry("a", 0, 1, "alu", 0),
+        "two banks and a store": ScheduleEntry("b", 2, 4, "mul", 1, (m0, m1),
+                                               PortBooking("M0", 0, 4, 5), 2),
+        "a read, no store": ScheduleEntry("c", 2, 3, "alu", 0, (m0,)),
+        "escaped names": ScheduleEntry("\u00e9\"q", 1, 2, "alu", 1, (),
+                                       PortBooking("M\u00e9", 0, 2, 3), 1),
+    }
+    for name, e in entries.items():
+        yield name, Schedule({e.op_id: e}, cfg)
+    yield "all of them", Schedule({e.op_id: e for e in entries.values()}, cfg)
+
+
+@pytest.mark.parametrize("s", [pytest.param(s, id=name) for name, s in
+                               [*_fixture_schedules(), *_hand_built_schedules()]])
+def test_schedule_json_is_json_dumps_of_its_document(s):
+    assert s.to_json() == json.dumps(schedule_doc(s), indent=2) + "\n"
 
 
 def test_random_baseline_schedules_are_safe():
