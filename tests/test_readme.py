@@ -9,8 +9,9 @@ import types
 from pathlib import Path
 
 import memsched
-from memsched import Policy
-from memsched.fixtures import fixture_text
+from memsched import PortBooking, Policy, Schedule, ScheduleEntry, SchedulerConfig
+from memsched.cli import main
+from memsched.fixtures import fixture_path, fixture_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -92,3 +93,17 @@ def test_type_table_lists_every_error_and_only_exports():
         and issubclass(getattr(memsched, name), memsched.SchedulingError)
     }
     assert errors - set(names) == set()
+
+
+def test_schedule_json_section_shows_the_written_bytes(tmp_path):
+    section = README.read_text(encoding="utf-8").split("\n### Schedule (", 1)[1]
+    section = section.split("\n#", 1)[0]
+    document, entry = re.findall(r"```json\n(.*?)```", section, re.DOTALL)
+    files = {kind: str(fixture_path(f"two_adds_one_bank.{kind}.json")) for kind in ("dfg", "map")}
+    assert main(["schedule", "--dfg", files["dfg"], "--library", str(fixture_path("dsp.lib.json")),
+                 "--mapping", files["map"], "--policy", "mem-aware", "--T", "4",
+                 "--alloc", "alu=2", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "schedule.json").read_text(encoding="utf-8") == document
+    store = ScheduleEntry("s", 0, 1, "alu", 0, (), PortBooking("M0", 0, 1, 2))
+    assert entry in Schedule({"s": store}, SchedulerConfig(2)).to_json()
+    assert '"entries": []\n}\n' in Schedule({}, SchedulerConfig(2)).to_json()
