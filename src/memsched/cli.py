@@ -49,9 +49,18 @@ _DEFAULT_MAPPINGS = {
 }
 
 
+def _read(path: str) -> str:
+    """The text of the document at ``path``; bytes that are not UTF-8 are a
+    document-syntax failure."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
 def _load_graph(args) -> Dfg:
-    library = parse_library(Path(args.library).read_text(encoding="utf-8"))
-    return parse_dfg(Path(args.dfg).read_text(encoding="utf-8"), library)
+    library = parse_library(_read(args.library))
+    return parse_dfg(_read(args.dfg), library)
 
 
 def _resolve_mapping(args, g: Dfg) -> MemoryMapping | None:
@@ -62,7 +71,7 @@ def _resolve_mapping(args, g: Dfg) -> MemoryMapping | None:
     """
     file_mapping = None
     if args.mapping is not None:
-        file_mapping = parse_mapping(Path(args.mapping).read_text(encoding="utf-8"))
+        file_mapping = parse_mapping(_read(args.mapping))
     if args.default_mapping is None:
         return file_mapping
     banks = file_mapping.banks if file_mapping is not None else ()

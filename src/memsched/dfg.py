@@ -31,6 +31,9 @@ from .errors import (
 )
 
 DEFAULT_WIDTH_BITS = 16
+# The most data items a graph's inputs may declare in all. Each is built at
+# parse time, so a few bytes of ``shape`` must not set the cost of a parse.
+MAX_INPUT_ITEMS = 2**16
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ELEMENT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(0|[1-9][0-9]*)\]$")
@@ -400,10 +403,15 @@ def _parse_inputs(raw: list) -> tuple[dict[str, int], list[DataRef]]:
         if not _is_int(width) or width < 1:
             raise FormatError(f"{where}.width_bits must be a positive integer")
         widths[name] = width
+        count = 1
+        for extent in shape or ():  # multiplied no further than the bound
+            count = min(count * extent, MAX_INPUT_ITEMS + 1)
+        if len(inputs) + count > MAX_INPUT_ITEMS:
+            raise FormatError(f"{where}: the inputs declare more than {MAX_INPUT_ITEMS} items")
         if shape is None:
             inputs.append(scalar(name, width))
         else:
-            inputs.extend(elem(name, k, width) for k in range(math.prod(shape)))
+            inputs.extend(elem(name, k, width) for k in range(count))
     return widths, inputs
 
 
@@ -444,6 +452,8 @@ def _load_json(text: str, what: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid {what} document: {e.msg}", e.lineno, e.colno) from None
+    except (ValueError, RecursionError) as e:  # an integer too long, nesting too deep
+        raise FormatError(f"invalid {what} document: {e}") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{what} document must be a JSON object")
     return doc

@@ -10,7 +10,7 @@ access model (``memmap.AccessModel``) and, in every cycle of each of its
 fetch and store windows, the accesses booked on the bank plus its own fit
 the bank's ports. An operation joins the ready list at its earliest legal
 start; each cycle the engine queues the best ready operation of each group
-(below) that is awake, pops the best, binds it to its best free instance
+the cycle names (below), pops the best, binds it to its best free instance
 and places it if its banks have room, otherwise its group sleeps until the
 first cycle at which the missing resource can be had. Ports are bound once
 the run is over, by one left-edge pass (``_Engine.entries``).
@@ -21,7 +21,7 @@ candidate after every placement:
 - An operation's earliest start is fixed once all its predecessors are
   placed: it depends only on their completion cycles. So each operation
   counts its unplaced predecessors, and when the count reaches 0 its
-  earliest start is computed once and it waits on a heap for that cycle.
+  earliest start is computed once and it waits on the timeline for it.
   Every latency is >= 1, so an operation placed at t readies nothing at t.
 - Each operation's key is static, computed once per run. Dynamic mobility
   ranks by ALAP start minus the current cycle, but the queue is built anew
@@ -40,26 +40,28 @@ candidate after every placement:
   start form a group, interned to an int once per run. At one cycle every
   member of a group finds a free instance or none, and finds room on its
   banks or none, together. Ready operations wait in one heap per group
-  under their static key, and a group's head stands for the group: each
-  cycle the queue gets the head of every non-empty group whose wake cycle
-  (below) has come, and no other operation.
-- Within a run instances only get busier and banks only gain bookings, so
-  a blocked group sleeps until a lower bound on its next start, its wake
-  cycle: its full class's first release, or for the first window its bank
-  has no room for, the ``Profile.clear`` answer of the bank's usage at the
-  level that leaves room for the window's accesses (``fit``, the oracle's
-  step too), less the window's offset. Binding has no side effects, so
-  a popped operation is gated first and, when blocked, waits without
-  binding; a bound one goes straight back into its group's heap, which
-  stays blocked for the rest of the cycle.
+  under their static key, and a cycle queues only the head of each
+  non-empty group it names (below), once.
+- One heap, the timeline, holds every wait as (cycle, group, key): an
+  operation at its earliest start with its static key, and a blocked group
+  at its wake cycle with key (). Within a run instances only get busier
+  and banks only gain bookings, so a wake cycle is a lower bound on the
+  group's next start: its full class's first release, or for the first
+  window its bank has no room for, the ``Profile.clear`` answer of the
+  bank's usage at the level that leaves room for the window's accesses
+  (``fit``, the oracle's step too), less the window's offset. A cycle pops
+  its entries and names their groups; one named early, by an arrival while
+  it sleeps or by an older wake-up, finds the same block (resources only
+  fill up) and sleeps again with no side effect, so no wake is checked.
+  The run fails loudly if the timeline empties with operations left.
+  Binding has no side effects, so a popped operation is gated first and,
+  when blocked, waits without binding; a bound one goes straight back into
+  its group's heap, which stays blocked for the rest of the cycle.
 - A head that passes the gate is taken off its heap and the group's next
   head joins the queue before the head binds, so the queue's minimum is
   always the minimum over every candidate: the heap holds no key below its
   head's. Only an unbound queue entry is a head, so each group has at most
   one head queued.
-- After a cycle every non-empty group sleeps past it, so the engine jumps
-  to the next arrival or wake cycle; while operations are left, one of the
-  two comes, and the run fails loudly if neither does.
 
 The engine reads no deadline: it places every operation, and the deadline T
 is checked once on the finished run. A run that stopped at T would choose
@@ -327,12 +329,6 @@ class _Engine:
         }
         plans, placed, finish = self.plans, self.placed, self.finish
         succs = g.successors()
-        # unplaced predecessors per op; at 0 its earliest start is fixed and
-        # it waits in `arrivals` until that cycle, then joins its group's heap
-        waiting = {op.id: len(g.predecessors(op.id)) for op in g.operations}
-        arrivals = [(model.earliest_start(oid, finish), oid)
-                    for oid, n in waiting.items() if n == 0]
-        heapq.heapify(arrivals)
         # ready ops wait in one heap per group (module docs), interned from
         # the class and the windows at start 0
         shapes: dict[tuple, int] = {}
@@ -341,18 +337,23 @@ class _Engine:
             shape = (p.operator_class.name, p.windows)
             group[oid] = shapes.setdefault(shape, len(shapes))
         heaps: list[list[tuple]] = [[] for _ in shapes]
-        wake = [0] * len(shapes)  # no group member can start before it
+        # unplaced predecessors per op; at 0 it goes on the timeline `due`
+        # at its earliest start (module docs)
+        waiting = {op.id: len(g.predecessors(op.id)) for op in g.operations}
+        due = [(model.earliest_start(oid, finish), group[oid], prio[oid])
+               for oid, n in waiting.items() if n == 0]
+        heapq.heapify(due)
 
-        t = 0
-        while len(placed) < len(waiting):
-            if t is None:  # ops are left, and none is pending (module docs)
-                raise RuntimeError("no operation left can start")
-            while arrivals and arrivals[0][0] <= t:
-                oid = heapq.heappop(arrivals)[1]
-                heapq.heappush(heaps[group[oid]], prio[oid])
+        while due:
+            t, named = due[0][0], set()
+            while due and due[0][0] == t:
+                _, gid, key = heapq.heappop(due)
+                if key:
+                    heapq.heappush(heaps[gid], key)
+                named.add(gid)
             # entries (key, shared, instance); a group's head stays in its
             # heap and enters unbound, with its optimistic key
-            queue = [(heap[0], 0, None) for heap, w in zip(heaps, wake) if heap and w <= t]
+            queue = [(heaps[gid][0], 0, None) for gid in named if heaps[gid]]
             heapq.heapify(queue)
             free: dict[str, list[int]] = {}  # per class, built at its first pop
             while queue:
@@ -366,7 +367,7 @@ class _Engine:
                 if at > t:
                     # the group waits until `at`: an unbound head stays in
                     # its heap and pulls no successor, a bound one goes back
-                    wake[group[oid]] = at
+                    heapq.heappush(due, (at, group[oid], ()))
                     if inst is not None:
                         heapq.heappush(heaps[group[oid]], prio[oid])
                     continue
@@ -390,10 +391,9 @@ class _Engine:
                 for s in succs[oid]:
                     waiting[s] -= 1
                     if not waiting[s]:
-                        heapq.heappush(arrivals, (model.earliest_start(s, finish), s))
-            # on to the next arrival or wake cycle (module docs); a group
-            # asleep past t still holds the op that found it blocked
-            t = min([w for w in wake if w > t] + [at for at, _ in arrivals[:1]], default=None)
+                        heapq.heappush(due, (model.earliest_start(s, finish), group[s], prio[s]))
+        if len(placed) < len(waiting):  # the timeline ran dry (module docs)
+            raise RuntimeError("no operation left can start")
 
     def _bind(self, oid: str, name: str, pool: list[int]):
         """(shared inputs, instance) for ``oid`` among the free instances

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, diagnostics, outputs, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -397,6 +398,28 @@ def test_engine_work_does_not_grow_with_allocation(inputs, capsys, line_budget):
     assert outputs[0] == outputs[1]
 
 
+def test_engine_work_grows_linearly_with_the_groups(inputs, capsys, line_budget):
+    # every op of this chain reads its own 1-port bank, so each op is its own
+    # group; a cycle looks only at the groups its timeline entries name, so
+    # doubling the chain at most about doubles the engine's work
+    ran = []
+    for n in (100, 200, 400):
+        ops = [{"id": f"o{i}", "opcode": "add", "args": [f"x{i}", f"r{i - 1}" if i else "x0"],
+                "result": f"r{i}"} for i in range(n)]
+        dfg = {"inputs": [{"name": f"x{i}"} for i in range(n)], "outputs": [f"r{n - 1}"],
+               "ops": ops}
+        mapping = {"banks": [{"id": f"B{i}", "ports": 1, "read_latency": 1, "write_latency": 1,
+                              "level": 0} for i in range(n)],
+                   "place": {f"x{i}": f"B{i}" for i in range(n)}, "default": "REGISTER"}
+        paths = [inputs["tmp"] / f"chain{n}.{kind}.json" for kind in ("dfg", "map")]
+        for path, doc in zip(paths, (dfg, mapping)):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["schedule", "--dfg", str(paths[0]), "--library", inputs["dsp.lib.json"],
+                "--mapping", str(paths[1]), "--policy", "mem-aware", "--T", str(4 * n),
+                "--out", inputs["out"]]
+        ran.append(_scheduler_lines(line_budget, 2.1 * ran[-1] if ran else 40000, argv))
+
+
 @pytest.mark.parametrize("command", ["schedule", "compare"])
 def test_reduction_out_of_range_is_exit_2(inputs, capsys, command):
     rc = main(
@@ -582,7 +605,7 @@ GRAPH_RULES = {
 
 def _validate_doc(inputs, capsys, text, flag="--dfg"):
     path = inputs["tmp"] / "doc.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     files = {"--dfg": inputs["fir4.dfg.json"], "--library": inputs["dsp.lib.json"], flag: str(path)}
     argv = ["validate"]
     for option, file in files.items():
@@ -727,6 +750,16 @@ def test_error_precedence(inputs, capsys, case):
 # -- document syntax: each error path, its exit code and its exact message ----
 
 HUGE = "1" + "0" * 400  # a JSON integer that float() cannot hold
+LONG = "1" * 5000  # a JSON integer longer than int() reads from a string
+DEEP = "[" * 200000  # nested deeper than json.loads recurses
+
+
+def _reason(text):
+    """Why json.loads rejects ``text``, in this interpreter's words."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as e:
+        return str(e)
 
 
 def _lib(*classes):
@@ -764,6 +797,11 @@ DOCUMENT_ERRORS = {
     "huge integer energy": (
         "--library", _lib(_cls()).replace('"latency": 1', f'"latency": 1, "energy": {HUGE}'),
         2, "error: classes[0]: int too large to convert to float"),
+    "library integer too long": (
+        "--library", _lib(_cls()).replace('"latency": 1', f'"latency": {LONG}'), 2,
+        f"error: invalid library document: {_reason(LONG)}"),
+    "library nested too deep": (
+        "--library", DEEP, 2, f"error: invalid library document: {_reason(DEEP)}"),
     "class declared twice": (
         "--library", _lib(_cls(), _cls(opcodes=["sub"])), 1,
         "ERROR DuplicateOpcode: operator class 'alu' declared twice"),
@@ -777,6 +815,17 @@ DOCUMENT_ERRORS = {
         "error: input 'x' declared twice"),
     "outputs not names": (
         "--dfg", _graph([], [], [1]), 2, "error: outputs must be a list of names"),
+    "input shape past the item bound": (
+        "--dfg", _graph([{"name": "h", "shape": [65537]}], []), 2,
+        "error: inputs[0]: the inputs declare more than 65536 items"),
+    "inputs past the item bound together": (
+        "--dfg", _graph([{"name": "h", "shape": [256, 256]}, {"name": "s"}], []), 2,
+        "error: inputs[1]: the inputs declare more than 65536 items"),
+    "graph integer too long": (
+        "--dfg", _graph([{"name": "x", "width_bits": 1}], []).replace(
+            '"width_bits": 1', f'"width_bits": {LONG}'), 2,
+        f"error: invalid dfg document: {_reason(LONG)}"),
+    "graph nested too deep": ("--dfg", DEEP, 2, f"error: invalid dfg document: {_reason(DEEP)}"),
     "mapping not an object": (
         "--mapping", "[]", 2, "error: mapping document must be a JSON object"),
     "banks not a list": ("--mapping", '{"banks": {}}', 2, "error: mapping banks must be a list"),
@@ -824,6 +873,11 @@ DOCUMENT_ERRORS = {
     "bank named REGISTER": (
         "--mapping", _map(_bank(id="REGISTER")), 2,
         "error: bank id 'REGISTER' is reserved for registers"),
+    "mapping integer too long": (
+        "--mapping", _map(_bank()).replace('"ports": 1', f'"ports": {LONG}'), 2,
+        f"error: invalid mapping document: {_reason(LONG)}"),
+    "mapping nested too deep": (
+        "--mapping", DEEP, 2, f"error: invalid mapping document: {_reason(DEEP)}"),
 }
 
 
@@ -832,6 +886,25 @@ def test_document_error_exit_code_and_message(inputs, capsys, case):
     flag, text, code, message = DOCUMENT_ERRORS[case]
     rc, err = _validate_doc(inputs, capsys, text, flag)
     assert (rc, err) == (code, message + "\n")
+
+
+@pytest.mark.parametrize("flag", ["--dfg", "--library", "--mapping"])
+def test_document_not_utf8_is_exit_2(inputs, capsys, flag):
+    rc, err = _validate_doc(inputs, capsys, b"\xff\xfe{}", flag)
+    assert (rc, err) == (2, f"error: {inputs['tmp'] / 'doc.json'}: 'utf-8' codec can't decode "
+                            "byte 0xff in position 0: invalid start byte\n")
+
+
+def test_declared_items_bound_the_parse(inputs, capsys, line_budget):
+    # a shape is not multiplied out, nor its items built, past the bound; the
+    # line budget stops a parse that builds them before it fills the memory
+    import memsched.dfg as dfg
+
+    start = time.perf_counter()
+    with line_budget(dfg, 10000):
+        rc, err = _validate_doc(inputs, capsys, _graph([{"name": "h", "shape": [10**20]}], []))
+    assert time.perf_counter() - start < 1.0
+    assert (rc, err) == (2, "error: inputs[0]: the inputs declare more than 65536 items\n")
 
 
 # -- argument parsing -----------------------------------------------------------
