@@ -14,8 +14,6 @@ from .dfg import (
     Operation,
     OperatorClass,
     OperatorLibrary,
-    TimingAnalysis,
-    compute_timing,
     elem,
     parse_dfg,
     parse_library,
@@ -49,7 +47,9 @@ from .memmap import (
     AccessWindow,
     MemoryBank,
     MemoryMapping,
+    TimingAnalysis,
     all_registers,
+    compute_timing,
     parse_mapping,
     round_robin_mapping,
     validate_mapping,

@@ -13,12 +13,14 @@ import sys
 from pathlib import Path
 
 # validate_dfg is imported for bench/tracing.py, which wraps cli.validate_dfg
-from .dfg import Dfg, TimingAnalysis, compute_timing, parse_dfg, parse_library, validate_dfg
+from .dfg import Dfg, parse_dfg, parse_library, validate_dfg
 from .errors import FormatError, SchedulingError, TooLarge
 from .memmap import (
     AccessModel,
     MemoryMapping,
+    TimingAnalysis,
     all_registers,
+    compute_timing,
     parse_mapping,
     round_robin_mapping,
     validate_mapping,

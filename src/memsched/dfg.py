@@ -1,5 +1,5 @@
-"""Data-flow graph IR: data items, operations, JSON parsing, validation,
-topological ordering and ASAP/ALAP/mobility timing analysis.
+"""Data-flow graph IR: data items, operations, JSON parsing, validation and
+topological ordering. Timing lives with the access model (``memmap``).
 
 A graph is a DAG of single-assignment operations over named scalar data
 items; array accesses are flattened to per-element items at parse time
@@ -24,7 +24,6 @@ from .errors import (
     DuplicateOpcode,
     DuplicateWriter,
     FormatError,
-    InfeasibleConstraint,
     SchedulingError,
     UndefinedData,
     UnknownOpcode,
@@ -586,45 +585,3 @@ def _find_cycle(g: Dfg, remaining: set[str]) -> list[str]:
     cycle = path[seen[node]:]
     pivot = cycle.index(min(cycle))
     return cycle[pivot:] + cycle[:pivot]
-
-
-class TimingAnalysis(NamedTuple):
-    """ASAP/ALAP start cycles, per-operation mobility and the critical path
-    length under a given deadline. ``asap`` iterates in
-    :func:`topological_order`."""
-
-    asap: Mapping[str, int]
-    alap: Mapping[str, int]
-    mobility: Mapping[str, int]
-    critical_path_cycles: int
-
-
-def compute_timing(g: Dfg, time_constraint_cycles: int) -> TimingAnalysis:
-    """Longest-path timing analysis under a deadline, with each operation's
-    latency taken from the graph's own library.
-
-    ASAP is the forward longest path from the inputs; ALAP is anchored so
-    every operation finishes by ``time_constraint_cycles``; mobility is their
-    difference. Raises InfeasibleConstraint when the critical path does not
-    fit the deadline.
-    """
-    latency = {op.id: g.class_of(op).latency_cycles for op in g.operations}
-    order = topological_order(g)
-
-    asap: dict[str, int] = {}
-    for op_id in order:
-        asap[op_id] = max((asap[p] + latency[p] for p in g.predecessors(op_id)), default=0)
-    critical = max((asap[o] + latency[o] for o in asap), default=0)
-    if critical > time_constraint_cycles:
-        raise InfeasibleConstraint(critical, time_constraint_cycles)
-
-    succs = g.successors()
-    alap: dict[str, int] = {}
-    for op_id in reversed(order):
-        if succs[op_id]:
-            alap[op_id] = min(alap[s] for s in succs[op_id]) - latency[op_id]
-        else:
-            alap[op_id] = time_constraint_cycles - latency[op_id]
-
-    mobility = {o: alap[o] - asap[o] for o in asap}
-    return TimingAnalysis(asap, alap, mobility, critical)

@@ -1,6 +1,6 @@
-"""Memory hierarchy model: banks with ports and access latencies, placement
-of data items onto banks or registers, and the access model that turns an
-operation's placement into port windows and start constraints.
+"""Memory hierarchy model: banks with ports and latencies, placement of data
+items onto banks or registers, the access model that turns an operation's
+placement into port windows and start constraints, and timing over it.
 
 Placement keys are data item names. A whole-array entry (``"x": "M0"``)
 covers every element; an element entry (``"x[3]": "M1"``) overrides it.
@@ -24,11 +24,13 @@ from .dfg import (
     _check_keys,
     _is_int,
     _load_json,
+    topological_order,
 )
 from .errors import (
     CapacityExceeded,
     Diagnostic,
     FormatError,
+    InfeasibleConstraint,
     UnknownBank,
     UnmappedData,
 )
@@ -253,6 +255,10 @@ class OpPlan(NamedTuple):
     floor: int  # largest read latency: no fetch window starts before cycle 0
     waits: tuple[tuple[str, int], ...]  # (predecessor, cycles between its finish and start)
 
+    def earliest_start(self, finish: Mapping[str, int]) -> int:
+        """The earliest legal start, given each predecessor's completion."""
+        return max([self.floor] + [finish[pred] + lag for pred, lag in self.waits])
+
 
 class AccessModel:
     """The timing rule of memory traffic for one graph under one mapping
@@ -276,36 +282,76 @@ class AccessModel:
 
     def __init__(self, g: Dfg, mapping: MemoryMapping | None = None):
         self.mapping = mapping
-        self.plans: dict[str, OpPlan] = {}
-        for op in g.operations:
-            cls = g.class_of(op)
-            latency = done = cls.latency_cycles
-            waits = dict.fromkeys(g.predecessors(op.id), 0)
-            windows: list[AccessWindow] = []
-            floor = 0
-            if mapping is not None:
-                lag_of: dict[DataRef, int] = {}  # read latency of each fetched operand
-                for bank_id, refs in sorted(memory_read_refs(op, mapping).items()):
-                    bank = mapping.bank_by_id[bank_id]
-                    lag = bank.read_latency_cycles
-                    floor = max(floor, lag)
-                    windows.append(AccessWindow(bank, len(refs), -lag, 0, False))
-                    lag_of.update(dict.fromkeys(refs, lag))
-                # a predecessor whose result is fetched waits out the fetch
-                for pred in waits:
-                    waits[pred] = lag_of.get(g.operation(pred).result, 0)
-                store = mapping.bank_of(op.result)
-                if store is not None:
-                    done += store.write_latency_cycles
-                    windows.append(AccessWindow(store, 1, latency, done, True))
-            self.plans[op.id] = OpPlan(cls, latency, done, tuple(windows), floor,
-                                       tuple(waits.items()))
+        self.plans = {op.id: _plan(g, op, mapping) for op in g.operations}
 
     def earliest_start(self, op_id: str, finish: Mapping[str, int]) -> int:
-        """Earliest legal start given the completion cycles of every
-        predecessor in ``finish``."""
-        p = self.plans[op_id]
-        return max([p.floor] + [finish[pred] + lag for pred, lag in p.waits])
+        """``op_id``'s earliest legal start (:meth:`OpPlan.earliest_start`)."""
+        return self.plans[op_id].earliest_start(finish)
+
+
+def _plan(g: Dfg, op, mapping: MemoryMapping | None) -> OpPlan:
+    """``op``'s plan; with no mapping, done is its latency, waits 0, floor 0."""
+    cls = g.class_of(op)
+    latency = done = cls.latency_cycles
+    waits = dict.fromkeys(g.predecessors(op.id), 0)
+    windows: list[AccessWindow] = []
+    floor = 0
+    if mapping is not None:
+        lag_of: dict[DataRef, int] = {}  # read latency of each fetched operand
+        for bank_id, refs in sorted(memory_read_refs(op, mapping).items()):
+            bank = mapping.bank_by_id[bank_id]
+            lag = bank.read_latency_cycles
+            floor = max(floor, lag)
+            windows.append(AccessWindow(bank, len(refs), -lag, 0, False))
+            lag_of.update(dict.fromkeys(refs, lag))
+        # a predecessor whose result is fetched waits out the fetch
+        for pred in waits:
+            waits[pred] = lag_of.get(g.operation(pred).result, 0)
+        store = mapping.bank_of(op.result)
+        if store is not None:
+            done += store.write_latency_cycles
+            windows.append(AccessWindow(store, 1, latency, done, True))
+    return OpPlan(cls, latency, done, tuple(windows), floor, tuple(waits.items()))
+
+
+class TimingAnalysis(NamedTuple):
+    """ASAP/ALAP start cycles, per-operation mobility and the critical path
+    length under a given deadline. ``asap`` iterates in
+    :func:`topological_order`."""
+
+    asap: Mapping[str, int]
+    alap: Mapping[str, int]
+    mobility: Mapping[str, int]
+    critical_path_cycles: int
+
+
+def compute_timing(g: Dfg, time_constraint_cycles: int,
+                   model: AccessModel | None = None) -> TimingAnalysis:
+    """Longest-path timing under a deadline over ``model``'s plans, or the
+    register-only plans without one (no model is built): ASAP is each op's
+    earliest start (the engine's rule) with its predecessors at theirs, ALAP
+    the latest start from which every path completes by the deadline, and
+    mobility their difference. Raises InfeasibleConstraint when the critical
+    path, the latest ASAP completion, exceeds ``time_constraint_cycles``."""
+    # the plans before the order: an unknown opcode reports before a cycle
+    plans = model.plans if model else {op.id: _plan(g, op, None) for op in g.operations}
+    order = topological_order(g)
+    finish: dict[str, int] = {}  # each op's completion from its ASAP start
+    for op_id in order:
+        finish[op_id] = plans[op_id].earliest_start(finish) + plans[op_id].done
+    critical = max(finish.values(), default=0)
+    if critical > time_constraint_cycles:
+        raise InfeasibleConstraint(critical, time_constraint_cycles)
+
+    latest = dict.fromkeys(order, time_constraint_cycles)  # by when each must complete
+    alap: dict[str, int] = {}
+    for op_id in reversed(order):
+        alap[op_id] = latest[op_id] - plans[op_id].done
+        for pred, lag in plans[op_id].waits:
+            latest[pred] = min(latest[pred], alap[op_id] - lag)
+
+    asap = {o: finish[o] - plans[o].done for o in order}
+    return TimingAnalysis(asap, alap, {o: alap[o] - asap[o] for o in order}, critical)
 
 
 class Profile:

@@ -71,12 +71,13 @@ after T and suggests the smallest of 2T, 4T and 8T the makespan fits.
 
 A branch-and-bound search over start cycles provides exact optimal makespans
 for small instances, used as a test oracle and by the CLI ``--oracle`` flag.
-It builds the engine once for its deadline and takes the access model, the
-allocation check and the resource table from it, adds each class to the
-table (it places operations out of start order), and checks and holds every
-resource through the engine's one step, ``fit`` and ``hold``. The witness
-schedule is placed by the engine's own placement step, in (start, id) order,
-which checks it too, and its ports are bound by the engine's binder.
+It times the graph over its mapping's access model, so its bounds count
+memory traffic, and builds the engine once over that model for its deadline,
+taking the allocation check and the resource table from it. It adds each
+class to the table (it places operations out of start order), and checks and
+holds every resource through the engine's one step, ``fit`` and ``hold``. The
+witness schedule is placed by the engine's own placement step, in (start, id)
+order, which checks it too, and its ports are bound by the engine's binder.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ import json
 from collections import Counter
 from typing import Mapping, NamedTuple
 
-from .dfg import DataRef, Dfg, TimingAnalysis, _checked, compute_timing
+from .dfg import DataRef, Dfg, _checked
 from .errors import (
     Infeasible,
     InfeasibleConstraint,
@@ -95,7 +96,8 @@ from .errors import (
     TimeConstraintViolated,
     TooLarge,
 )
-from .memmap import AccessModel, MemoryMapping, Profile, validate_mapping
+from .memmap import (AccessModel, MemoryMapping, Profile, TimingAnalysis, compute_timing,
+                     validate_mapping)
 
 
 class Policy(enum.Enum):
@@ -554,14 +556,14 @@ def bruteforce_optimal_makespan(
     if len(g.operations) > _BRUTEFORCE_MAX_OPS:
         raise TooLarge(f"{len(g.operations)} operations exceed the oracle guard of "
                        f"{_BRUTEFORCE_MAX_OPS}")
-    try:
-        timing = compute_timing(g, T_max)
+    try:  # the bounds below read the mapping's timing
+        timing = compute_timing(g, T_max, model := AccessModel(g, mapping))
     except InfeasibleConstraint:
         raise Infeasible(f"no schedule fits within {T_max} cycles") from None
-    engine = _Engine(g, alloc, SchedulerConfig(T_max), timing, AccessModel(g, mapping))
+    engine = _Engine(g, alloc, SchedulerConfig(T_max), timing, model)
     engine.hold_classes()  # the search places ops out of start order
-    plans, model, holds, capacity = engine.plans, engine.model, engine.holds, engine.capacity
-    # longest path from an op's start to the end of the graph
+    plans, holds, capacity = engine.plans, engine.holds, engine.capacity
+    # longest path from an op's start to the end of the graph, memory-aware
     tail = {oid: T_max - alap for oid, alap in timing.alap.items()}
     order = list(timing.asap)  # topological
 
@@ -590,11 +592,9 @@ def bruteforce_optimal_makespan(
                 best_starts = dict(starts)
             return
         oid = order[i]
-        lo = model.earliest_start(oid, finish)
-        # latest start that still completes by T_max
-        hi = T_max - plans[oid].done
-        s = lo
-        while s <= hi and s + tail[oid] < best:  # best may have dropped in a child
+        s = model.earliest_start(oid, finish)
+        # best <= T_max + 1, so every start tried completes by T_max
+        while s + tail[oid] < best:  # best may have dropped in a child
             at = engine.fit(oid, s)
             if at == s:
                 engine.hold(oid, s, +1)

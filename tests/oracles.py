@@ -1,7 +1,8 @@
 """Independent oracles and invariant checkers used by the test suite.
 
 Everything here deliberately avoids the package's scheduling, timing and
-placement code paths: timing is checked by explicit path enumeration, small
+placement code paths: timing is checked by explicit path enumeration and
+against the latency-only rule ``compute_timing`` used to state, small
 memory cases by exhaustive start-tuple search, and schedules by a
 from-scratch invariant checker that restates the README's placement and
 access rules itself.
@@ -17,13 +18,16 @@ from memsched import (
     Allocation,
     DataRef,
     Dfg,
+    InfeasibleConstraint,
     MemoryBank,
     MemoryMapping,
     Operation,
     OperatorClass,
     OperatorLibrary,
     Schedule,
+    TimingAnalysis,
     scalar,
+    topological_order,
     validate_mapping,
 )
 
@@ -64,6 +68,35 @@ def enumerate_timing(latency: dict[str, int], preds: dict[str, set[str]], T: int
     }
     critical = max((asap[v] + latency[v] for v in latency), default=0)
     return asap, alap, critical
+
+
+def latency_timing(g: Dfg, time_constraint_cycles: int) -> TimingAnalysis:
+    """The latency-only timing rule that ``compute_timing`` stated before it
+    read the access model's plans, kept as the reference its register-only
+    timing must equal: ASAP is the forward longest path over class
+    latencies, ALAP is anchored so every operation finishes by the deadline,
+    mobility is their difference. Raises InfeasibleConstraint when the
+    critical path does not fit the deadline."""
+    latency = {op.id: g.class_of(op).latency_cycles for op in g.operations}
+    order = topological_order(g)
+
+    asap: dict[str, int] = {}
+    for op_id in order:
+        asap[op_id] = max((asap[p] + latency[p] for p in g.predecessors(op_id)), default=0)
+    critical = max((asap[o] + latency[o] for o in asap), default=0)
+    if critical > time_constraint_cycles:
+        raise InfeasibleConstraint(critical, time_constraint_cycles)
+
+    succs = g.successors()
+    alap: dict[str, int] = {}
+    for op_id in reversed(order):
+        if succs[op_id]:
+            alap[op_id] = min(alap[s] for s in succs[op_id]) - latency[op_id]
+        else:
+            alap[op_id] = time_constraint_cycles - latency[op_id]
+
+    mobility = {o: alap[o] - asap[o] for o in asap}
+    return TimingAnalysis(asap, alap, mobility, critical)
 
 
 # ---------------------------------------------------------------------------

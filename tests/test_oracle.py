@@ -1,10 +1,12 @@
 """Exact branch-and-bound makespan oracle."""
 
+import hashlib
 import random
 
 import pytest
 
 from memsched import (
+    AccessModel,
     Allocation,
     Dfg,
     Infeasible,
@@ -143,8 +145,9 @@ def test_oracle_work_does_not_grow_with_the_horizon(line_budget):
     ("iir_biquad", 20, None, "fixture", 244, 12),
     # the optimum meets the lower bound, which ends the search
     ("iir_biquad", 20, {"mul": 5, "alu": 4}, "registers", 24, 6),
-    # no schedule fits: every start that still stores by T_max is tried
-    ("fir4", 10, None, "store y", 426, None),
+    # no schedule fits: every start from which the memory-aware longest
+    # path still completes by T_max is tried (426 under the latency-only one)
+    ("fir4", 10, None, "store y", 108, None),
 ])
 def test_oracle_node_count_per_fixture(monkeypatch, kernel, T_max, alloc, mapping, search, best):
     # each node of the search adds and then removes its op's holds: a
@@ -233,3 +236,75 @@ def test_oracle_matches_exhaustive_search_on_independent_ops(seed):
     best, witness = bruteforce_optimal_makespan(g, alloc, mapping, 10)
     assert best == min(makespan for _, makespan in feasible)
     assert check_schedule_safety(g, witness, mapping, alloc) == []
+
+
+def seeded_case(seed):
+    """ROADMAP item 6's seeded 10-op instance: (graph, allocation, mapping,
+    deadline)."""
+    rng = random.Random(seed)
+    g = random_dfg(rng, 10, make_library(rng, 2))
+    mapping = random_mapping(rng, g, 2)
+    T = generous_deadline(g, mapping)
+    return g, compute_min_allocation(g, T), mapping, T
+
+
+# seed -> (optimum, sha256 of the witness's schedule.json, first 16 digits).
+# The memory-aware bounds solve these within 0.2 s in all; seeds 3, 5 and 6
+# still take seconds each.
+SEEDED = {
+    0: (9, "3215f90d89b6148e"),
+    1: (16, "83a02970e27fb0e1"),
+    2: (20, "efa00d53f1da471d"),
+    4: (13, "409f39596ad45926"),
+    7: (19, "d58754de5817e824"),
+    8: (11, "f934bbbdb6f45280"),
+    9: (15, "2ef81e7e83a44e6f"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED))
+def test_oracle_on_the_seeded_ten_op_set(seed):
+    g, alloc, mapping, T = seeded_case(seed)
+    best, witness = bruteforce_optimal_makespan(g, alloc, mapping, T)
+    digest = hashlib.sha256(witness.to_json().encode("utf-8")).hexdigest()[:16]
+    assert (best, digest) == SEEDED[seed]
+    assert check_schedule_safety(g, witness, mapping, alloc) == []
+
+
+def oracle_cases():
+    """(name, graph, allocation, mapping, T_max) of this file's feasible
+    oracle cases: the hand-built ones, the node-count fixtures, the list
+    scheduler's random family and the seeded set."""
+    yield "chain", unit_chain(3), Allocation({"alu": 1}), None, 8
+    muls = Dfg.build([Operation(f"m{i}", "mul", (scalar(f"x{i}"),), scalar(f"p{i}"))
+                      for i in range(4)], LIB)
+    yield "muls", muls, Allocation({"mul": 1}), None, 8
+    ops = [Operation("r1", "add", (scalar("a"), scalar("x")), scalar("u")),
+           Operation("r2", "add", (scalar("b"), scalar("y")), scalar("v"))]
+    mapping = MemoryMapping([MemoryBank("M0", 1, 1, 1, 0)], {"a": "M0", "b": "M0"},
+                            default_register=True)
+    yield "ports", Dfg.build(ops, LIB), Allocation({"alu": 2}), mapping, 6
+    lib = fixtures.load_library()
+    for kernel, T_max in (("fir4", 10), ("two_adds_one_bank", 4), ("iir_biquad", 20)):
+        g = fixtures.load_dfg(kernel, lib)
+        yield kernel, g, compute_min_allocation(g, T_max), fixtures.load_mapping(kernel), T_max
+    rng = random.Random(5)
+    for i in range(12):
+        lib = make_library(rng, rng.randint(1, 2))
+        g = random_dfg(rng, rng.randint(3, 7), lib)
+        mapping = random_mapping(rng, g, rng.randint(0, 2))
+        T = generous_deadline(g, mapping)
+        yield f"random/{i}", g, compute_min_allocation(g, T), mapping, T
+    for seed in sorted(SEEDED):
+        g, alloc, mapping, T = seeded_case(seed)
+        yield f"seeded/{seed}", g, alloc, mapping, T
+
+
+def test_memory_aware_critical_path_is_at_most_the_optimum():
+    longer = 0
+    for name, g, alloc, mapping, T_max in oracle_cases():
+        best, _ = bruteforce_optimal_makespan(g, alloc, mapping, T_max)
+        critical = compute_timing(g, T_max, AccessModel(g, mapping)).critical_path_cycles
+        assert critical <= best, name
+        longer += critical > compute_timing(g, T_max).critical_path_cycles
+    assert longer == 19
