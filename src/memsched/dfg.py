@@ -33,6 +33,7 @@ DEFAULT_WIDTH_BITS = 16
 # The most data items a graph's inputs may declare in all. Each is built at
 # parse time, so a few bytes of ``shape`` must not set the cost of a parse.
 MAX_INPUT_ITEMS = 2**16
+MAX_LATENCY_CYCLES = 10**6  # the longest latency a class or a bank may declare
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ELEMENT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(0|[1-9][0-9]*)\]$")
@@ -286,6 +287,8 @@ def parse_library(text: str) -> OperatorLibrary:
         if not all(isinstance(o, str) and _NAME_RE.match(o) for o in opcodes):
             raise FormatError(f"{where}.opcodes must be identifier strings")
         latency = _expect(entry, "latency", int, where)
+        if latency > MAX_LATENCY_CYCLES:
+            raise FormatError(f"{where}.latency must be at most {MAX_LATENCY_CYCLES}")
         energy = entry.get("energy", 1.0)
         if not (_is_int(energy) or isinstance(energy, float)):
             raise FormatError(f"{where}.energy must be a number")
@@ -419,7 +422,10 @@ def _data_ref(token: str, widths: Mapping[str, int]) -> DataRef:
     # default; whether the item may be read or written is validate_dfg's call.
     m = _ELEMENT_RE.match(token)
     if m:
-        return elem(m.group(1), int(m.group(2)), widths.get(m.group(1), DEFAULT_WIDTH_BITS))
+        try:
+            return elem(m.group(1), int(m.group(2)), widths.get(m.group(1), DEFAULT_WIDTH_BITS))
+        except ValueError:  # more digits than int() reads: a bad reference below
+            pass
     if not _NAME_RE.match(token):
         raise FormatError(f"bad data reference {token!r}")
     return scalar(token, widths.get(token, DEFAULT_WIDTH_BITS))

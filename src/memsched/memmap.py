@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .dfg import (
     DataRef,
     Dfg,
+    MAX_LATENCY_CYCLES,
     OperatorClass,
     _ELEMENT_RE,
     _NAME_RE,
@@ -197,6 +198,8 @@ def _parse_bank(entry, i: int) -> MemoryBank:
     for key in ("ports", "read_latency", "write_latency", "level"):
         if not _is_int(entry[key]):
             raise FormatError(f"{where}.{key} must be an integer")
+        if key.endswith("latency") and entry[key] > MAX_LATENCY_CYCLES:
+            raise FormatError(f"{where}.{key} must be at most {MAX_LATENCY_CYCLES}")
     if not isinstance(entry["id"], str) or not _NAME_RE.match(entry["id"]):
         raise FormatError(f"{where}.id must be an identifier")
     capacity = entry.get("capacity_words")

@@ -2,7 +2,7 @@
 test instead of stalling the suite. It uses ``signal.alarm`` and is
 installed only where the platform has ``SIGALRM``. The ``line_budget``
 fixture measures work as executed lines, which do not depend on the host's
-speed."""
+speed. The ``golden`` fixture builds the golden corpus once per session."""
 
 import contextlib
 import signal
@@ -55,3 +55,12 @@ def line_budget():
     test as soon as more than ``limit`` run, so a loop that walks every cycle
     fails at once instead of running to its end."""
     return _line_budget
+
+
+@pytest.fixture(scope="session")
+def golden():
+    """``golden_corpus.build()``: every golden instance, its outputs and
+    safety findings, and the time each corpus took."""
+    import golden_corpus
+
+    return golden_corpus.build()

@@ -5,22 +5,20 @@ All tolerances are exact: integer equalities and exact float arithmetic on
 binary-representable energy values.
 """
 
+import json
 import random
-import time
 from contextlib import contextmanager
 
 from memsched import (
     Allocation,
     Dfg,
-    MemoryBank,
-    MemoryMapping,
     Operation,
     OperatorClass,
     OperatorLibrary,
+    Policy,
     SchedulerConfig,
     all_registers,
     analyze,
-    bruteforce_optimal_makespan,
     compute_min_allocation,
     compute_timing,
     scalar,
@@ -29,13 +27,12 @@ from memsched import (
 )
 from memsched import fixtures
 from memsched.cli import main
+from golden_corpus import run
 from oracles import (
-    check_schedule_safety,
     generous_deadline,
     make_library,
     one_instance_per_op,
     random_dfg,
-    random_mapping,
 )
 
 
@@ -49,162 +46,50 @@ def criterion(name):
     print(f"[ACCEPTANCE] PASS  {name}")
 
 
-def run_both(g, alloc, mapping, T, **cfg_kwargs):
-    timing = compute_timing(g, T)
-    base = schedule_baseline(
-        g, alloc, SchedulerConfig(T, **cfg_kwargs), timing
-    )
-    aware = schedule_memory_aware(
-        g, alloc, mapping, SchedulerConfig(T, **cfg_kwargs), timing
-    )
-    return base, aware
+def run_both(g, alloc, mapping, T):
+    return (run(g, mapping, alloc, Policy.BASELINE, T),
+            run(g, mapping, alloc, Policy.MEMORY_AWARE, T))
 
 
 # -- 1. safety ---------------------------------------------------------------------
 
-def test_safety_suite_200_random_dags():
+def _schedules(golden, corpus):
+    return [part for key, parts in golden.records.items() if key.startswith(f"{corpus}/")
+            for part in parts if "schedule" in part]
+
+
+def test_safety_suite_200_random_dags(golden):
+    # the random corpus of golden_corpus.py, drawn, scheduled under both
+    # policies and checked once per session
     with criterion("safety: 200 random DAGs, zero invariant violations, < 60 s"):
-        rng = random.Random(2024)
-        t0 = time.time()
-        graphs = 0
-        for _ in range(200):
-            lib = make_library(rng, rng.randint(1, 3))
-            g = random_dfg(rng, rng.randint(5, 50), lib)
-            mapping = random_mapping(rng, g, rng.randint(0, 3))
-            T = generous_deadline(g, mapping)
-            alloc = compute_min_allocation(g, T)
-            base, aware = run_both(g, alloc, mapping, T)
-            assert check_schedule_safety(g, base, None, alloc) == []
-            assert check_schedule_safety(g, aware, mapping, alloc) == []
-            graphs += 1
-        elapsed = time.time() - t0
-        assert graphs == 200
+        schedules = _schedules(golden, "random")
+        assert len(schedules) == 2 * 200
+        assert [part["unsafe"] for part in schedules if part["unsafe"]] == []
+        elapsed = golden.seconds["random"]
         assert elapsed < 60.0, f"safety suite took {elapsed:.1f}s"
 
 
 # -- 2. oracle sandwich --------------------------------------------------------------
 
-ALU = OperatorClass("alu", frozenset({"add", "sub"}), 1, 2.0)
-MUL = OperatorClass("mul", frozenset({"mul"}), 2, 8.0)
-LIB2 = OperatorLibrary([ALU, MUL])
-
-
-def _chain(n, opcode):
-    ops = [Operation("n0", opcode, (scalar("i0"),), scalar("d0"))]
-    for i in range(1, n):
-        ops.append(Operation(f"n{i}", opcode, (scalar(f"d{i-1}"),), scalar(f"d{i}")))
-    return Dfg.build(ops, LIB2)
-
-
-def _independent(n, opcodes):
-    ops = [
-        Operation(f"n{i}", opcodes[i % len(opcodes)],
-                  (scalar(f"x{i}"), scalar(f"y{i}")), scalar(f"d{i}"))
-        for i in range(n)
-    ]
-    return Dfg.build(ops, LIB2)
-
-
-def _diamond(opcode):
-    ops = [
-        Operation("a", opcode, (scalar("i"),), scalar("ra")),
-        Operation("b", opcode, (scalar("ra"),), scalar("rb")),
-        Operation("c", opcode, (scalar("ra"),), scalar("rc")),
-        Operation("d", opcode, (scalar("rb"), scalar("rc")), scalar("rd")),
-    ]
-    return Dfg.build(ops, LIB2)
-
-
-def _contention(n_ops, ports, with_writes=False):
-    ops = []
-    place = {}
-    for i in range(n_ops):
-        ops.append(
-            Operation(f"r{i}", "add", (scalar(f"a{i}"), scalar(f"x{i}")),
-                      scalar(f"u{i}"))
-        )
-        place[f"a{i}"] = "M0"
-        if with_writes:
-            place[f"u{i}"] = "M0"
-    g = Dfg.build(ops, LIB2)
-    mapping = MemoryMapping(
-        [MemoryBank("M0", ports, 1, 1, 0)], place, default_register=True
-    )
-    return g, mapping
-
-
-def _sandwich_family():
-    """(name, graph, allocation, mapping, subfamily) cases; >= 50 of them,
-    every case with at most 7 operations and at most 2 instances per class."""
-    cases = []
-    for n in range(2, 8):
-        for opcode in ("add", "mul"):
-            g = _chain(n, opcode)
-            cls = "alu" if opcode == "add" else "mul"
-            cases.append((f"chain-{opcode}-{n}", g, Allocation({cls: 1}), None, "serial"))
-    # ample subfamily: instance counts equal the per-class parallelism need
-    ample_cases = [
-        ("ample-add-2", _independent(2, ("add",)), Allocation({"alu": 2})),
-        ("ample-mul-2", _independent(2, ("mul",)), Allocation({"mul": 2})),
-        ("ample-mix-3", _independent(3, ("add", "mul")), Allocation({"alu": 2, "mul": 1})),
-        ("ample-mix-4", _independent(4, ("add", "mul")), Allocation({"alu": 2, "mul": 2})),
-        ("ample-diamond-add", _diamond("add"), Allocation({"alu": 2})),
-        ("ample-diamond-mul", _diamond("mul"), Allocation({"mul": 2})),
-    ]
-    cases.extend((name, g, alloc, None, "ample") for name, g, alloc in ample_cases)
-    for n in range(3, 8):
-        for count in (1, 2):
-            g = _independent(n, ("add",))
-            cases.append((f"packed-add-{n}x{count}", g, Allocation({"alu": count}),
-                          None, "general"))
-            g2 = _independent(n, ("mul",))
-            cases.append((f"packed-mul-{n}x{count}", g2, Allocation({"mul": count}),
-                          None, "general"))
-    for opcode in ("add", "mul"):
-        g = _diamond(opcode)
-        cls = "alu" if opcode == "add" else "mul"
-        cases.append((f"diamond-{opcode}-1", g, Allocation({cls: 1}), None, "general"))
-    for n_ops in (2, 3, 4):
-        for ports in (1, 2):
-            for with_writes in (False, True):
-                g, mapping = _contention(n_ops, ports, with_writes)
-                cases.append(
-                    (f"contention-{n_ops}ops-{ports}p{'-w' if with_writes else ''}",
-                     g, Allocation({"alu": 2}), mapping, "memory")
-                )
-    for _, g, alloc, _, _ in cases:
-        assert len(g.operations) <= 7
-        assert all(c <= 2 for c in alloc.counts.values())
-    return cases
-
-
-def test_oracle_sandwich_family():
+def test_oracle_sandwich_family(golden):
+    # golden_corpus.py's oracle corpus: every case with at most 7 operations
+    # and at most 2 instances per class
     with criterion("oracle sandwich: exact optimum <= list makespan on >= 50 instances"):
-        cases = _sandwich_family()
+        cases = [instance for instance in golden.instances if instance[0].startswith("oracle/")]
         assert len(cases) >= 50
-        for name, g, alloc, mapping, subfamily in cases:
-            T = generous_deadline(g, mapping)
-            timing = compute_timing(g, T)
-            if mapping is None:
-                sched = schedule_baseline(
-                    g, alloc, SchedulerConfig(T), timing
-                )
-            else:
-                sched = schedule_memory_aware(
-                    g, alloc, mapping, SchedulerConfig(T), timing
-                )
-            best, witness = bruteforce_optimal_makespan(
-                g, alloc, mapping, sched.makespan_cycles
-            )
-            assert best <= sched.makespan_cycles, name
-            assert check_schedule_safety(g, witness, mapping, alloc) == [], name
-            assert check_schedule_safety(g, sched, mapping, alloc) == [], name
-            if subfamily == "serial":
+        assert len(_schedules(golden, "oracle")) == 2 * len(cases)
+        for key, g, mapping, T, alloc in cases:
+            assert len(g.operations) <= 7 and all(c <= 2 for c in alloc.counts.values()), key
+            optimum, witness, sched = golden.records[key]
+            best, makespan = int(optimum["text"]), json.loads(sched["schedule"])["makespan"]
+            assert best <= makespan, key
+            assert witness["unsafe"] == sched["unsafe"] == [], key
+            if key.startswith("oracle/chain-"):  # one instance: serial
                 serial = sum(g.class_of(op).latency_cycles for op in g.operations)
-                assert best == sched.makespan_cycles == serial, name
-            elif subfamily == "ample":
-                cp = timing.critical_path_cycles
-                assert best == sched.makespan_cycles == cp, name
+                assert best == makespan == serial, key
+            elif key.startswith("oracle/ample-"):
+                cp = compute_timing(g, T).critical_path_cycles
+                assert best == makespan == cp, key
 
 
 # -- 3. port gating ------------------------------------------------------------------

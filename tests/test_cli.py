@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, diagnostics, outputs, determinism."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -12,6 +13,8 @@ from memsched import (
     UndefinedData,
     UnknownOpcode,
     parse_dfg,
+    parse_library,
+    parse_mapping,
 )
 from memsched.cli import main
 from memsched.fixtures import fixture_text, load_library
@@ -751,6 +754,7 @@ def test_error_precedence(inputs, capsys, case):
 
 HUGE = "1" + "0" * 400  # a JSON integer that float() cannot hold
 LONG = "1" * 5000  # a JSON integer longer than int() reads from a string
+NINES = "9" * 5000  # an element index longer than int() reads
 DEEP = "[" * 200000  # nested deeper than json.loads recurses
 
 
@@ -802,6 +806,11 @@ DOCUMENT_ERRORS = {
         f"error: invalid library document: {_reason(LONG)}"),
     "library nested too deep": (
         "--library", DEEP, 2, f"error: invalid library document: {_reason(DEEP)}"),
+    "class latency past the bound": (
+        "--library", _lib(_cls(latency=1000001)), 2, "error: classes[0].latency must be at most 1000000"),
+    "class latency of 4300 digits": (
+        "--library", _lib(_cls()).replace('"latency": 1', f'"latency": {"9" * 4300}'), 2,
+        "error: classes[0].latency must be at most 1000000"),
     "class declared twice": (
         "--library", _lib(_cls(), _cls(opcodes=["sub"])), 1,
         "ERROR DuplicateOpcode: operator class 'alu' declared twice"),
@@ -826,6 +835,9 @@ DOCUMENT_ERRORS = {
             '"width_bits": 1', f'"width_bits": {LONG}'), 2,
         f"error: invalid dfg document: {_reason(LONG)}"),
     "graph nested too deep": ("--dfg", DEEP, 2, f"error: invalid dfg document: {_reason(DEEP)}"),
+    "element index too long": (
+        "--dfg", _graph(XIN, [_op("a", [f"xin[{NINES}]"], "r")], ["r"]), 2,
+        f"error: bad data reference 'xin[{NINES}]'"),
     "mapping not an object": (
         "--mapping", "[]", 2, "error: mapping document must be a JSON object"),
     "banks not a list": ("--mapping", '{"banks": {}}', 2, "error: mapping banks must be a list"),
@@ -860,6 +872,12 @@ DOCUMENT_ERRORS = {
     "write latency 0": (
         "--mapping", _map(_bank(write_latency=0)), 2,
         "error: banks[0]: bank 'M0' latencies must be >= 1"),
+    "read latency past the bound": (
+        "--mapping", _map(_bank(read_latency=1000001)), 2,
+        "error: banks[0].read_latency must be at most 1000000"),
+    "write latency past the bound": (
+        "--mapping", _map(_bank(write_latency=1000001)), 2,
+        "error: banks[0].write_latency must be at most 1000000"),
     "negative level": (
         "--mapping", _map(_bank(level=-1)), 2, "error: banks[0]: bank 'M0' level must be >= 0"),
     "capacity 0": (
@@ -886,6 +904,25 @@ def test_document_error_exit_code_and_message(inputs, capsys, case):
     flag, text, code, message = DOCUMENT_ERRORS[case]
     rc, err = _validate_doc(inputs, capsys, text, flag)
     assert (rc, err) == (code, message + "\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() reads any length")
+def test_element_index_past_a_lowered_digit_limit(inputs, capsys):
+    # PYTHONINTMAXSTRDIGITS or -X int_max_str_digits may lower what int() reads
+    ref = f"xin[{'9' * 1000}]"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc, err = _validate_doc(inputs, capsys, _graph(XIN, [_op("a", [ref], "r")], ["r"]), "--dfg")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (rc, err) == (2, f"error: bad data reference {ref!r}\n")
+
+
+def test_latencies_at_the_bound_parse():
+    assert parse_library(_lib(_cls(latency=10**6))).classes[0].latency_cycles == 10**6
+    bank = parse_mapping(_map(_bank(read_latency=10**6, write_latency=10**6))).banks[0]
+    assert (bank.read_latency_cycles, bank.write_latency_cycles) == (10**6, 10**6)
 
 
 @pytest.mark.parametrize("flag", ["--dfg", "--library", "--mapping"])

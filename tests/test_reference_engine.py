@@ -2,7 +2,6 @@
 scheduler in ``reference_engine.py``, placement by placement, on seeded
 random instances under both policies and every scheduling flag."""
 
-import itertools
 import random
 
 import pytest
@@ -10,18 +9,13 @@ import pytest
 from memsched import (
     Allocation,
     Policy,
-    SchedulerConfig,
     TimeConstraintViolated,
     compute_min_allocation,
     compute_timing,
-    schedule_baseline,
-    schedule_memory_aware,
 )
+from golden_corpus import FLAGS, run
 from oracles import generous_deadline, make_library, random_dfg, random_mapping
 from reference_engine import reference_schedule
-
-# (dynamic_mobility, positional_affinity, use_affinity)
-FLAGS = list(itertools.product((False, True), repeat=3))
 
 
 def _instances(seed: int, n: int):
@@ -39,15 +33,8 @@ def _instances(seed: int, n: int):
 
 
 def _engine(g, mapping, counts, T, policy, flags):
-    dynamic, positional, affinity = flags
-    cfg = SchedulerConfig(T, dynamic_mobility=dynamic,
-                          positional_affinity=positional, use_affinity=affinity)
-    timing = compute_timing(g, T)
     try:
-        if policy is Policy.BASELINE:
-            s = schedule_baseline(g, Allocation(counts), cfg, timing)
-        else:
-            s = schedule_memory_aware(g, Allocation(counts), mapping, cfg, timing)
+        s = run(g, mapping, Allocation(counts), policy, T, flags)
     except TimeConstraintViolated as err:
         return None, err.unscheduled
     placed = {

@@ -36,6 +36,7 @@ from memsched import (
 )
 from memsched import fixtures
 from memsched.scheduler import _affinity
+from golden_corpus import run
 from oracles import (
     check_schedule_safety,
     generous_deadline,
@@ -185,13 +186,7 @@ def test_binding_work_is_bounded_by_placements(monkeypatch, policy):
     monkeypatch.setattr(scheduler, "_affinity", counting)
     lib = fixtures.load_library()
     g = fixtures.load_dfg("fir16", lib)
-    cfg = SchedulerConfig(200)
-    timing = compute_timing(g, 200)
-    alloc = Allocation({"mul": 1, "alu": 1})
-    if policy is Policy.BASELINE:
-        s = schedule_baseline(g, alloc, cfg, timing)
-    else:
-        s = schedule_memory_aware(g, alloc, fixtures.load_mapping("fir16"), cfg, timing)
+    s = run(g, fixtures.load_mapping("fir16"), Allocation({"mul": 1, "alu": 1}), policy, 200)
     assert len(s.entries) == len(g.operations) == 31
     assert len(calls) <= 2 * 31
 
@@ -265,11 +260,7 @@ def test_queue_work_grows_linearly_with_the_chain(monkeypatch, policy):
         assert alloc.counts == {"alu": 1, "mul": 1}
         counter = CountingHeapq()
         monkeypatch.setattr(scheduler, "heapq", counter)
-        cfg, timing = SchedulerConfig(T), compute_timing(g, T)
-        if policy is Policy.BASELINE:
-            s = schedule_baseline(g, alloc, cfg, timing)
-        else:
-            s = schedule_memory_aware(g, alloc, mapping, cfg, timing)
+        s = run(g, mapping, alloc, policy, T)
         assert len(s.entries) == len(g.operations)
         pops[taps] = counter.pops
         assert counter.pops <= 8 * len(g.operations), (taps, counter.pops)

@@ -16,7 +16,6 @@ import pytest
 
 from memsched import (
     AccessModel,
-    Allocation,
     CycleDetected,
     Dfg,
     InfeasibleConstraint,
@@ -26,9 +25,7 @@ from memsched import (
     OperatorLibrary,
     SchedulerConfig,
     UnknownOpcode,
-    compute_min_allocation,
     compute_timing,
-    fixtures,
     parse_dfg,
     parse_library,
     parse_mapping,
@@ -38,58 +35,11 @@ from memsched import (
 from oracles import (
     generous_deadline,
     latency_timing,
-    make_library,
     one_instance_per_op,
-    random_dfg,
-    random_mapping,
 )
-from test_acceptance import _sandwich_family
-from test_golden import FIXTURE_RUNS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import generators as gen  # from bench/, put on the path above
-
-
-def golden_instances():
-    """(key, graph, mapping, deadline, allocation) of every instance the
-    golden tests schedule, drawn from the seeds and in the order
-    ``tests/test_golden*.py`` draw them."""
-    lib = fixtures.load_library()
-    for kernel, (deadline, alloc) in FIXTURE_RUNS.items():
-        g, mapping = fixtures.load_dfg(kernel, lib), fixtures.load_mapping(kernel)
-        T = deadline or generous_deadline(g, mapping)
-        counts = dict(compute_min_allocation(g, T).counts)
-        counts.update((a.split("=")[0], int(a.split("=")[1])) for a in alloc[1::2])
-        yield f"fixture/{kernel}", g, mapping, T, Allocation(counts)
-    rng = random.Random(2024)
-    for i in range(200):
-        lib = make_library(rng, rng.randint(1, 3))
-        g = random_dfg(rng, rng.randint(5, 50), lib)
-        mapping = random_mapping(rng, g, rng.randint(0, 3))
-        T = generous_deadline(g, mapping)
-        yield f"random/{i:03d}", g, mapping, T, compute_min_allocation(g, T)
-    for name, g, alloc, mapping, _ in _sandwich_family():
-        yield f"oracle/{name}", g, mapping, generous_deadline(g, mapping), alloc
-    rng = random.Random(7)
-    for i in range(40):
-        lib = make_library(rng, rng.randint(1, 2))
-        g = random_dfg(rng, rng.randint(6, 24), lib)
-        mapping = random_mapping(rng, g, rng.randint(1, 2))
-        T = generous_deadline(g, mapping)
-        alloc = compute_min_allocation(g, T)
-        if rng.random() < 0.5:
-            alloc = Allocation({name: n + 1 for name, n in alloc.counts.items()})
-        yield f"flags/{i:03d}", g, mapping, T, alloc
-    rng = random.Random(2)
-    for i in range(40):
-        lib = make_library(rng, rng.randint(1, 2))
-        g = random_dfg(rng, rng.randint(6, 20), lib)
-        mapping = random_mapping(rng, g, 1)
-        T = latency_timing(g, generous_deadline(g, mapping)).critical_path_cycles
-        alloc = compute_min_allocation(g, T)
-        if rng.random() < 0.5:
-            alloc = Allocation(dict.fromkeys(alloc.counts, 1))
-        yield f"failure/{i:03d}", g, mapping, T, alloc
 
 
 def bench_kernels():
@@ -111,13 +61,13 @@ def bench_kernels():
 
 
 @pytest.fixture(scope="module")
-def instances():
-    return list(golden_instances())
+def instances(golden):
+    return golden.instances
 
 
 def test_register_only_timing_is_the_latency_rule(instances):
     kernels = [(name, g, mapping, 10**6, None) for name, g, mapping in bench_kernels()]
-    assert len(instances) == 5 + 200 + len(_sandwich_family()) + 40 + 40
+    assert len(instances) == 5 + 200 + 52 + 40 + 40
     for key, g, _, T, _ in instances + kernels:
         critical = latency_timing(g, T).critical_path_cycles
         for deadline in (T, critical):
