@@ -287,10 +287,6 @@ class AccessModel:
         self.mapping = mapping
         self.plans = {op.id: _plan(g, op, mapping) for op in g.operations}
 
-    def earliest_start(self, op_id: str, finish: Mapping[str, int]) -> int:
-        """``op_id``'s earliest legal start (:meth:`OpPlan.earliest_start`)."""
-        return self.plans[op_id].earliest_start(finish)
-
 
 def _plan(g: Dfg, op, mapping: MemoryMapping | None) -> OpPlan:
     """``op``'s plan; with no mapping, done is its latency, waits 0, floor 0."""

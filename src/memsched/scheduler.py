@@ -320,7 +320,7 @@ class _Engine:
 
     def run(self) -> None:
         """Place every operation (module docs)."""
-        g, model = self.g, self.model
+        g = self.g
         affinity = self.cfg.use_affinity
         # optimistic static key (module docs): shared inputs never exceed
         # the operands
@@ -342,7 +342,7 @@ class _Engine:
         # unplaced predecessors per op; at 0 it goes on the timeline `due`
         # at its earliest start (module docs)
         waiting = {op.id: len(g.predecessors(op.id)) for op in g.operations}
-        due = [(model.earliest_start(oid, finish), group[oid], prio[oid])
+        due = [(plans[oid].earliest_start(finish), group[oid], prio[oid])
                for oid, n in waiting.items() if n == 0]
         heapq.heapify(due)
 
@@ -393,7 +393,7 @@ class _Engine:
                 for s in succs[oid]:
                     waiting[s] -= 1
                     if not waiting[s]:
-                        heapq.heappush(due, (model.earliest_start(s, finish), group[s], prio[s]))
+                        heapq.heappush(due, (plans[s].earliest_start(finish), group[s], prio[s]))
         if len(placed) < len(waiting):  # the timeline ran dry (module docs)
             raise RuntimeError("no operation left can start")
 
@@ -592,7 +592,7 @@ def bruteforce_optimal_makespan(
                 best_starts = dict(starts)
             return
         oid = order[i]
-        s = model.earliest_start(oid, finish)
+        s = plans[oid].earliest_start(finish)
         # best <= T_max + 1, so every start tried completes by T_max
         while s + tail[oid] < best:  # best may have dropped in a child
             at = engine.fit(oid, s)

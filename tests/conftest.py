@@ -2,7 +2,9 @@
 test instead of stalling the suite. It uses ``signal.alarm`` and is
 installed only where the platform has ``SIGALRM``. The ``line_budget``
 fixture measures work as executed lines, which do not depend on the host's
-speed. The ``golden`` fixture builds the golden corpus once per session."""
+speed. The ``calls`` fixture counts the calls a run makes to chosen
+functions. The ``golden`` fixture builds the golden corpus once per
+session."""
 
 import contextlib
 import signal
@@ -55,6 +57,28 @@ def line_budget():
     test as soon as more than ``limit`` run, so a loop that walks every cycle
     fails at once instead of running to its end."""
     return _line_budget
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``log = calls((owner, name), ...)`` replaces each ``owner.name`` with a
+    wrapper that appends ``(name, args)`` to ``log``, one list shared by every
+    target in call order, and then runs the original. Each target is
+    restored at teardown."""
+    log = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            log.append((name, args))
+            return original(*args, **kwargs)
+        return wrapper
+
+    def count(*targets):
+        for owner, name in targets:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        return log
+
+    return count
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -286,21 +287,11 @@ def test_compare_round_robin_default_mapping(inputs):
     assert rc == 0
 
 
-def test_validate_checks_the_graph_once(inputs, monkeypatch):
+def test_validate_checks_the_graph_once(inputs, calls):
     import memsched.cli as cli
     import memsched.dfg as dfg
 
-    calls = []
-
-    def counting(original):
-        def wrapper(g):
-            findings = original(g)
-            calls.append(findings)
-            return findings
-        return wrapper
-
-    monkeypatch.setattr(dfg, "validate_dfg", counting(dfg.validate_dfg))
-    monkeypatch.setattr(cli, "validate_dfg", counting(cli.validate_dfg))
+    log = calls((dfg, "validate_dfg"), (cli, "validate_dfg"))
     rc = main(
         [
             "validate",
@@ -311,27 +302,7 @@ def test_validate_checks_the_graph_once(inputs, monkeypatch):
     )
     assert rc == 0
     # parse_dfg's check is the only one
-    assert calls == [[]]
-
-
-def test_compare_byte_identical_runs(inputs, capsys):
-    def run(out):
-        rc = main(
-            [
-                "compare",
-                "--dfg", inputs["fir16.dfg.json"],
-                "--library", inputs["dsp.lib.json"],
-                "--mapping", inputs["fir16.map.json"],
-                "--T", "24",
-                "--out", out,
-            ]
-        )
-        assert rc == 0
-        return capsys.readouterr().out, (inputs["tmp"] / out / "compare.json").read_bytes()
-
-    out1 = run(str(inputs["tmp"] / "o1"))
-    out2 = run(str(inputs["tmp"] / "o2"))
-    assert out1 == out2
+    assert len(log) == 1
 
 
 def _scheduler_lines(line_budget, limit, argv):
@@ -457,20 +428,11 @@ def test_reduction_range_reports_before_scheduling(inputs, capsys, command):
     assert err.startswith("error: ") and "[0.25, 0.50]" in err, err
 
 
-def test_compare_computes_timing_once_plus_allocation_guard(inputs, monkeypatch):
+def test_compare_computes_timing_once_plus_allocation_guard(inputs, calls):
     import memsched.cli as cli
     import memsched.scheduler as scheduler
 
-    calls = []
-
-    def counting(original):
-        def wrapper(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(cli, "compute_timing", counting(cli.compute_timing))
-    monkeypatch.setattr(scheduler, "compute_timing", counting(scheduler.compute_timing))
+    log = calls((cli, "compute_timing"), (scheduler, "compute_timing"))
     rc = main(
         [
             "compare",
@@ -483,78 +445,57 @@ def test_compare_computes_timing_once_plus_allocation_guard(inputs, monkeypatch)
     )
     assert rc == 0
     # the CLI's pass is the only one: the allocation is arithmetic
-    assert calls == [24]
+    assert [args[1] for _, args in log] == [24]
 
 
 # case -> (argv, timing passes, access models built in order, walks of an
-# op's memory operands, topological sorts): one walk per op and mapping
-# model, so the mapping check of the mem-aware path reads the model's fetch
-# counts (fir16 has 31 ops, two_adds_one_bank 2), and one sort per graph,
-# which validation and every timing pass read
+# op's memory operands, topological sorts, op plans derived register-only
+# and under the mapping): one walk per op and mapping model, so the mapping
+# check of the mem-aware path reads the model's fetch counts (fir16 has 31
+# ops, two_adds_one_bank 2), and one sort per graph, which validation and
+# every timing pass read. A register-only timing pass derives its own
+# plans, so the baseline runs derive them twice
 DERIVATIONS = {
     "compare": (
         ["compare", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"], 31, 1),
+        1, ["registers", "mapping"], 31, 1, (62, 31)),
     "schedule mem-aware": (
         ["schedule", "--policy", "mem-aware", "--dfg", "fir16.dfg.json",
          "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["mapping"], 31, 1),
+        1, ["mapping"], 31, 1, (31, 31)),
     "schedule baseline with a mapping": (
         ["schedule", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"], 31, 1),
+        1, ["registers", "mapping"], 31, 1, (62, 31)),
     # the oracle derives its own bound and model at its T_max
     "compare with the oracle": (
         ["compare", "--dfg", "two_adds_one_bank.dfg.json",
          "--mapping", "two_adds_one_bank.map.json", "--T", "4", "--alloc", "alu=2", "--oracle"],
-        2, ["registers", "mapping", "mapping"], 4, 1),
+        2, ["registers", "mapping", "mapping"], 4, 1, (4, 4)),
 }
 
 
 @pytest.mark.parametrize("case", list(DERIVATIONS))
-def test_each_call_derives_timing_and_models_once(inputs, monkeypatch, case):
+def test_each_call_derives_timing_and_models_once(inputs, calls, case):
     import memsched.cli as cli
     import memsched.dfg as dfg
     import memsched.memmap as memmap
     import memsched.scheduler as scheduler
 
-    argv, timing_passes, models, walks, sorts = DERIVATIONS[case]
-    timings, built, walked, sorted_ = [], [], [], []
-
-    def counting(original):
-        def wrapper(*args, **kwargs):
-            timings.append(args[1])
-            return original(*args, **kwargs)
-        return wrapper
-
-    build = memmap.AccessModel.__init__
-
-    def counting_build(self, g, mapping=None):
-        built.append(mapping)
-        build(self, g, mapping)
-
-    monkeypatch.setattr(cli, "compute_timing", counting(cli.compute_timing))
-    monkeypatch.setattr(scheduler, "compute_timing", counting(scheduler.compute_timing))
-    walk = memmap.memory_read_refs
-
-    def counting_walk(op, mapping):
-        walked.append(op.id)
-        return walk(op, mapping)
-
-    sort = dfg._topological_sort
-
-    def counting_sort(g):
-        sorted_.append(g)
-        return sort(g)
-
-    monkeypatch.setattr(memmap.AccessModel, "__init__", counting_build)
-    monkeypatch.setattr(memmap, "memory_read_refs", counting_walk)
-    monkeypatch.setattr(dfg, "_topological_sort", counting_sort)
+    argv, timing_passes, models, walks, sorts, plans = DERIVATIONS[case]
+    log = calls((cli, "compute_timing"), (scheduler, "compute_timing"),
+                (memmap.AccessModel, "__init__"), (memmap, "memory_read_refs"),
+                (dfg, "_topological_sort"), (memmap, "_plan"))
     files = [inputs.get(arg, arg) for arg in argv]
     assert main(files + ["--library", inputs["dsp.lib.json"], "--out", inputs["out"]]) == 0
-    assert len(timings) == timing_passes
-    assert ["registers" if m is None else "mapping" for m in built] == models
-    assert len(walked) == walks
-    assert len(sorted_) == sorts
+    ran = Counter(name for name, _ in log)
+    assert ran["compute_timing"] == timing_passes
+    # AccessModel(g, mapping=None): the mapping is its third argument
+    assert ["mapping" if args[2:] and args[2] is not None else "registers"
+            for name, args in log if name == "__init__"] == models
+    assert ran["memory_read_refs"] == walks
+    assert ran["_topological_sort"] == sorts
+    register_only = [args[2] is None for name, args in log if name == "_plan"]
+    assert (register_only.count(True), register_only.count(False)) == plans
 
 
 # -- the input contract: one document per rule --------------------------------

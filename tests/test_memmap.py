@@ -180,7 +180,7 @@ def test_access_requirements_all_registers():
         model = model_of([op], mapping)
         assert model.plans["a1"].windows == ()
         assert model.plans["a1"].done == 1
-        assert model.earliest_start("a1", {}) == 0
+        assert model.plans["a1"].earliest_start({}) == 0
 
 
 def test_access_requirements_unmapped():
@@ -201,7 +201,7 @@ def test_access_model_multi_cycle_windows():
     )
     assert model.plans["m1"].done == 5
     # a fetch window cannot begin before cycle 0
-    assert model.earliest_start("m1", {}) == 2
+    assert model.plans["m1"].earliest_start({}) == 2
 
 
 def test_access_model_earliest_start_rules():
@@ -219,11 +219,11 @@ def test_access_model_earliest_start_rules():
     ]
     model = model_of(ops, m)
     # memory-fetched u: its window [s - 2, s) starts after p1 completes
-    assert model.earliest_start("c", {"p1": 5, "p2": 0, "p3": 0}) == 7
+    assert model.plans["c"].earliest_start({"p1": 5, "p2": 0, "p3": 0}) == 7
     # register operand v and the dep on p3 wait for their producers only
-    assert model.earliest_start("c", {"p1": 0, "p2": 9, "p3": 0}) == 9
-    assert model.earliest_start("c", {"p1": 0, "p2": 0, "p3": 11}) == 11
-    assert model.earliest_start("c", {"p1": 0, "p2": 0, "p3": 0}) == 2
+    assert model.plans["c"].earliest_start({"p1": 0, "p2": 9, "p3": 0}) == 9
+    assert model.plans["c"].earliest_start({"p1": 0, "p2": 0, "p3": 11}) == 11
+    assert model.plans["c"].earliest_start({"p1": 0, "p2": 0, "p3": 0}) == 2
 
 
 # -- validate_mapping ----------------------------------------------------------

@@ -149,7 +149,7 @@ def test_oracle_work_does_not_grow_with_the_horizon(line_budget):
     # path still completes by T_max is tried (426 under the latency-only one)
     ("fir4", 10, None, "store y", 108, None),
 ])
-def test_oracle_node_count_per_fixture(monkeypatch, kernel, T_max, alloc, mapping, search, best):
+def test_oracle_node_count_per_fixture(calls, kernel, T_max, alloc, mapping, search, best):
     # each node of the search adds and then removes its op's holds: a
     # search that visits more starts, or prunes fewer, changes the count.
     # The witness then adds each op's holds once: each of its windows and
@@ -157,19 +157,7 @@ def test_oracle_node_count_per_fixture(monkeypatch, kernel, T_max, alloc, mappin
     import memsched.scheduler as scheduler
     from memsched import memmap
 
-    added, searched = [], []
-    original, place = memmap.Profile.add, scheduler._witness_schedule
-
-    def counting(self, *args):
-        added.append(args)
-        return original(self, *args)
-
-    def placing(engine, starts):
-        searched.append(len(added))
-        return place(engine, starts)
-
-    monkeypatch.setattr(memmap.Profile, "add", counting)
-    monkeypatch.setattr(scheduler, "_witness_schedule", placing)
+    log = calls((memmap.Profile, "add"), (scheduler, "_witness_schedule"))
     g = fixtures.load_dfg(kernel, fixtures.load_library())
     alloc = Allocation(alloc) if alloc else compute_min_allocation(g, T_max)
     m = fixtures.load_mapping(kernel) if mapping != "registers" else None
@@ -178,13 +166,14 @@ def test_oracle_node_count_per_fixture(monkeypatch, kernel, T_max, alloc, mappin
     if best is None:
         with pytest.raises(Infeasible):
             bruteforce_optimal_makespan(g, alloc, m, T_max)
-        assert (searched, len(added)) == ([], search)
+        assert [name for name, _ in log] == ["add"] * search
     else:
         makespan, witness = bruteforce_optimal_makespan(g, alloc, m, T_max)
         assert makespan == witness.makespan_cycles == best
         plans = witness.model.plans
         holds = sum(len(plans[oid].windows) + 1 for oid in witness.entries)
-        assert (searched, len(added)) == ([search], search + holds)
+        names = [name for name, _ in log]  # the adds before the witness are the search's
+        assert names == ["add"] * search + ["_witness_schedule"] + ["add"] * holds
 
 
 def test_oracle_checks_the_allocation_like_the_engine():

@@ -170,49 +170,35 @@ def test_displaced_candidate_rebinds_in_the_same_cycle():
 
 
 @pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
-def test_binding_work_is_bounded_by_placements(monkeypatch, policy):
+def test_binding_work_is_bounded_by_placements(calls, policy):
     # fir16 on one mul and one alu: each cycle at most one op per class can
     # start, so an op is bound only when it may take the free instance (at
     # most twice per op, not once per op per cycle it waits)
     import memsched.scheduler as scheduler
 
-    calls = []
-    original = scheduler._affinity
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(scheduler, "_affinity", counting)
+    log = calls((scheduler, "_affinity"))
     lib = fixtures.load_library()
     g = fixtures.load_dfg("fir16", lib)
     s = run(g, fixtures.load_mapping("fir16"), Allocation({"mul": 1, "alu": 1}), policy, 200)
     assert len(s.entries) == len(g.operations) == 31
-    assert len(calls) <= 2 * 31
+    assert len(log) <= 2 * 31
 
 
 @pytest.mark.parametrize("kernel, binds", [
     ("fir4", 8), ("fir16", 32), ("fft8_stage", 22), ("iir_biquad", 10),
     ("two_adds_one_bank", 3),
 ])
-def test_bind_calls_per_fixture(monkeypatch, kernel, binds):
+def test_bind_calls_per_fixture(calls, kernel, binds):
     # baseline at minimum allocation under 8x the critical path: an op binds
     # when it pops unbound, and again only when another op took its
     # instance in this cycle, not when its instance frees exactly at t
     import memsched.scheduler as scheduler
 
-    calls = []
-    original = scheduler._Engine._bind
-
-    def counting(self, oid, *args):
-        calls.append(oid)
-        return original(self, oid, *args)
-
-    monkeypatch.setattr(scheduler._Engine, "_bind", counting)
+    log = calls((scheduler._Engine, "_bind"))
     g = fixtures.load_dfg(kernel)
     T = 8 * compute_timing(g, 10**6).critical_path_cycles
     schedule_baseline(g, compute_min_allocation(g, T), SchedulerConfig(T), compute_timing(g, T))
-    assert len(calls) == binds
+    assert len(log) == binds
 
 
 def fir_chain(taps):
@@ -231,39 +217,24 @@ def fir_chain(taps):
     return Dfg.build(ops, LIB), MemoryMapping(banks, place, default_register=True)
 
 
-class CountingHeapq:
-    """Stands in for the scheduler's ``heapq`` and counts its pops."""
-
-    def __init__(self):
-        self.pops = 0
-
-    def __getattr__(self, name):
-        return getattr(heapq, name)
-
-    def heappop(self, heap):
-        self.pops += 1
-        return heapq.heappop(heap)
-
-
 @pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
-def test_queue_work_grows_linearly_with_the_chain(monkeypatch, policy):
+def test_queue_work_grows_linearly_with_the_chain(calls, policy):
     # one mul and one alu under a deadline that runs every op and fetch
     # one after another: the ready set stays large for the whole run, so
-    # re-queuing every ready op each cycle would cost ops squared
-    import memsched.scheduler as scheduler
-
-    pops = {}
+    # re-queuing every ready op each cycle would cost ops squared. Each
+    # count starts after the graph is built, so only the scheduler's heaps
+    # pop in it
+    log, pops = calls((heapq, "heappop")), {}
     for taps in (96, 192):
         g, mapping = fir_chain(taps)
         T = 4 + 4 * taps + (taps - 1)  # each mul with its two fetches, each add
         alloc = compute_min_allocation(g, T)
         assert alloc.counts == {"alu": 1, "mul": 1}
-        counter = CountingHeapq()
-        monkeypatch.setattr(scheduler, "heapq", counter)
+        log.clear()
         s = run(g, mapping, alloc, policy, T)
         assert len(s.entries) == len(g.operations)
-        pops[taps] = counter.pops
-        assert counter.pops <= 8 * len(g.operations), (taps, counter.pops)
+        pops[taps] = len(log)
+        assert pops[taps] <= 8 * len(g.operations), (taps, pops[taps])
     assert pops[192] <= 2.2 * pops[96], pops
 
 
@@ -287,22 +258,15 @@ def test_time_constraint_violated_reports_doubling_suggestion():
 
 
 @pytest.mark.parametrize("n, suggestion", [(4, 8), (20, None)])
-def test_deadline_miss_runs_engine_once(monkeypatch, n, suggestion):
+def test_deadline_miss_runs_engine_once(calls, n, suggestion):
     import memsched.scheduler as scheduler
 
-    runs = []
-    original = scheduler._Engine.run
-
-    def counting(self):
-        runs.append(self.cfg.time_constraint_cycles)
-        return original(self)
-
-    monkeypatch.setattr(scheduler._Engine, "run", counting)
+    log = calls((scheduler._Engine, "run"))
     g = muls(n)  # 2n cycles of work on one instance; 8x the deadline is 16
     with pytest.raises(TimeConstraintViolated) as err:
         run_baseline(g, {"mul": 1}, 2)
     assert err.value.suggested_time_constraint == suggestion
-    assert runs == [2]
+    assert [engine.cfg.time_constraint_cycles for _, (engine,) in log] == [2]
 
 
 def test_engine_fails_loudly_when_nothing_is_pending(monkeypatch):
