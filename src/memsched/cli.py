@@ -9,6 +9,7 @@ written files are deterministic: same inputs, same bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -94,12 +95,13 @@ def _allocation(args, g: Dfg) -> Allocation:
     return Allocation(counts)
 
 
-def _prepare(args, g: Dfg) -> tuple[TimingAnalysis, Allocation, SchedulerConfig]:
-    """Timing, allocation and scheduler settings, each derived once per
-    call and in this order, so the deadline check reports first. The energy
-    discount only prices the finished schedules, but it is checked here,
-    before any scheduling."""
-    timing = compute_timing(g, args.time_constraint)
+def _prepare(args, g: Dfg) -> tuple[AccessModel, TimingAnalysis, Allocation, SchedulerConfig]:
+    """Register-only access model, timing, allocation and scheduler settings,
+    each derived once per call and in this order, so the deadline check
+    reports first. The energy discount only prices the finished schedules,
+    but it is checked here, before any scheduling."""
+    registers = AccessModel(g)
+    timing = compute_timing(g, args.time_constraint, registers)
     alloc = _allocation(args, g)
     try:
         cfg = SchedulerConfig(
@@ -111,7 +113,7 @@ def _prepare(args, g: Dfg) -> tuple[TimingAnalysis, Allocation, SchedulerConfig]
         check_reduction(args.reduction)
     except ValueError as e:
         raise FormatError(str(e)) from None
-    return timing, alloc, cfg
+    return registers, timing, alloc, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +154,12 @@ def _schedule(args) -> int:
     mapping = _resolve_mapping(args, g)
     if mem_aware and mapping is None:
         raise FormatError("policy mem-aware needs --mapping or --default-mapping")
-    timing, alloc, sched_cfg = _prepare(args, g)
+    registers, timing, alloc, sched_cfg = _prepare(args, g)
     if mem_aware:
         schedule = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
         model = schedule.model
     else:
-        schedule = schedule_baseline(g, alloc, sched_cfg, timing)
+        schedule = schedule_baseline(g, alloc, sched_cfg, timing, registers)
         # replay the memory-blind schedule on the mapping's banks
         model = AccessModel(g, mapping) if mapping is not None else None
     m = analyze(schedule, g, model, reduction=args.reduction,
@@ -187,8 +189,8 @@ def _compare(args) -> int:
     mapping = _resolve_mapping(args, g)
     if mapping is None:
         raise FormatError("compare needs --mapping or --default-mapping")
-    timing, alloc, sched_cfg = _prepare(args, g)
-    s_base = schedule_baseline(g, alloc, sched_cfg, timing)
+    registers, timing, alloc, sched_cfg = _prepare(args, g)
+    s_base = schedule_baseline(g, alloc, sched_cfg, timing, registers)
     s_aware = schedule_memory_aware(g, alloc, mapping, sched_cfg, timing)
     price = {"reduction": args.reduction, "per_shared_input": args.per_shared_input_energy}
     m_base = analyze(s_base, g, s_aware.model, **price)
@@ -240,9 +242,10 @@ def _digits(text: str, error: str) -> int:
     """``text`` as an integer when it is ASCII digits only, otherwise an
     ArgumentTypeError with ``error``: int() alone also reads "1_0", " 7" and
     other scripts' digits, and str.isdigit admits digits such as "²"."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(error)
-    return int(text)
+    if text.isascii() and text.isdigit():
+        with contextlib.suppress(ValueError):  # more digits than int() reads
+            return int(text)
+    raise argparse.ArgumentTypeError(error)
 
 
 def _parse_alloc(value: str) -> tuple[str, int]:

@@ -326,14 +326,14 @@ class TimingAnalysis(NamedTuple):
 
 def compute_timing(g: Dfg, time_constraint_cycles: int,
                    model: AccessModel | None = None) -> TimingAnalysis:
-    """Longest-path timing under a deadline over ``model``'s plans, or the
-    register-only plans without one (no model is built): ASAP is each op's
+    """Longest-path timing under a deadline over ``model``'s plans, or a
+    register-only model's without one (built here): ASAP is each op's
     earliest start (the engine's rule) with its predecessors at theirs, ALAP
     the latest start from which every path completes by the deadline, and
     mobility their difference. Raises InfeasibleConstraint when the critical
     path, the latest ASAP completion, exceeds ``time_constraint_cycles``."""
     # the plans before the order: an unknown opcode reports before a cycle
-    plans = model.plans if model else {op.id: _plan(g, op, None) for op in g.operations}
+    plans = (model or AccessModel(g)).plans
     order = topological_order(g)
     finish: dict[str, int] = {}  # each op's completion from its ASAP start
     for op_id in order:

@@ -56,7 +56,9 @@ candidate after every placement:
   The run fails loudly if the timeline empties with operations left.
   Binding has no side effects, so a popped operation is gated first and,
   when blocked, waits without binding; a bound one goes straight back into
-  its group's heap, which stays blocked for the rest of the cycle.
+  its group's heap, which stays blocked for the rest of the cycle. Nothing
+  is held between a pop's gate and its placement, so the engine commits a
+  placement that its own ``fit`` just cleared without checking it again.
 - A head that passes the gate is taken off its heap and the group's next
   head joins the queue before the head binds, so the queue's minimum is
   always the minimum over every candidate: the heap holds no key below its
@@ -388,7 +390,7 @@ class _Engine:
                     if queue and queue[0][0] < key:
                         heapq.heappush(queue, (key, shared, inst))
                         continue
-                self._place(oid, t, shared, inst)
+                self._commit(oid, t, shared, inst)  # fit cleared t above
                 pool.remove(inst)
                 for s in succs[oid]:
                     waiting[s] -= 1
@@ -435,10 +437,13 @@ class _Engine:
             self.usage[r].add(t + first, t + end, sign * amount)
 
     def _place(self, oid: str, t: int, shared: int, inst: int) -> None:
-        """Start ``oid`` at t on instance ``inst`` of its class and add its
-        holds (ValueError when they do not fit)."""
+        """``_commit`` once ``fit`` clears t (ValueError when it does not)."""
         if self.fit(oid, t) != t:
             raise ValueError(f"{oid} over-subscribes a resource at cycle {t}")
+        self._commit(oid, t, shared, inst)
+
+    def _commit(self, oid: str, t: int, shared: int, inst: int) -> None:
+        """Start ``oid`` at t on instance ``inst`` and add its holds, which ``fit`` cleared."""
         self.hold(oid, t, 1)
         plan = self.plans[oid]
         name = plan.operator_class.name
@@ -504,11 +509,13 @@ def _run_or_raise(
     return Schedule(engine.entries(), cfg, model)
 
 
-def schedule_baseline(
-    g: Dfg, alloc: Allocation, cfg: SchedulerConfig, timing: TimingAnalysis
-) -> Schedule:
-    """Priority-list scheduling that ignores memory placement entirely."""
-    return _run_or_raise(g, alloc, cfg, timing, AccessModel(g))
+def schedule_baseline(g: Dfg, alloc: Allocation, cfg: SchedulerConfig,
+                      timing: TimingAnalysis, model: AccessModel | None = None) -> Schedule:
+    """Priority-list scheduling that ignores memory placement entirely, over
+    the graph's register-only access model ``model`` (built when omitted)."""
+    if model is not None and model.mapping is not None:
+        raise ValueError("schedule_baseline needs the register-only access model")
+    return _run_or_raise(g, alloc, cfg, timing, model or AccessModel(g))
 
 
 def schedule_memory_aware(

@@ -126,9 +126,11 @@ def test_schedule_fir4_at_critical_path_with_ample_allocation(inputs, capsys):
 
 
 # str.isdigit holds for "²" (which int() rejects) and for Arabic-Indic digits
-# (which int() reads as 3 and 12): a count is ASCII digits only
+# (which int() reads as 3 and 12): a count is ASCII digits only, and int()
+# refuses more digits than its limit (4300 by default)
 @pytest.mark.parametrize("value", ["alu", "=2", "alu=", "alu=0", "alu=-1", "alu=x", "alu=²",
-                                   "alu=٣", "mul=١٢"])
+                                   "alu=٣", "mul=١٢",
+                                   pytest.param("alu=" + "9" * 5000, id="alu=5000-nines")])
 def test_malformed_alloc_is_exit_2(inputs, capsys, value):
     with pytest.raises(SystemExit) as exit_:
         main(["schedule", "--dfg", inputs["fir4.dfg.json"], "--library", inputs["dsp.lib.json"],
@@ -140,7 +142,8 @@ def test_malformed_alloc_is_exit_2(inputs, capsys, value):
 
 
 # int() reads Arabic-Indic digits and underscores; --T takes --alloc's rule
-@pytest.mark.parametrize("value", ["٢٤", "1_0", "-12", " 12"])
+@pytest.mark.parametrize("value", ["٢٤", "1_0", "-12", " 12",
+                                   pytest.param("9" * 5000, id="5000-nines")])
 def test_malformed_deadline_is_exit_2(inputs, capsys, value):
     with pytest.raises(SystemExit) as exit_:
         main(["schedule", "--dfg", inputs["fir4.dfg.json"], "--library", inputs["dsp.lib.json"],
@@ -453,24 +456,24 @@ def test_compare_computes_timing_once_plus_allocation_guard(inputs, calls):
 # and under the mapping): one walk per op and mapping model, so the mapping
 # check of the mem-aware path reads the model's fetch counts (fir16 has 31
 # ops, two_adds_one_bank 2), and one sort per graph, which validation and
-# every timing pass read. A register-only timing pass derives its own
-# plans, so the baseline runs derive them twice
+# every timing pass read. Each call builds one register-only model, which
+# its timing pass and its baseline run both read
 DERIVATIONS = {
     "compare": (
         ["compare", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"], 31, 1, (62, 31)),
+        1, ["registers", "mapping"], 31, 1, (31, 31)),
     "schedule mem-aware": (
         ["schedule", "--policy", "mem-aware", "--dfg", "fir16.dfg.json",
          "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["mapping"], 31, 1, (31, 31)),
+        1, ["registers", "mapping"], 31, 1, (31, 31)),
     "schedule baseline with a mapping": (
         ["schedule", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"], 31, 1, (62, 31)),
+        1, ["registers", "mapping"], 31, 1, (31, 31)),
     # the oracle derives its own bound and model at its T_max
     "compare with the oracle": (
         ["compare", "--dfg", "two_adds_one_bank.dfg.json",
          "--mapping", "two_adds_one_bank.map.json", "--T", "4", "--alloc", "alu=2", "--oracle"],
-        2, ["registers", "mapping", "mapping"], 4, 1, (4, 4)),
+        2, ["registers", "mapping", "mapping"], 4, 1, (2, 4)),
 }
 
 

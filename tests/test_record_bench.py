@@ -6,16 +6,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_recorder_writes_both_sides_of_every_metric(tmp_path):
-    out = tmp_path / "bench.json"
+@pytest.fixture(scope="module")
+def record(tmp_path_factory):
+    """The record of one tiny pair at seed 3, both sides this checkout."""
+    out = tmp_path_factory.mktemp("record") / "bench.json"
     subprocess.run([sys.executable, str(ROOT / "tools" / "record_bench.py"),
                     "--parent", str(ROOT), "--change", str(ROOT), "--pairs", "1",
                     "--seeds", "3", "--seconds", "0.05", "--tiny", "--out", str(out)],
                    check=True, capture_output=True, timeout=50)
-    record = json.loads(out.read_text(encoding="utf-8"))
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_recorder_writes_both_sides_of_every_metric(record):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert record["seeds"] == [3]
     assert set(record["workloads"]) == {w["name"] for w in spec["workloads"]}
@@ -31,3 +38,12 @@ def test_recorder_writes_both_sides_of_every_metric(tmp_path):
         # one seed, one tree: both sides schedule the same makespans
         assert workload["makespan_cycles"]["ties"] == 1
     assert [row["ops"] for row in record["probe"]["rows"]] == [20, 40]
+
+
+def test_recorder_counts_the_same_lines_on_one_tree(record):
+    # the counts are work, not time: one tree runs the same lines each time
+    assert set(record["counts"]) == set(record["workloads"])
+    for by_side in record["counts"].values():
+        assert by_side["parent"] == by_side["change"]
+        assert {"memsched.cli", "memsched.memmap", "memsched.scheduler"} <= set(by_side["change"])
+        assert all(lines > 0 for lines in by_side["change"].values())

@@ -201,6 +201,35 @@ def test_bind_calls_per_fixture(calls, kernel, binds):
     assert len(log) == binds
 
 
+@pytest.mark.parametrize("kernel, fits", [
+    ("fir4", (9, 13)), ("fir16", (33, 49)), ("fft8_stage", (24, 59)), ("iir_biquad", (11, 16)),
+    ("two_adds_one_bank", (4, 5)),
+])
+def test_fit_calls_per_fixture(calls, kernel, fits):
+    # (baseline, mem-aware) at four instances per class under 8x the critical
+    # path: a placement is checked once, by the fit that cleared its pop, and
+    # every other call answers a pop that waits, under mem-aware mostly on a
+    # bank
+    import memsched.scheduler as scheduler
+
+    log = calls((scheduler._Engine, "fit"))
+    g, mapping = fixtures.load_dfg(kernel), fixtures.load_mapping(kernel)
+    T = 8 * compute_timing(g, 10**6).critical_path_cycles
+    alloc = Allocation({"mul": 4, "alu": 4})
+    run(g, mapping, alloc, Policy.BASELINE, T)
+    baseline = len(log)
+    run(g, mapping, alloc, Policy.MEMORY_AWARE, T)
+    assert (baseline, len(log) - baseline) == fits
+
+
+def test_baseline_takes_only_a_register_only_model():
+    g = fixtures.load_dfg("fir4")
+    args = (g, compute_min_allocation(g, 40), SchedulerConfig(40), compute_timing(g, 40))
+    with pytest.raises(ValueError, match="register-only"):
+        schedule_baseline(*args, AccessModel(g, fixtures.load_mapping("fir4")))
+    assert schedule_baseline(*args, AccessModel(g)) == schedule_baseline(*args)
+
+
 def fir_chain(taps):
     """A direct-form FIR: ``taps`` products of x[i] and h[i], read from two
     different 1-port banks, summed by a serial adder chain."""

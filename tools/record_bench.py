@@ -15,30 +15,87 @@ line each run prints, and writes, per workload and end-to-end metric, each
 side's median and quartiles, every pair's values and how many pairs the
 change won, plus each side's ``correct`` flags and failed calls and the
 probe's rows. It sets no bound and passes no verdict.
+
+Timings on a shared host drift, so the record also holds work that does
+not: under ``counts``, per workload and side, the lines each ``memsched``
+module executes in one pass of the workload's calls at the first seed.
+Each count is taken once, in its own process with ``PYTHONHASHSEED=0``,
+never inside a timed run (a tracer slows the run it counts): the checkout's
+own ``bench/run.py`` ``Runner`` sets the workload up and runs one warm
+pass, and the next pass is counted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TOOLS = Path(__file__).resolve().parent
 
 
-def last_json_line(tree: Path, script: str, args: list[str]) -> dict:
+def last_json_line(tree: Path, script: str, args: list[str], env: dict | None = None) -> dict:
     """Run ``script`` in ``tree`` and return the last line of its stdout,
     parsed; a failed run stops the recording."""
     proc = subprocess.run([sys.executable, script, *args], cwd=tree,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: {script} {' '.join(args)} exited {proc.returncode}: "
                          f"{proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def count_lines(workload: str, seed: str, tiny: str) -> None:
+    """Print, as one JSON line, the ``line`` events of each ``memsched``
+    module over one pass of ``workload``'s calls at ``seed`` (``tiny`` "1"
+    for tiny inputs), the way tier-1's ``line_budget`` counts them. The
+    working directory is the checkout: its ``bench/run.py`` ``Runner`` sets
+    the workload up and runs one warm pass first."""
+    sys.path[:0] = ["bench", "src"]
+    import run as bench  # the checkout's own harness
+
+    signal.signal(signal.SIGALRM, bench._on_alarm)  # its per-call time limit
+    counts = Counter()
+
+    def count(frame, event, arg):
+        if event == "line":
+            counts[frame.f_globals["__name__"]] += 1
+        return count
+
+    def scope(frame, event, arg):
+        return count if frame.f_globals.get("__name__", "").split(".")[0] == "memsched" else None
+
+    with tempfile.TemporaryDirectory() as work:
+        runner = bench.Runner(bench.WORKLOADS[workload], int(seed), tiny == "1", Path(work))
+        runner.setup()
+        runner.verify_compare_inputs()  # as bench/run.py does before its passes
+        for call in runner.calls:  # the warm pass
+            runner.timed_call(call)
+        sys.settrace(scope)
+        try:
+            for call in runner.calls:
+                runner.timed_call(call)
+        finally:
+            sys.settrace(None)
+    print(json.dumps(dict(sorted(counts.items()))))
+
+
+def counted_pass(tree: Path, workload: str, seed: int, tiny: bool) -> dict:
+    """:func:`count_lines` of ``workload`` in ``tree``, run in a process of
+    its own under ``PYTHONHASHSEED=0``."""
+    code = (f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import record_bench; "
+            "record_bench.count_lines(*sys.argv[1:])")
+    return last_json_line(tree, "-c", [code, workload, str(seed), "1" if tiny else "0"],
+                          env={**os.environ, "PYTHONHASHSEED": "0"})
 
 
 def spread(values: list[float]) -> dict:
@@ -108,6 +165,8 @@ def main(argv=None) -> int:
                       f"correct {run['correct']}", flush=True)
     probe = last_json_line(trees["change"], "bench/probe.py",
                            ["--seed", "1"] + ["--sizes", "20", "40"] * args.tiny)
+    counts = {w: {side: counted_pass(trees[side], w, seeds[0], args.tiny) for side in SIDES}
+              for w in workloads}
 
     record = {
         "revs": dict(zip(SIDES, args.revs)) if args.revs else None,
@@ -117,6 +176,7 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "workloads": summarize(spec, runs, seeds),
         "probe": probe,
+        "counts": counts,
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
