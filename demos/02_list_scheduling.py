@@ -33,8 +33,8 @@ try:
     schedule_baseline(g, alloc, SchedulerConfig(T), timing)
 except TimeConstraintViolated as err:
     print(f"  rejected: {err.message}")
-    print("  (the lower bound ignores dependency shape; the retry-with-"
-          "doubling probe reports the first power-of-two scale that fits)")
+    print("  (the lower bound ignores dependency shape; the engine runs once, and "
+          "the error suggests the smallest of 2T, 4T and 8T that the makespan fits)")
 
 T = 24
 alloc = compute_min_allocation(g, T)

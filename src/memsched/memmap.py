@@ -222,19 +222,6 @@ def _parse_bank(entry, i: int) -> MemoryBank:
         raise FormatError(f"{where}: {e}") from None
 
 
-def memory_read_refs(op, mapping: MemoryMapping) -> dict[str, tuple[DataRef, ...]]:
-    """Distinct memory-resident operands of ``op`` grouped by bank id.
-
-    Duplicate operands collapse: one port delivers the value once.
-    """
-    by_bank: dict[str, list[DataRef]] = {}
-    for ref in dict.fromkeys(op.operands):
-        bank = mapping.bank_of(ref)
-        if bank is not None:
-            by_bank.setdefault(bank.id, []).append(ref)
-    return {bank_id: tuple(refs) for bank_id, refs in by_bank.items()}
-
-
 class AccessWindow(NamedTuple):
     """``count`` accesses to ``bank``, each holding one port over the
     half-open cycle range [start, end)."""
@@ -296,13 +283,17 @@ def _plan(g: Dfg, op, mapping: MemoryMapping | None) -> OpPlan:
     windows: list[AccessWindow] = []
     floor = 0
     if mapping is not None:
+        count: dict[str, int] = {}  # distinct memory operands per bank id
         lag_of: dict[DataRef, int] = {}  # read latency of each fetched operand
-        for bank_id, refs in sorted(memory_read_refs(op, mapping).items()):
+        for ref in dict.fromkeys(op.operands):  # one port delivers a value once
+            bank = mapping.bank_of(ref)
+            if bank is not None:
+                count[bank.id] = count.get(bank.id, 0) + 1
+                lag_of[ref] = bank.read_latency_cycles
+        for bank_id in sorted(count):
             bank = mapping.bank_by_id[bank_id]
-            lag = bank.read_latency_cycles
-            floor = max(floor, lag)
-            windows.append(AccessWindow(bank, len(refs), -lag, 0, False))
-            lag_of.update(dict.fromkeys(refs, lag))
+            floor = max(floor, bank.read_latency_cycles)
+            windows.append(AccessWindow(bank, count[bank_id], -bank.read_latency_cycles, 0, False))
         # a predecessor whose result is fetched waits out the fetch
         for pred in waits:
             waits[pred] = lag_of.get(g.operation(pred).result, 0)
@@ -415,38 +406,34 @@ def validate_mapping(
     fetches finish at operation start while the store begins at operation
     end, so only the simultaneous-fetch count is structural.
 
-    A caller that holds ``model``, the graph's access model under
-    ``mapping``, passes it: building it resolved every item (it raises
-    UnmappedData otherwise), so only the port check is left, and it reads
-    the model's fetch counts instead of walking the operands again.
+    The port check reads the fetch windows of each operation's plan:
+    ``model``'s, when the caller holds the graph's access model under
+    ``mapping``, otherwise one planned here, which reads the op's class (an
+    opcode the library lacks raises UnknownOpcode). An op with an unplaced
+    item has no plan: each unplaced name among its operands, then its
+    result, is reported once.
     """
     diags: list[Diagnostic] = []
     unmapped_seen: set[str] = set()
     for op in g.operations:
-        if model is not None:
-            fetches = [(w.bank, w.count) for w in model.plans[op.id].windows if not w.is_store]
-        else:
-            ok = True
-            for ref in list(dict.fromkeys(op.operands)) + [op.result]:
+        try:
+            plan = model.plans[op.id] if model is not None else _plan(g, op, mapping)
+        except UnmappedData:
+            for ref in (*op.operands, op.result):
                 try:
                     mapping.location_of(ref)
                 except UnmappedData:
-                    ok = False
                     if ref.name not in unmapped_seen:
                         unmapped_seen.add(ref.name)
                         diags.append(Diagnostic("UnmappedData", ref.name, {"op": op.id}))
-            if not ok:
-                continue
-            fetches = [(mapping.bank_by_id[bank_id], len(refs))
-                       for bank_id, refs in sorted(memory_read_refs(op, mapping).items())]
-        for bank, need in fetches:
-            if need > bank.ports:
+            continue
+        for w in plan.windows:
+            if not w.is_store and w.count > w.bank.ports:
                 diags.append(
                     Diagnostic(
                         "PortOverSubscribed",
-                        f"{op.id} needs {need} ports on {bank.id}, has {bank.ports}",
-                        {"op": op.id, "bank": bank.id, "need": need, "have": bank.ports},
+                        f"{op.id} needs {w.count} ports on {w.bank.id}, has {w.bank.ports}",
+                        {"op": op.id, "bank": w.bank.id, "need": w.count, "have": w.bank.ports},
                     )
                 )
     return diags
-

@@ -531,8 +531,8 @@ def schedule_memory_aware(
     UnmappedData, single operations demanding more ports than a bank owns
     raise MappingInfeasible.
     """
-    # building the model raises UnmappedData at the first unmapped item, in
-    # the order validate_mapping reports them, and walks the operands once
+    # building the model raises UnmappedData at the first unmapped item, the
+    # first that validate_mapping reports, which then reads the model's plans
     model = AccessModel(g, mapping)
     problems = validate_mapping(mapping, g, model)
     if problems:

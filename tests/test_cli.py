@@ -451,29 +451,33 @@ def test_compare_computes_timing_once_plus_allocation_guard(inputs, calls):
     assert [args[1] for _, args in log] == [24]
 
 
-# case -> (argv, timing passes, access models built in order, walks of an
-# op's memory operands, topological sorts, op plans derived register-only
-# and under the mapping): one walk per op and mapping model, so the mapping
-# check of the mem-aware path reads the model's fetch counts (fir16 has 31
-# ops, two_adds_one_bank 2), and one sort per graph, which validation and
-# every timing pass read. Each call builds one register-only model, which
-# its timing pass and its baseline run both read
+# case -> (argv, timing passes, access models built in order, topological
+# sorts, op plans derived register-only and under the mapping): one plan per
+# op and model, so the mapping check of the mem-aware path reads the model's
+# plans (fir16 has 31 ops, two_adds_one_bank 2), and one sort per graph,
+# which validation and every timing pass read. Each call builds one
+# register-only model, which its timing pass and its baseline run both read;
+# validate builds no model and plans each op under the mapping for its port
+# check
 DERIVATIONS = {
     "compare": (
         ["compare", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"], 31, 1, (31, 31)),
+        1, ["registers", "mapping"], 1, (31, 31)),
     "schedule mem-aware": (
         ["schedule", "--policy", "mem-aware", "--dfg", "fir16.dfg.json",
          "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"], 31, 1, (31, 31)),
+        1, ["registers", "mapping"], 1, (31, 31)),
     "schedule baseline with a mapping": (
         ["schedule", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json", "--T", "24"],
-        1, ["registers", "mapping"], 31, 1, (31, 31)),
+        1, ["registers", "mapping"], 1, (31, 31)),
     # the oracle derives its own bound and model at its T_max
     "compare with the oracle": (
         ["compare", "--dfg", "two_adds_one_bank.dfg.json",
          "--mapping", "two_adds_one_bank.map.json", "--T", "4", "--alloc", "alu=2", "--oracle"],
-        2, ["registers", "mapping", "mapping"], 4, 1, (2, 4)),
+        2, ["registers", "mapping", "mapping"], 1, (2, 4)),
+    "validate": (
+        ["validate", "--dfg", "fir16.dfg.json", "--mapping", "fir16.map.json"],
+        0, [], 1, (0, 31)),
 }
 
 
@@ -484,18 +488,19 @@ def test_each_call_derives_timing_and_models_once(inputs, calls, case):
     import memsched.memmap as memmap
     import memsched.scheduler as scheduler
 
-    argv, timing_passes, models, walks, sorts, plans = DERIVATIONS[case]
+    argv, timing_passes, models, sorts, plans = DERIVATIONS[case]
     log = calls((cli, "compute_timing"), (scheduler, "compute_timing"),
-                (memmap.AccessModel, "__init__"), (memmap, "memory_read_refs"),
+                (memmap.AccessModel, "__init__"),
                 (dfg, "_topological_sort"), (memmap, "_plan"))
-    files = [inputs.get(arg, arg) for arg in argv]
-    assert main(files + ["--library", inputs["dsp.lib.json"], "--out", inputs["out"]]) == 0
+    files = [inputs.get(arg, arg) for arg in argv] + ["--library", inputs["dsp.lib.json"]]
+    if argv[0] != "validate":  # validate writes nothing and takes no --out
+        files += ["--out", inputs["out"]]
+    assert main(files) == 0
     ran = Counter(name for name, _ in log)
     assert ran["compute_timing"] == timing_passes
     # AccessModel(g, mapping=None): the mapping is its third argument
     assert ["mapping" if args[2:] and args[2] is not None else "registers"
             for name, args in log if name == "__init__"] == models
-    assert ran["memory_read_refs"] == walks
     assert ran["_topological_sort"] == sorts
     register_only = [args[2] is None for name, args in log if name == "_plan"]
     assert (register_only.count(True), register_only.count(False)) == plans

@@ -1,14 +1,17 @@
 """Memory banks, placements and the access model."""
 
 import json
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from golden_corpus import _random
 from memsched import (
     AccessModel,
     AccessWindow,
+    Allocation,
     CapacityExceeded,
     Dfg,
     MemoryBank,
@@ -17,13 +20,18 @@ from memsched import (
     OperatorClass,
     OperatorLibrary,
     REGISTER,
+    SchedulerConfig,
     UnknownBank,
+    UnknownOpcode,
     UnmappedData,
     all_registers,
+    compute_timing,
     elem,
+    fixtures,
     parse_mapping,
     round_robin_mapping,
     scalar,
+    schedule_memory_aware,
     validate_mapping,
 )
 from memsched.memmap import Profile
@@ -263,6 +271,75 @@ def test_validate_mapping_unmapped_data():
     diags = validate_mapping(m, g)
     codes = {(d.code, d.payload) for d in diags}
     assert ("UnmappedData", "c") in codes
+
+
+def findings(diags):
+    # Diagnostic equality ignores details
+    return [(d.code, d.payload, d.details) for d in diags]
+
+
+def mapping_variants(rng, m):
+    """``m``, ``m`` without one placement entry, ``m`` over one-port banks
+    (so a multi-operand fetch over-subscribes) and ``m`` without its
+    REGISTER default (so every unplaced item is unmapped)."""
+    yield m
+    if m.placement:
+        dropped = dict(m.placement)
+        del dropped[rng.choice(sorted(dropped))]
+        yield MemoryMapping(m.banks, dropped, m.default_register)
+    yield MemoryMapping([b._replace(ports=1) for b in m.banks], m.placement, m.default_register)
+    yield MemoryMapping(m.banks, m.placement)
+
+
+def test_validate_mapping_reads_the_same_plans_with_and_without_a_model():
+    lib = fixtures.load_library()
+    cases = [(fixtures.load_dfg(k, lib), fixtures.load_mapping(k)) for k in fixtures.KERNELS]
+    cases += [(g, m) for _, g, m, _, _ in _random()]
+    rng = random.Random(31)
+    seen = Counter()
+    for g, mapping in cases:
+        for m in mapping_variants(rng, mapping):
+            plain = findings(validate_mapping(m, g))
+            try:
+                model = AccessModel(g, m)
+            except UnmappedData as e:
+                # the model stops at the first item validation reports unmapped
+                assert [p for code, p, _ in plain if code == "UnmappedData"][0] == e.message
+                seen["unmapped"] += 1
+                continue
+            assert findings(validate_mapping(m, g, model)) == plain
+            seen["ports" if plain else "clean"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_validate_mapping_reports_ports_then_each_unmapped_name_once():
+    ops = [Operation("a1", "add", (scalar("a"), scalar("b")), scalar("r1")),
+           Operation("a2", "add", (scalar("u"), scalar("v")), scalar("r2")),
+           Operation("a3", "add", (scalar("u"), scalar("a")), scalar("r3"))]
+    g = Dfg.build(ops, LIB)
+    m = MemoryMapping([bank("M0", ports=1)], {"a": "M0", "b": "M0", "r1": REGISTER,
+                                              "r2": REGISTER, "r3": "M0"})
+    assert findings(validate_mapping(m, g)) == [
+        ("PortOverSubscribed", "a1 needs 2 ports on M0, has 1",
+         {"op": "a1", "bank": "M0", "need": 2, "have": 1}),
+        ("UnmappedData", "u", {"op": "a2"}),
+        ("UnmappedData", "v", {"op": "a2"}),
+    ]
+    # the run reports the first unmapped item before any port finding
+    with pytest.raises(UnmappedData) as raised:
+        schedule_memory_aware(g, Allocation({"alu": 1}), m, SchedulerConfig(20),
+                              compute_timing(g, 20))
+    assert raised.value.message == "u"
+
+
+def test_validate_mapping_plans_with_the_graph_library():
+    # Dfg.build takes any opcode; planning reads the op's class
+    g = Dfg.build([Operation("a1", "mac", (scalar("a"), scalar("b")), scalar("c"))], LIB)
+    m = MemoryMapping([bank("M0", ports=1)], {"a": "M0", "b": "M0"}, default_register=True)
+    with pytest.raises(UnknownOpcode):
+        validate_mapping(m, g)
+    with pytest.raises(UnknownOpcode):
+        AccessModel(g, m)
 
 
 # -- default mapping generator ---------------------------------------------------
