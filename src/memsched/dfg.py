@@ -29,7 +29,6 @@ from .errors import (
     UnknownOpcode,
 )
 
-DEFAULT_WIDTH_BITS = 16
 # The most data items a graph's inputs may declare in all. Each is built at
 # parse time, so a few bytes of ``shape`` must not set the cost of a parse.
 MAX_INPUT_ITEMS = 2**16
@@ -63,34 +62,36 @@ def _checked(cls):
 class DataRef(NamedTuple):
     """A single schedulable data item: a scalar or one array element.
 
-    Array elements are distinct items; their canonical ``name`` is
-    ``array[index]`` with a flat, non-negative index. A named tuple, so it
-    is equal and hashed by value, (name, array, index, width_bits), and
-    equals a plain 4-tuple of the same fields.
+    Array elements are distinct items with a flat, non-negative index. The
+    name names one item: an element's is ``array[index]``, and a scalar's
+    has no ``[`` and no index. A named tuple, so it is equal and hashed by
+    value, (name, array, index), and equals a plain 3-tuple of its fields.
     """
 
     name: str
     array: str | None = None
     index: int | None = None
-    width_bits: int = DEFAULT_WIDTH_BITS
 
     def _check(self) -> None:
         if not self.name:
             raise ValueError("data item name must be non-empty")
-        if self.array is not None and (self.index is None or self.index < 0):
+        if self.array is None:
+            if self.index is not None or "[" in self.name:
+                raise ValueError(f"scalar {self.name!r} must have no index or element syntax")
+        elif self.index is None or self.index < 0:
             raise ValueError(f"array element {self.name!r} needs a non-negative index")
-        if self.width_bits < 1:
-            raise ValueError(f"width_bits must be positive, got {self.width_bits}")
+        elif self.name != f"{self.array}[{self.index}]":
+            raise ValueError(f"array element {self.name!r} must be {self.array}[{self.index}]")
 
 
-def scalar(name: str, width_bits: int = DEFAULT_WIDTH_BITS) -> DataRef:
+def scalar(name: str) -> DataRef:
     """Build a scalar data item reference."""
-    return DataRef(name, None, None, width_bits)
+    return DataRef(name)
 
 
-def elem(array: str, index: int, width_bits: int = DEFAULT_WIDTH_BITS) -> DataRef:
+def elem(array: str, index: int) -> DataRef:
     """Build an array-element data item reference (flat index)."""
-    return DataRef(f"{array}[{index}]", array, index, width_bits)
+    return DataRef(f"{array}[{index}]", array, index)
 
 
 @_checked
@@ -302,11 +303,10 @@ def parse_library(text: str) -> OperatorLibrary:
 def parse_dfg(text: str, library: OperatorLibrary) -> Dfg:
     """Parse a data-flow-graph document and check it in full.
 
-    The document has three keys: ``inputs`` (declarations with optional array
-    shape and width), ``outputs`` (names of produced results) and ``ops``
+    The document has three keys: ``inputs`` (declarations with an optional
+    array shape), ``outputs`` (names of produced results) and ``ops``
     (ordered operation list). Array operands use the ``name[i]`` element
-    syntax with a literal flat index; a name declared in ``inputs`` takes its
-    declaration's width, any other name the default width.
+    syntax with a literal flat index.
 
     Syntax errors (JSON, keys, value types, identifiers, data references, ids
     declared twice) raise FormatError. The graph's rules are those of
@@ -317,8 +317,8 @@ def parse_dfg(text: str, library: OperatorLibrary) -> Dfg:
     doc = _load_json(text, "dfg")
     _check_keys(doc, {"inputs", "outputs", "ops"}, set(), "dfg document")
 
-    widths, inputs = _parse_inputs(_expect(doc, "inputs", list, "dfg document"))
-    refs = _Refs(widths, inputs)
+    inputs = _parse_inputs(_expect(doc, "inputs", list, "dfg document"))
+    refs = _Refs((ref.name, ref) for ref in inputs)
     operations = [
         _operation(i, entry, refs)
         for i, entry in enumerate(_expect(doc, "ops", list, "dfg document"))
@@ -340,12 +340,8 @@ class _Refs(dict):
     shared by every op that names it; the declared inputs are there from
     the start."""
 
-    def __init__(self, widths: Mapping[str, int], inputs: Iterable[DataRef]):
-        super().__init__((ref.name, ref) for ref in inputs)
-        self.widths = widths
-
     def __missing__(self, token: str) -> DataRef:
-        ref = self[token] = _data_ref(token, self.widths)
+        ref = self[token] = _data_ref(token)
         return ref
 
 
@@ -383,52 +379,48 @@ def _operation(i: int, entry, refs: _Refs) -> Operation:
                      frozenset(deps))
 
 
-def _parse_inputs(raw: list) -> tuple[dict[str, int], list[DataRef]]:
-    """The width of each declared name, and the items the declarations
-    define: a scalar, or every element of a flattened array."""
-    widths: dict[str, int] = {}
+def _parse_inputs(raw: list) -> list[DataRef]:
+    """The items the declarations define: a scalar, or every element of a
+    flattened array."""
+    names: set[str] = set()
     inputs: list[DataRef] = []
     for i, entry in enumerate(raw):
         where = f"inputs[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where} must be an object")
-        _check_keys(entry, {"name"}, {"shape", "width_bits"}, where)
+        _check_keys(entry, {"name"}, {"shape"}, where)
         name = _identifier(_expect(entry, "name", str, where), where)
-        if name in widths:
+        if name in names:
             raise FormatError(f"input {name!r} declared twice")
+        names.add(name)
         shape = entry.get("shape")
         if "shape" in entry and not (
             isinstance(shape, list) and shape and all(_is_int(d) and d > 0 for d in shape)
         ):
             raise FormatError(f"{where}.shape must be a list of positive integers")
-        width = entry.get("width_bits", DEFAULT_WIDTH_BITS)
-        if not _is_int(width) or width < 1:
-            raise FormatError(f"{where}.width_bits must be a positive integer")
-        widths[name] = width
         count = 1
         for extent in shape or ():  # multiplied no further than the bound
             count = min(count * extent, MAX_INPUT_ITEMS + 1)
         if len(inputs) + count > MAX_INPUT_ITEMS:
             raise FormatError(f"{where}: the inputs declare more than {MAX_INPUT_ITEMS} items")
         if shape is None:
-            inputs.append(scalar(name, width))
+            inputs.append(scalar(name))
         else:
-            inputs.extend(elem(name, k, width) for k in range(count))
-    return widths, inputs
+            inputs.extend(elem(name, k) for k in range(count))
+    return inputs
 
 
-def _data_ref(token: str, widths: Mapping[str, int]) -> DataRef:
-    # A declared base name takes its declaration's width, any other name the
-    # default; whether the item may be read or written is validate_dfg's call.
+def _data_ref(token: str) -> DataRef:
+    # whether the item may be read or written is validate_dfg's call
     m = _ELEMENT_RE.match(token)
     if m:
         try:
-            return elem(m.group(1), int(m.group(2)), widths.get(m.group(1), DEFAULT_WIDTH_BITS))
+            return elem(m.group(1), int(m.group(2)))
         except ValueError:  # more digits than int() reads: a bad reference below
             pass
     if not _NAME_RE.match(token):
         raise FormatError(f"bad data reference {token!r}")
-    return scalar(token, widths.get(token, DEFAULT_WIDTH_BITS))
+    return scalar(token)
 
 
 def _finding_error(d: Diagnostic) -> SchedulingError:
@@ -503,7 +495,6 @@ def validate_dfg(g: Dfg) -> list[Diagnostic]:
     cycles; :func:`parse_dfg` raises the first one.
     """
     diags: list[Diagnostic] = []
-    produced = {op.result for op in g.operations}
 
     for op in g.operations:
         if op.opcode not in g.library:
@@ -533,14 +524,14 @@ def validate_dfg(g: Dfg) -> list[Diagnostic]:
         if op.id in op.extra_deps or op.result in op.operands:
             diags.append(Diagnostic("CycleDetected", op.id, {"self_dep": True}))
         for ref in op.operands:
-            if ref in g.primary_inputs or ref in produced:
+            if ref in g.primary_inputs or ref in g._writers:
                 continue
             if ref.name not in seen_undefined:
                 seen_undefined.add(ref.name)
                 diags.append(Diagnostic("UndefinedData", ref.name, {"op": op.id}))
 
     for ref in sorted(g.primary_outputs, key=lambda r: r.name):
-        if ref not in produced:
+        if ref not in g._writers:
             diags.append(Diagnostic("UndefinedData", ref.name, {"output": True}))
 
     if g._cycle is not None:
@@ -569,7 +560,7 @@ def _topological_sort(g: Dfg) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
     while ready:
         op_id = heapq.heappop(ready)
         order.append(op_id)
-        for succ in sorted(succs[op_id]):
+        for succ in succs[op_id]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 heapq.heappush(ready, succ)

@@ -588,7 +588,7 @@ def test_graph_rule_message_names_item_and_ops(rule):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("shape", [True]), ("width_bits", True), ("shape", None)]
+    "key, value", [("shape", [True]), ("shape", [1.5]), ("shape", None)]
 )
 def test_validate_rejects_non_integer_declarations(inputs, capsys, key, value):
     text = _graph([{"name": "x", key: value}], [_op("a", ["x"], "w")])
@@ -768,6 +768,9 @@ DOCUMENT_ERRORS = {
     "input name not an identifier": (
         "--dfg", _graph([{"name": "1x"}], []), 2,
         "error: inputs[0]: '1x' is not a valid identifier"),
+    "input width_bits, a retired key": (
+        "--dfg", _graph([{"name": "x", "width_bits": 16}], []), 2,
+        "error: inputs[0] has unknown key(s): width_bits"),
     "input declared twice": (
         "--dfg", _graph([{"name": "x"}, {"name": "x"}], []), 2,
         "error: input 'x' declared twice"),
@@ -780,8 +783,8 @@ DOCUMENT_ERRORS = {
         "--dfg", _graph([{"name": "h", "shape": [256, 256]}, {"name": "s"}], []), 2,
         "error: inputs[1]: the inputs declare more than 65536 items"),
     "graph integer too long": (
-        "--dfg", _graph([{"name": "x", "width_bits": 1}], []).replace(
-            '"width_bits": 1', f'"width_bits": {LONG}'), 2,
+        "--dfg", _graph([{"name": "x", "shape": [1]}], []).replace(
+            '"shape": [1]', f'"shape": [{LONG}]'), 2,
         f"error: invalid dfg document: {_reason(LONG)}"),
     "graph nested too deep": ("--dfg", DEEP, 2, f"error: invalid dfg document: {_reason(DEEP)}"),
     "element index too long": (

@@ -59,7 +59,11 @@ def chain(library, n, opcode="f"):
     ({"name": "x[3]", "array": "x"}, "array element 'x[3]' needs a non-negative index"),
     ({"name": "x[-1]", "array": "x", "index": -1},
      "array element 'x[-1]' needs a non-negative index"),
-    ({"name": "x", "width_bits": 0}, "width_bits must be positive, got 0"),
+    # a name names one item: a scalar and an element, or two elements, never share one
+    ({"name": "x[3]"}, "scalar 'x[3]' must have no index or element syntax"),
+    ({"name": "x", "index": 3}, "scalar 'x' must have no index or element syntax"),
+    ({"name": "x[4]", "array": "x", "index": 3}, "array element 'x[4]' must be x[3]"),
+    ({"name": "y[3]", "array": "x", "index": 3}, "array element 'y[3]' must be x[3]"),
 ])
 def test_data_ref_rejects_malformed_items(kwargs, message):
     with pytest.raises(ValueError) as err:
@@ -70,9 +74,9 @@ def test_data_ref_rejects_malformed_items(kwargs, message):
 def test_data_refs_are_values():
     a, b = elem("x", 3), elem("x", 3)
     assert a is not b and a == b and hash(a) == hash(b)
-    assert scalar("x", 8) != scalar("x")
-    assert a == ("x[3]", "x", 3, 16)  # a named tuple of its four fields
-    assert repr(elem("x", 3)) == "DataRef(name='x[3]', array='x', index=3, width_bits=16)"
+    assert scalar("x") == DataRef("x") and scalar("x") != elem("x", 0)
+    assert a == ("x[3]", "x", 3)  # a named tuple of its three fields
+    assert repr(elem("x", 3)) == "DataRef(name='x[3]', array='x', index=3)"
 
 
 # -- parsing ----------------------------------------------------------------
@@ -160,7 +164,7 @@ def test_parse_rejects_unknown_keys_and_bad_json():
 
 def test_parse_array_elements():
     text = doc(
-        [{"name": "x", "shape": [2, 2], "width_bits": 12}],
+        [{"name": "x", "shape": [2, 2]}],
         ["y"],
         [
             {"id": "a", "opcode": "add", "args": ["x[0]", "x[3]"], "result": "y"},
@@ -169,7 +173,7 @@ def test_parse_array_elements():
     g = parse_dfg(text, LIB)
     assert len(g.primary_inputs) == 4  # flattened 2x2
     (op,) = g.operations
-    assert op.operands[0] == elem("x", 0, 12)
+    assert op.operands[0] == elem("x", 0)
 
     with pytest.raises(UndefinedData):  # flat index out of range
         parse_dfg(text.replace("x[3]", "x[4]"), LIB)
@@ -221,11 +225,8 @@ def test_library_rejects_duplicate_opcode():
 
 
 def test_parse_builds_the_declared_graph():
-    # DataRef equality includes width_bits, so whole Operation tuples check
-    # that every token gets its declaration's width.
     text = doc(
-        [{"name": "x", "shape": [4], "width_bits": 12}, {"name": "h", "shape": [4]},
-         {"name": "c"}],
+        [{"name": "x", "shape": [4]}, {"name": "h", "shape": [4]}, {"name": "c"}],
         ["y"],
         [
             {"id": "m0", "opcode": "mul", "args": ["x[0]", "h[0]"], "result": "p0"},
@@ -235,7 +236,7 @@ def test_parse_builds_the_declared_graph():
         ],
     )
     g = parse_dfg(text, LIB)
-    x = [elem("x", i, 12) for i in range(4)]
+    x = [elem("x", i) for i in range(4)]
     h = [elem("h", i) for i in range(4)]
     c, p0, p1, s1, y = map(scalar, ("c", "p0", "p1", "s1", "y"))
     assert g.operations == (

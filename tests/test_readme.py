@@ -9,7 +9,17 @@ import types
 from pathlib import Path
 
 import memsched
-from memsched import PortBooking, Policy, Schedule, ScheduleEntry, SchedulerConfig
+from memsched import (
+    PortBooking,
+    Policy,
+    Schedule,
+    ScheduleEntry,
+    SchedulerConfig,
+    parse_dfg,
+    parse_library,
+    parse_mapping,
+    validate_mapping,
+)
 from memsched.cli import main
 from memsched.fixtures import fixture_path, fixture_text
 
@@ -31,6 +41,12 @@ NOTATION = {"prod", "read", "read_latency", "write_latency"}
 def library_api_example() -> str:
     section = README.read_text(encoding="utf-8").split("## Library API", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def format_example(heading: str) -> str:
+    """The first JSON block under the File formats heading ``heading``."""
+    section = README.read_text(encoding="utf-8").split(f"\n### {heading} (", 1)[1]
+    return re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
 
 
 def exported_names() -> set[str]:
@@ -107,3 +123,11 @@ def test_schedule_json_section_shows_the_written_bytes(tmp_path):
     store = ScheduleEntry("s", 0, 1, "alu", 0, (), PortBooking("M0", 0, 1, 2))
     assert entry in Schedule({"s": store}, SchedulerConfig(2)).to_json()
     assert '"entries": []\n}\n' in Schedule({}, SchedulerConfig(2)).to_json()
+
+
+def test_format_examples_are_one_valid_set_of_documents():
+    # each holds only the keys its parser knows, so a retired key fails here
+    library = parse_library(format_example("Operator library"))
+    g = parse_dfg(format_example("Data-flow graph"), library)
+    assert validate_mapping(parse_mapping(format_example("Memory mapping")), g) == []
+    assert [op.id for op in g.operations] == ["m0", "a1"]

@@ -4,6 +4,7 @@ refuses assignment, and runs its constructor's checks however it is built.
 
 import pytest
 
+import memsched
 from memsched import (
     AccessModel,
     AccessWindow,
@@ -59,7 +60,7 @@ def test_a_record_is_the_tuple_of_its_fields(record):
 
 # record -> (a valid one, a change its constructor rejects, the message)
 CHECKED = {
-    "DataRef": (scalar("x"), {"name": "", "width_bits": 0}, "data item name must be non-empty"),
+    "DataRef": (scalar("x"), {"name": ""}, "data item name must be non-empty"),
     "OperatorClass": (ALU, {"latency_cycles": 0}, "latency must be >= 1"),
     "Operation": (RECORDS[2], {"operands": ()}, "needs at least one operand"),
     "MemoryBank": (BANK, {"energy_per_access": float("nan")}, "energy per access must be finite"),
@@ -87,7 +88,7 @@ def test_replace_and_make_run_the_constructor_checks(name):
 
 def test_data_ref_make_rejects_a_negative_index():
     with pytest.raises(ValueError, match="needs a non-negative index"):
-        type(scalar("x"))._make(("a[-1]", "a", -1, 16))
+        type(scalar("x"))._make(("a[-1]", "a", -1))
 
 
 def test_a_diagnostic_ignores_its_details():
@@ -115,3 +116,17 @@ def test_a_schedule_ignores_its_model():
     s.model = None  # a schedule is mutable, but has no other attributes
     with pytest.raises(AttributeError):
         s.makespan = 1
+
+
+def test_a_schedule_equals_only_a_schedule_and_reprs_as_its_constructor():
+    entries = {"a": ScheduleEntry("a", 0, 1, "alu", 0, (PortBooking("M0", 0, -2, 0),))}
+    s = Schedule(entries, SchedulerConfig(4))
+    assert s.__eq__((entries, s.config)) is NotImplemented and s != (entries, s.config)
+    assert repr(s).startswith("Schedule(entries={'a': ScheduleEntry(op_id='a', ")
+    assert eval(repr(s), vars(memsched)) == s  # the model is not in the repr
+
+
+def test_a_diagnostic_equals_only_a_tuple():
+    d = Diagnostic("UnmappedData", "u")
+    assert d.__eq__(["UnmappedData", "u", {}]) is NotImplemented
+    assert d != ["UnmappedData", "u", {}] and d != "UnmappedData"
